@@ -9,11 +9,20 @@ by Euler angles with the convention
                          . diag(e^{i psi/2}, e^{-i psi/2})
 
 with theta in [0, pi] and phi, psi in [-2pi, 2pi] (the double cover needs a
-4pi worth of combined phase range).  Haar sampling is Ginibre + QR with
-diagonal-phase correction, then division by the principal n-th root of the
-determinant for the special groups.  All randomness flows through Philox
-counter streams keyed by (seed, stream index), so sampling is reproducible
-and order-independent.
+4pi worth of combined phase range).  The spin-j irrep (dimension 2j+1) is
+the same product in closed form, diag(e^{i m phi}) . exp(-i theta J_y) .
+diag(e^{i m psi}) with m = j, j-1, ..., -j, at O(d^3) per element.
+
+Haar integrals over SU(2) use a product rule in Euler coordinates that is
+exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
+in phi and psi, Gauss-Legendre in cos(theta), O(J^3) nodes in all.
+U^dag rho U for a d-dimensional representation has spin at most d-1, so
+order 2d-1 averages it exactly with O(d^3) nodes.
+
+Haar sampling is Ginibre + QR with diagonal-phase correction, then division
+by the principal n-th root of the determinant for the special groups.  All
+randomness flows through Philox counter streams keyed by (seed, stream
+index), so sampling is reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -342,36 +351,37 @@ def su2_fundamental() -> UnitaryRep:
     return _validate_rep(rep)
 
 
-def _symmetric_isometry_qubits(k: int) -> np.ndarray:
-    # isometry from the symmetric subspace of (C^2)^{otimes k}, dim k+1
-    dim = 2**k
-    S = np.zeros((dim, k + 1))
-    for x in range(dim):
-        S[x, bin(x).count("1")] = 1.0
-    return S / np.sqrt(S.sum(axis=0))
+def _spin_jy(dim: int) -> np.ndarray:
+    # standard J_y of spin j = (dim-1)/2 in the basis m = j, j-1, ..., -j
+    j = (dim - 1) / 2.0
+    m = j - np.arange(1, dim)
+    jplus = np.diag(np.sqrt(j * (j + 1.0) - m * (m + 1.0)), 1)
+    return (jplus - jplus.T) / 2j
 
 
 def su2_irrep(dim: int) -> UnitaryRep:
     """Irreducible SU(2) representation of the given dimension (>= 2).
 
-    Realized as the restriction of U^{otimes (dim-1)} to the symmetric
-    subspace; dim = 2 is the fundamental.
+    Spin j = (dim-1)/2 in closed form, in the basis and sign convention of
+    U^{otimes (dim-1)} restricted to the symmetric subspace:
+    diag(e^{i m phi}) . V diag(e^{-i theta w}) V^dag . diag(e^{i m psi}) with
+    m = j, ..., -j and J_y = V diag(w) V^dag diagonalized once.  dim = 2 is
+    the fundamental.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if dim == 2:
         return su2_fundamental()
-    k = dim - 1
-    S = _symmetric_isometry_qubits(k)
+    w, V = np.linalg.eigh(_spin_jy(dim))
+    # the spectrum of J_y is exactly j, ..., -j
+    w = np.round(2.0 * w) / 2.0
+    m = (dim - 1) / 2.0 - np.arange(dim)
 
-    def fn(g, _S=S, _k=k):
-        U = su2_matrix(g.phi, g.theta, g.psi)
-        P = U
-        for _ in range(_k - 1):
-            P = np.kron(P, U)
-        return _S.T @ P @ _S
+    def fn(g, _w=w, _V=V, _m=m):
+        ry = (_V * np.exp(-1j * g.theta * _w)) @ _V.conj().T
+        return np.exp(1j * g.phi * _m)[:, None] * ry * np.exp(1j * g.psi * _m)[None, :]
 
-    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{k}"))
+    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}"))
 
 
 def su3_fundamental() -> UnitaryRep:
@@ -626,27 +636,35 @@ def _wrap_psi(psi: float) -> float:
 def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int = 24) -> np.ndarray:
     """Integrate a matrix-valued function over SU(2) Haar measure.
 
-    Product Gauss-Legendre rule in Euler coordinates: phi on [0, 2pi],
-    theta on [0, pi] with weight sin(theta), psi on [0, 4pi] (the full
-    double-cover range).  Deterministic; accuracy grows with order.
+    Product rule in Euler coordinates, exact for every matrix coefficient of
+    spin J <= (order-1)/2: trapezoid in phi on [0, 2pi) with floor(J)+1
+    nodes, Gauss-Legendre in x = cos(theta) with ceil((floor(J)+1)/2) nodes,
+    trapezoid in psi on [0, 4pi) (the full double-cover range) with 2J+1
+    nodes; O(J^3) nodes in all.  Spin-J coefficients are
+    e^{i m phi} d^J_{mm'}(theta) e^{i m' psi}: the psi sum removes m' != 0,
+    the phi sum then m != 0, and d^J_{00}(theta) = P_J(cos theta) is a
+    polynomial of degree J that the Gauss-Legendre rule integrates exactly.
+    Deterministic.
     """
     if order < 4:
         raise ValueError("order must be >= 4")
-    x, w = leggauss(order)
-    phis = math.pi * (x + 1.0)
-    w_phi = w * math.pi
-    thetas = (math.pi / 2.0) * (x + 1.0)
-    w_theta = w * (math.pi / 2.0) * np.sin(thetas)
-    psis = TWO_PI * (x + 1.0)
-    w_psi = w * TWO_PI
+    two_j = order - 1
+    n_phi = two_j // 2 + 1
+    n_psi = two_j + 1
+    phis = TWO_PI * np.arange(n_phi) / n_phi
+    x, w_theta = leggauss((n_phi + 1) // 2)
+    thetas = np.arccos(x)
+    psis = 2.0 * TWO_PI * np.arange(n_psi) / n_psi
+    w_phi = TWO_PI / n_phi
+    w_psi = 2.0 * TWO_PI / n_psi
 
     acc = None
     mass = 0.0
-    for i in range(order):
-        for j in range(order):
-            for k in range(order):
-                weight = w_phi[i] * w_theta[j] * w_psi[k]
-                el = SU2Element(phis[i], thetas[j], _wrap_psi(psis[k]))
+    for phi in phis:
+        for j, theta in enumerate(thetas):
+            for psi in psis:
+                weight = w_phi * w_theta[j] * w_psi
+                el = SU2Element(phi, theta, _wrap_psi(psi))
                 val = np.asarray(f(el), dtype=complex)
                 acc = weight * val if acc is None else acc + weight * val
                 mass += weight

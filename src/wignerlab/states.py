@@ -170,14 +170,15 @@ def haar_average(
     method: str = "auto",
     seed: int = 0,
     count: int = 4096,
-    order: int = 24,
 ) -> HaarAverageResult:
     """Group-average a state: rho_bar = integral of U(g)^dag rho U(g) dg.
 
     Methods: "finite_exact" (uniform sum over a finite group), "quadrature"
-    (U(1) uniform grid, SU(2) Euler Gauss-Legendre), "montecarlo" (Haar
-    samples, fixed-order pairwise summation), or "auto" to pick the sharpest
-    method the group kind admits.
+    (U(1) uniform grid; for SU(2), ``groups.haar_quadrature_su2`` of order
+    max(4, 2d-1), exact because U^dag rho U of a d-dimensional representation
+    has spin at most d-1, with O(d^3) nodes: 480 at d = 8), "montecarlo"
+    (Haar samples, fixed-order pairwise summation), or "auto" to pick the
+    sharpest method the group kind admits.
     """
     if rho.d != rep.dim:
         raise DimensionMismatch(f"state dim {rho.d} != representation dim {rep.dim}")
@@ -204,7 +205,7 @@ def haar_average(
                 U = G.element_unitary(rep, el)
                 return U.conj().T @ rho.rho @ U
 
-            avg = G.haar_quadrature_su2(f, order=order)
+            avg = G.haar_quadrature_su2(f, order=max(4, 2 * rep.dim - 1))
         else:
             raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
     elif method == "montecarlo":

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from wignerlab import DensityState, finite_group_to_json, quaternion_rep
+from wignerlab import DensityState, bundle_spec_from_json, finite_group_to_json, quaternion_rep
 from wignerlab.cli import main
 
 
@@ -87,6 +89,14 @@ def test_invariant_state_su2(tmp_path):
     assert np.abs(state.rho - np.eye(2) / 2).max() <= 1e-8
     assert report["invariance_residual"] <= 1e-8
     assert report["separating"]["separating"]
+
+
+def test_invariant_state_su2_dim8_exact(tmp_path):
+    out = tmp_path / "state.json"
+    code = run_cli("invariant-state", "--group", "su2", "--dim", "8", "--seed", "1", "--out", str(out))
+    assert code == 0
+    state = DensityState.from_json(load_report(out)["state"])
+    assert np.abs(state.rho - np.eye(8) / 8).max() <= 1e-12
 
 
 def test_invariant_state_trivial_group_echoes_seed(tmp_path):
@@ -216,6 +226,18 @@ def test_bundle_from_config(tmp_path):
     report = load_report(out)
     assert set(report["field"]["states"]) == {"a", "b"}
     assert all(report["separating"].values())
+
+
+def test_readme_bundle_spec_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Bundle specs.*?```json\n(.*?)```", readme, re.DOTALL).group(1)
+    doc = json.loads(block)
+    assert bundle_spec_from_json(doc).points == ("x0", "x1")
+    cfg = tmp_path / "bundle.json"
+    cfg.write_text(block)
+    out = tmp_path / "field.json"
+    assert run_cli("bundle", "--config", str(cfg), "--seed", "17", "--out", str(out)) == 0
+    assert all(load_report(out)["separating"].values())
 
 
 def test_config_flag_override(tmp_path):

@@ -232,8 +232,42 @@ def test_inverse_element_matches_adjoint():
     assert np.linalg.norm(element_unitary(rep, ginv) - element_unitary(rep, g).conj().T) <= 1e-12
 
 
+def test_quadrature_exact_up_to_spin():
+    # order n integrates every spin J <= (n-1)/2 coefficient exactly; the
+    # irrep of dim n is spin (n-1)/2, the highest the rule covers
+    for order in range(4, 12):
+        for d in range(2, order + 1):
+            rep = su2_irrep(d)
+            out = haar_quadrature_su2(lambda el: element_unitary(rep, el), order=order)
+            assert np.abs(out).max() <= 1e-12, (order, d)
+
+
+def kron_symmetric_irrep(d, g):
+    """Reference spin-(d-1)/2 irrep: U^{otimes (d-1)} restricted to the
+    symmetric subspace, spanned by the normalized sums of the basis states
+    with n ones, n = 0..d-1."""
+    k = d - 1
+    S = np.zeros((2**k, d))
+    for x in range(2**k):
+        S[x, bin(x).count("1")] = 1.0
+    S /= np.sqrt(S.sum(axis=0))
+    U = su2_matrix(g.phi, g.theta, g.psi)
+    P = U
+    for _ in range(k - 1):
+        P = np.kron(P, U)
+    return S.T @ P @ S
+
+
+def test_su2_irrep_matches_symmetric_kronecker_power():
+    for d in range(2, 10):
+        rep = su2_irrep(d)
+        for g in haar_sample(rep, 40 + d, 20):
+            assert np.abs(element_unitary(rep, g) - kron_symmetric_irrep(d, g)).max() <= 1e-12
+
+
 def test_su2_irreps_unitary_and_homomorphic():
-    for d in (3, 4, 5, 6):
+    # 16 would need a 2^15-square Kronecker power without the closed form
+    for d in (3, 4, 5, 6, 16):
         rep = su2_irrep(d)
         g, h = haar_sample(rep, 31, 2)
         Ug, Uh = element_unitary(rep, g), element_unitary(rep, h)

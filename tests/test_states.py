@@ -21,10 +21,12 @@ from wignerlab import (
     pure_state,
     random_density,
     su2_fundamental,
+    su2_irrep,
     trace_distance,
     trivial_rep,
     u1_rep,
 )
+from wignerlab import groups
 from wignerlab.states import repair_psd
 
 from conftest import random_hermitian
@@ -80,6 +82,35 @@ def test_haar_average_su2_schur(rng):
         res = haar_average(rep, rho, method="quadrature")
         assert trace_distance(res.state, maximally_mixed(2)) <= 1e-8
         assert res.residual <= 1e-8
+
+
+def test_haar_average_su2_irreps_exact(rng):
+    for d in range(2, 11):
+        rho = random_density(d, rng)
+        res = haar_average(su2_irrep(d), rho, method="quadrature")
+        assert np.abs(res.state.rho - np.eye(d) / d).max() <= 1e-12, d
+        assert res.residual <= 1e-12, d
+
+
+def test_haar_average_su2_quadrature_nodes(rng, monkeypatch):
+    # order max(4, 2d-1): (floor(J)+1) * ceil((floor(J)+1)/2) * (2J+1) nodes
+    quadrature = groups.haar_quadrature_su2
+    calls = []
+
+    def counted(f, order):
+        def integrand(el):
+            calls.append(order)
+            return f(el)
+        return quadrature(integrand, order=order)
+
+    monkeypatch.setattr(groups, "haar_quadrature_su2", counted)
+    nodes = []
+    for d in range(2, 9):
+        calls.clear()
+        haar_average(su2_irrep(d), random_density(d, rng), method="quadrature")
+        assert set(calls) == {max(4, 2 * d - 1)}
+        nodes.append(len(calls))
+    assert nodes == [8, 30, 56, 135, 198, 364, 480]
 
 
 def test_haar_average_u1_dephasing(rng):
