@@ -2,10 +2,10 @@
 group for the whole bundle, and a stitched invariant separating field state.
 
 Fibres are independent (local product-bundle triviality); stitching imposes
-no inter-fibre constraint.  Each fibre is seeded with a full-rank blend of
-the maximally mixed state and a seeded random state, group-averaged, then
-checked for invariance and full rank, retrying with a more mixed seed when
-a check fails.
+no inter-fibre constraint.  Each fibre is seeded with an even blend of the
+maximally mixed state and a seeded random state, group-averaged by
+``states.haar_average`` with method "auto", then checked for invariance and
+full rank; a fibre that fails either check raises ``FieldAssignmentError``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .states import (
     random_density,
     repair_psd,
 )
-from .wigner import WignerProblem, cesaro_fixed_point
 
 
 class UnknownBasePoint(KeyError):
@@ -32,7 +31,7 @@ class UnknownBasePoint(KeyError):
 
 
 class FieldAssignmentError(RuntimeError):
-    """A fibre failed its invariance or separating check after all retries."""
+    """A fibre failed its invariance or separating check."""
 
     def __init__(self, label: str, message: str):
         super().__init__(f"base point {label!r}: {message}")
@@ -118,26 +117,16 @@ def _blend_seed_state(d: int, blend: float, rng: np.random.Generator) -> Density
     return DensityState(d, out)
 
 
-def _average_one(rep: G.UnitaryRep, seed_state: DensityState, method: str, gen_seed: int,
-                 mc_count: int, cesaro_generators: int) -> DensityState:
-    if method == "auto":
-        method = {"finite": "finite_exact", "u1": "quadrature", "su2": "quadrature",
-                  "su3": "cesaro"}[rep.group.kind]
-    if method == "cesaro":
-        elements = tuple(G.haar_sample(rep, gen_seed, cesaro_generators))
-        return cesaro_fixed_point(WignerProblem(rep, elements), seed_state, tol=1e-11)
-    return haar_average(rep, seed_state, method=method, seed=gen_seed, count=mc_count).state
+def _average_one(rep: G.UnitaryRep, seed_state: DensityState, gen_seed: int) -> DensityState:
+    return haar_average(rep, seed_state, seed=gen_seed).state
 
 
 def assign_invariant_field(
     spec: BundleSpec,
-    method: str = "auto",
     seed: int = 0,
     invariance_tol: float = 1e-7,
     separating_tol: float = 1e-10,
     probes: int = 50,
-    mc_count: int = 4096,
-    cesaro_generators: int = 3,
 ) -> FieldState:
     """Assign every base point an invariant, separating (full-rank) state.
 
@@ -147,28 +136,17 @@ def assign_invariant_field(
     states = {}
     for idx, label in enumerate(spec.points):
         rep = spec.reps[label]
-        rng = G.philox_stream(seed, idx)
-        gen_seed = _point_seed(seed, idx, 1)
-        probe_seed = _point_seed(seed, idx, 2)
-        last = ""
-        for blend in (0.5, 0.8, 1.0):
-            candidate = _blend_seed_state(rep.dim, blend, rng)
-            try:
-                state = _average_one(rep, candidate, method, gen_seed, mc_count, cesaro_generators)
-            except Exception as exc:
-                last = f"averaging failed: {exc}"
-                continue
-            residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
-            sep = is_separating(state, separating_tol)
-            if residual <= invariance_tol and sep.separating:
-                states[label] = state
-                break
-            last = (
+        seed_state = _blend_seed_state(rep.dim, 0.5, G.philox_stream(seed, idx))
+        state = _average_one(rep, seed_state, _point_seed(seed, idx, 1))
+        residual = invariance_residual(rep, state, probes=probes, seed=_point_seed(seed, idx, 2))
+        sep = is_separating(state, separating_tol)
+        if residual > invariance_tol or not sep.separating:
+            raise FieldAssignmentError(
+                label,
                 f"invariance residual {residual:.3e} (tol {invariance_tol:.1e}), "
-                f"min eigenvalue {sep.min_eigenvalue:.3e}"
+                f"min eigenvalue {sep.min_eigenvalue:.3e}",
             )
-        else:
-            raise FieldAssignmentError(label, last or "no attempt succeeded")
+        states[label] = state
     return FieldState(spec.points, states)
 
 

@@ -4,7 +4,6 @@ Subcommands: wigner-verify, invariant-state, crossed, entropy, bundle.
 Exit codes: 0 success, 1 usage/config error, 2 verified-contract violation.
 Reports embed the resolved config; timestamps live in a separate "meta"
 field so the "report" subtree is byte-identical for identical (config, seed).
-WIGNERLAB_THREADS caps batch parallelism.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,13 +27,7 @@ from .states import (
     is_separating,
     random_density,
 )
-from .wigner import (
-    NoConvergence,
-    WignerProblem,
-    cesaro_fixed_point,
-    standard_problem_batch,
-    verify_wigner_identity,
-)
+from .wigner import NoConvergence, WignerProblem, standard_problem_batch, verify_wigner_identity
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -105,16 +96,6 @@ def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
     raise ValueError(f"unknown group {group!r} (expected su2, su3, u1, q8, zn:<n>, file:<path>)")
 
 
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("WIGNERLAB_THREADS")
-    if cap:
-        try:
-            return max(1, min(int(cap), n_tasks))
-        except ValueError as exc:
-            raise ValueError(f"WIGNERLAB_THREADS must be an integer: {cap!r}") from exc
-    return max(1, min(os.cpu_count() or 1, n_tasks))
-
-
 def _emit(report: dict, out: str | None, text: str | None = None) -> None:
     """Write a JSON report envelope (or raw text when given) to out/stdout."""
     if text is None:
@@ -155,8 +136,7 @@ def cmd_wigner_verify(args) -> int:
         dims = (int(dim),) if dim is not None else (2, 3, 4, 5, 6)
         problems = standard_problem_batch(count=count, base_seed=seed, dims=dims)
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(problems))) as pool:
-        reports = list(pool.map(lambda p: verify_wigner_identity(p, tol), problems))
+    reports = [verify_wigner_identity(p, tol) for p in problems]
 
     failures = [r for r in reports if not r.verdict]
     resolved = {
@@ -196,20 +176,14 @@ def cmd_invariant_state(args) -> int:
     else:
         seed_state = random_density(rep.dim, G.philox_stream(seed, 17))
 
-    if method == "auto" and rep.group.kind == "su3":
-        method = "cesaro"
     try:
-        if method == "cesaro":
-            elements = tuple(G.haar_sample(rep, seed, generators))
-            state = cesaro_fixed_point(WignerProblem(rep, elements), seed_state, tol=1e-11)
-            method_used = "cesaro"
-        else:
-            result = haar_average(rep, seed_state, method=method, seed=seed, count=count)
-            state, method_used = result.state, result.method
+        result = haar_average(rep, seed_state, method=method, seed=seed, count=count,
+                              generators=generators)
     except NoConvergence as exc:
         _emit({"error": str(exc), "residual": exc.residual}, args.out)
         return EXIT_CONTRACT
 
+    state = result.state
     residual = invariance_residual(rep, state, probes=50, seed=seed + 1)
     sep = is_separating(state)
     resolved = {
@@ -218,7 +192,7 @@ def cmd_invariant_state(args) -> int:
         "tol": tol,
         "group": group,
         "dim": rep.dim,
-        "method": method_used,
+        "method": result.method,
         "state": state_path,
     }
     report = {

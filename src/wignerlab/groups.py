@@ -472,16 +472,6 @@ def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
     return _validate_rep(UnitaryRep(group, total, fn, name or "+".join(r.name for r in reps)))
 
 
-def pad_trivial(rep: UnitaryRep, total_dim: int) -> UnitaryRep:
-    if total_dim < rep.dim:
-        raise ValueError("cannot pad below the representation dimension")
-    if total_dim == rep.dim:
-        return rep
-    return direct_sum_rep(
-        rep, trivial_rep(rep.group, total_dim - rep.dim), name=f"{rep.name}+triv{total_dim - rep.dim}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # built-in finite groups
 

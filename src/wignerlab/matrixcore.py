@@ -55,11 +55,6 @@ def trace_norm(M) -> float:
     return float(np.sum(sla.svdvals(M)))
 
 
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    return complex(np.sum(np.conj(A) * B))
-
-
 def vec(M) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(M).flatten(order="F")
@@ -72,12 +67,6 @@ def unvec(v, d: int | None = None) -> np.ndarray:
     if d * d != v.size:
         raise DimensionMismatch(f"cannot reshape length-{v.size} vector to square matrix")
     return v.reshape((d, d), order="F")
-
-
-def conjugation_superop(U) -> np.ndarray:
-    """Superoperator of M -> U M U^dag under column-stacking."""
-    U = np.asarray(U)
-    return np.kron(U.conj(), U)
 
 
 def eig_hermitian(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

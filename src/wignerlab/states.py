@@ -153,7 +153,8 @@ class HaarAverageResult:
     state: DensityState
     residual: float
     method: str
-    repair_magnitude: float
+    # None for "cesaro", whose PSD repair happens inside cesaro_fixed_point
+    repair_magnitude: float | None
 
 
 def _u1_grid_size(rep: G.UnitaryRep) -> int:
@@ -164,58 +165,71 @@ def _u1_grid_size(rep: G.UnitaryRep) -> int:
     return 257
 
 
+_AUTO_METHOD = {"finite": "finite_exact", "u1": "quadrature", "su2": "quadrature", "su3": "cesaro"}
+
+
 def haar_average(
     rep: G.UnitaryRep,
     rho: DensityState,
     method: str = "auto",
     seed: int = 0,
     count: int = 4096,
+    generators: int = 3,
 ) -> HaarAverageResult:
     """Group-average a state: rho_bar = integral of U(g)^dag rho U(g) dg.
 
-    Methods: "finite_exact" (uniform sum over a finite group), "quadrature"
-    (U(1) uniform grid; for SU(2), ``groups.haar_quadrature_su2`` of order
-    max(4, 2d-1), exact because U^dag rho U of a d-dimensional representation
-    has spin at most d-1, with O(d^3) nodes: 480 at d = 8), "montecarlo"
-    (Haar samples, fixed-order pairwise summation), or "auto" to pick the
-    sharpest method the group kind admits.
+    Methods:
+
+    * "finite_exact": uniform sum over a finite group;
+    * "quadrature": U(1) uniform grid; for SU(2), ``groups.haar_quadrature_su2``
+      of order max(4, 2d-1), exact because U^dag rho U of a d-dimensional
+      representation has spin at most d-1, with O(d^3) nodes (480 at d = 8);
+    * "montecarlo": ``count`` Haar samples drawn from ``seed``, fixed-order
+      pairwise summation (Lie groups only);
+    * "cesaro": ``wigner.cesaro_fixed_point`` to 1e-11 for the averaged map of
+      ``generators`` Haar samples drawn from ``seed`` (any group kind);
+    * "auto": finite -> finite_exact, u1 and su2 -> quadrature,
+      su3 -> cesaro.
     """
     if rho.d != rep.dim:
         raise DimensionMismatch(f"state dim {rho.d} != representation dim {rep.dim}")
     kind = rep.group.kind
     if method == "auto":
-        method = {"finite": "finite_exact", "u1": "quadrature", "su2": "quadrature", "su3": "montecarlo"}[kind]
+        method = _AUTO_METHOD[kind]
 
-    if method == "finite_exact":
-        if kind != "finite":
-            raise MethodUnsupported("finite_exact needs a finite group")
-        mats = [G.element_unitary(rep, g) for g in G.finite_elements(rep.group)]
-        stack = np.stack([U.conj().T @ rho.rho @ U for U in mats])
-        avg = pairwise_mean(stack)
-    elif method == "quadrature":
-        if kind == "u1":
-            n = _u1_grid_size(rep)
-            thetas = [2.0 * math.pi * k / n for k in range(n)]
-            stack = np.stack(
-                [pullback(rep, G.U1Element(t), rho).rho for t in thetas]
-            )
-            avg = pairwise_mean(stack)
-        elif kind == "su2":
-            def f(el):
-                U = G.element_unitary(rep, el)
-                return U.conj().T @ rho.rho @ U
+    if method == "cesaro":
+        # wigner imports this module at load time
+        from .wigner import WignerProblem, cesaro_fixed_point
 
-            avg = G.haar_quadrature_su2(f, order=max(4, 2 * rep.dim - 1))
-        else:
-            raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
-    elif method == "montecarlo":
-        if kind == "finite":
-            raise MethodUnsupported("use finite_exact for finite groups")
-        samples = G.haar_sample(rep, seed, count)
-        stack = np.stack([pullback(rep, g, rho).rho for g in samples])
-        avg = pairwise_mean(stack)
+        problem = WignerProblem(rep, tuple(G.haar_sample(rep, seed, generators)))
+        state = cesaro_fixed_point(problem, rho, tol=1e-11)
+        return HaarAverageResult(state, invariance_residual(rep, state), method, None)
+
+    if method == "quadrature" and kind == "su2":
+        def f(el):
+            U = G.element_unitary(rep, el)
+            return U.conj().T @ rho.rho @ U
+
+        avg = G.haar_quadrature_su2(f, order=max(4, 2 * rep.dim - 1))
     else:
-        raise MethodUnsupported(f"unknown method {method!r}")
+        if method == "finite_exact":
+            if kind != "finite":
+                raise MethodUnsupported("finite_exact needs a finite group")
+            elements = G.finite_elements(rep.group)
+        elif method == "quadrature":
+            if kind != "u1":
+                raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
+            n = _u1_grid_size(rep)
+            elements = [G.U1Element(2.0 * math.pi * k / n) for k in range(n)]
+        elif method == "montecarlo":
+            if kind == "finite":
+                raise MethodUnsupported("use finite_exact for finite groups")
+            elements = G.haar_sample(rep, seed, count)
+        else:
+            raise MethodUnsupported(f"unknown method {method!r}")
+        avg = pairwise_mean(np.stack([
+            U.conj().T @ rho.rho @ U for U in (G.element_unitary(rep, g) for g in elements)
+        ]))
 
     repaired, magnitude = repair_psd(avg)
     state = DensityState(rho.d, repaired)

@@ -82,6 +82,31 @@ def test_su3_fibre_via_cesaro():
     assert is_separating(state).separating
 
 
+def test_broken_averager_raises_instead_of_falling_back(monkeypatch):
+    from wignerlab import FieldAssignmentError, HaarAverageResult, bundle
+
+    spec = BundleSpec(("a", "b", "c"), {p: su2_irrep(d) for p, d in zip("abc", (2, 3, 2))})
+    calls = []
+    average_one = bundle._average_one
+
+    def counted(*args):
+        calls.append(args)
+        return average_one(*args)
+
+    monkeypatch.setattr(bundle, "_average_one", counted)
+    assign_invariant_field(spec, seed=6)
+    assert len(calls) == len(spec.points)
+
+    # an averager that returns its input leaves a non-invariant seed state;
+    # that must surface, not be replaced by I/d
+    monkeypatch.setattr(
+        bundle, "haar_average", lambda rep, rho, **kw: HaarAverageResult(rho, 0.0, "none", 0.0)
+    )
+    with pytest.raises(FieldAssignmentError) as err:
+        assign_invariant_field(spec, seed=6)
+    assert err.value.label == "a"
+
+
 def test_restrict_unknown_point():
     spec = BundleSpec(("x",), {"x": su2_fundamental()})
     field = assign_invariant_field(spec, seed=0)

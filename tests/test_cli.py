@@ -7,7 +7,18 @@ from pathlib import Path
 
 import numpy as np
 
-from wignerlab import DensityState, bundle_spec_from_json, finite_group_to_json, quaternion_rep
+from wignerlab import (
+    DensityState,
+    WignerProblem,
+    bundle_spec_from_json,
+    cesaro_fixed_point,
+    finite_group_to_json,
+    haar_sample,
+    philox_stream,
+    quaternion_rep,
+    random_density,
+    su3_rep,
+)
 from wignerlab.cli import main
 
 
@@ -128,6 +139,12 @@ def test_invariant_state_su3_cesaro(tmp_path):
     report = load_report(out)
     assert report["config"]["method"] == "cesaro"
     assert report["invariance_residual"] <= 1e-7
+    # the CLI result is exactly the direct Cesaro fixed point
+    rep = su3_rep(3)
+    seed_state = random_density(3, philox_stream(4, 17))
+    problem = WignerProblem(rep, tuple(haar_sample(rep, 4, 3)))
+    direct = cesaro_fixed_point(problem, seed_state, tol=1e-11)
+    assert DensityState.from_json(report["state"]).rho.tobytes() == direct.rho.tobytes()
 
 
 def test_invariant_state_coarse_montecarlo_exits_2(tmp_path):
@@ -257,14 +274,6 @@ def test_bad_schema_version_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 99}))
     assert run_cli("entropy", "--config", str(cfg)) == 1
-
-
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("WIGNERLAB_THREADS", "1")
-    out = tmp_path / "report.json"
-    assert run_cli("wigner-verify", "--count", "3", "--out", str(out)) == 0
-    monkeypatch.setenv("WIGNERLAB_THREADS", "oops")
-    assert run_cli("wigner-verify", "--count", "3", "--out", str(out)) == 1
 
 
 def test_console_entry_point(tmp_path):

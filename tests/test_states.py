@@ -167,6 +167,25 @@ def test_haar_average_output_invariance(rng):
         assert trace_distance(pullback(rep, g, state), state) <= 1e-7
 
 
+def test_haar_average_auto_su3_is_cesaro_and_invariant(rng):
+    from wignerlab import cyclic_rep, su3_fundamental
+
+    res = haar_average(su3_fundamental(), random_density(3, rng))
+    assert res.method == "cesaro"
+    assert res.residual <= 1e-7
+
+    # Cesaro runs on every group kind; the 3 elements drawn from seed 0
+    # include an odd one, which generates Z_4, so the limit is the exact average
+    rep = cyclic_rep(4, dim=4)
+    assert any(g.index % 2 for g in haar_sample(rep, 0, 3))
+    rho = random_density(4, rng)
+    res = haar_average(rep, rho, method="cesaro")
+    assert res.method == "cesaro"
+    assert res.residual <= 1e-7
+    exact = haar_average(rep, rho, method="finite_exact").state
+    assert trace_distance(res.state, exact) <= 1e-9
+
+
 def test_haar_average_montecarlo_within_standard_errors(rng):
     rep = su2_fundamental()
     rho = random_density(2, rng)
