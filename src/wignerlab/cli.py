@@ -178,13 +178,13 @@ def cmd_invariant_state(args) -> int:
 
     try:
         result = haar_average(rep, seed_state, method=method, seed=seed, count=count,
-                              generators=generators)
+                              generators=generators, probes=50, probe_seed=seed + 1)
     except NoConvergence as exc:
         _emit({"error": str(exc), "residual": exc.residual}, args.out)
         return EXIT_CONTRACT
 
     state = result.state
-    residual = invariance_residual(rep, state, probes=50, seed=seed + 1)
+    residual = result.residual
     sep = is_separating(state)
     resolved = {
         "schema_version": 1,

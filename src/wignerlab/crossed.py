@@ -4,8 +4,14 @@ The carrier is C^d tensor C^|G| with the fibre factor first; basis vectors of
 the group factor follow the Cayley-table order.  The translation unitaries
 U_h send x tensor e_g to x tensor e_{g h^-1}; the embedding Phi places
 alpha_g(A) in the g-th diagonal block.  U_h Phi(A) U_h^dag = Phi(alpha_h(A))
-then holds exactly, and the generated algebra is computed two independent
-ways: product closure of the spanning set and the double commutant.
+then holds exactly.
+
+The algebra is generated by a small set: U_h for h in a generating set of G
+(``groups.generating_set``) plus Phi(H_1), Phi(H_2) for two fixed generic
+Hermitian fibre matrices, which generate all of M_d.  Its dimension is
+computed two independent ways, product closure (words grow one letter a
+round) and the double commutant, and both must equal the closed form
+d^2 |G|, since every model embeds all of M_d.
 """
 
 from __future__ import annotations
@@ -145,13 +151,20 @@ def _orthonormal_columns(X: np.ndarray, tol: float) -> np.ndarray:
 def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> AlgebraSpan:
     """Close the span of the generators under products and adjoints.
 
-    New directions are Gram-Schmidt'ed against the running orthonormal basis
-    (threshold ``tol``); each round multiplies the latest additions against
-    the whole basis, so the work stays proportional to actual growth.
+    The closure is the span of the identity and all words in the letters,
+    the generators and their adjoints; it is *-closed because the letters
+    are.  Each round multiplies only the previous round's new directions on
+    the left by every letter, in one stacked einsum, so words grow one
+    letter a round.  The products are projected twice against the running
+    orthonormal basis (classical Gram-Schmidt with one reorthogonalisation)
+    and rank-cut at ``tol``.
     """
     gens = [as_matrix(M) for M in generators]
-    n = matrix_dim * matrix_dim
-    seed = np.column_stack([vec(M) for M in gens] + [vec(np.eye(matrix_dim, dtype=complex))])
+    letters = gens + [M.conj().T for M in gens if not np.array_equal(M.conj().T, M)]
+    d = matrix_dim
+    n = d * d
+    stack = np.array(letters, dtype=complex).reshape(len(letters), d, d)
+    seed = np.column_stack([vec(np.eye(d, dtype=complex))] + [vec(M) for M in letters])
     basis = _orthonormal_columns(seed, tol)
     fresh = basis
     rounds = 0
@@ -159,42 +172,58 @@ def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> AlgebraS
         rounds += 1
         if rounds > n * n:
             raise NonConvergent("product closure exceeded the iteration guard")
-        old_mats = [unvec(basis[:, k], matrix_dim) for k in range(basis.shape[1])]
-        new_mats = [unvec(fresh[:, k], matrix_dim) for k in range(fresh.shape[1])]
-        prods = []
-        for A in new_mats:
-            prods.append(vec(A.conj().T))
-            for B in old_mats:
-                prods.append(vec(A @ B))
-                prods.append(vec(B @ A))
-        X = np.column_stack(prods)
-        R = X - basis @ (basis.conj().T @ X)
-        fresh = _orthonormal_columns(R, tol)
+        # column (l, k) is vec(letter_l @ fresh_k)
+        X = np.einsum(
+            "lab,bjk->ajlk", stack, fresh.reshape(d, d, -1, order="F"), optimize=True
+        ).reshape(n, -1, order="F")
+        for _ in range(2):
+            X = X - basis @ (basis.conj().T @ X)
+        fresh = _orthonormal_columns(X, tol)
         if fresh.shape[1]:
             basis = np.column_stack([basis, fresh])
     return AlgebraSpan(matrix_dim, basis)
 
 
+# seed of the Philox stream the generic fibre pair is drawn from
+_GENERIC_PAIR_SEED = 0x57494752
+
+
+def _generic_hermitian_pair(d: int) -> list[np.ndarray]:
+    """Two fixed generic Hermitian d x d matrices of unit Frobenius norm."""
+    rng = G.philox_stream(_GENERIC_PAIR_SEED)
+    pair = []
+    for _ in range(2):
+        Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = Z + Z.conj().T
+        pair.append(H / np.linalg.norm(H))
+    return pair
+
+
 def spanning_generators(model: CrossedProductModel) -> list[np.ndarray]:
-    """The products U_h Phi(A_i) over all h in G and a matrix-unit basis A_i."""
-    units = _matrix_units(model.d)
-    gens = []
-    for h in G.finite_elements(model.group):
-        U = regular_unitary(model, h)
-        for A in units:
-            gens.append(U @ embed(model, A))
+    """U_h for h in ``groups.generating_set(G)``, then Phi(H_1) and Phi(H_2).
+
+    The H_i are generic Hermitian: a generic pair generates M_d, and the U_h
+    generate every U_g, so the generated *-algebra is span{U_g Phi(A)}.  A
+    unitary commutes with what its adjoint commutes with and the Phi(H_i)
+    are self-adjoint, so the commutant is *-closed and the double commutant
+    is that same algebra.
+    """
+    gens = [regular_unitary(model, h) for h in G.generating_set(model.group)]
+    gens += [embed(model, H) for H in _generic_hermitian_pair(model.d)]
     return gens
 
 
 def crossed_dimension(model: CrossedProductModel, tol: float = 1e-10) -> int:
-    """Dimension of the generated algebra, with the product closure checked
-    against the double commutant."""
+    """Dimension of the generated algebra: the product closure, the double
+    commutant and the closed form d^2 |G| must all agree."""
     gens = spanning_generators(model)
     span = algebra_closure(gens, model.ambient_dim, tol)
     dc = double_commutant(gens, model.ambient_dim, tol)
-    if span.dim != dc.dim:
+    expected = model.d**2 * model.order
+    if not span.dim == dc.dim == expected:
         raise RuntimeError(
-            f"product closure dim {span.dim} != double commutant dim {dc.dim}"
+            f"product closure dim {span.dim}, double commutant dim {dc.dim}, "
+            f"closed form d^2 |G| = {expected}"
         )
     return span.dim
 

@@ -81,10 +81,10 @@ class FiniteGroup:
         table = np.asarray(self.table, dtype=int)
         if table.shape != (n, n):
             raise ValueError(f"Cayley table must be {n}x{n}, got {table.shape}")
-        full = set(range(n))
-        for i in range(n):
-            if set(table[i, :]) != full or set(table[:, i]) != full:
-                raise ValueError("Cayley table is not a Latin square")
+        full = np.broadcast_to(np.arange(n), (n, n))
+        if not (np.array_equal(np.sort(table, axis=1), full)
+                and np.array_equal(np.sort(table, axis=0), full.T)):
+            raise ValueError("Cayley table is not a Latin square")
         e = self.identity
         if not (0 <= e < n):
             raise ValueError("identity index out of range")
@@ -97,9 +97,12 @@ class FiniteGroup:
                 raise ValueError(f"element {i} has no two-sided inverse")
             inverses[i] = js[0]
         # a Latin square with identity is only a loop; the translation
-        # unitaries U_h U_k = U_{hk} need actual associativity
-        if not np.array_equal(table[table, :], table[:, table]):
-            raise ValueError("Cayley table is not associative")
+        # unitaries U_h U_k = U_{hk} need actual associativity.  Light's test:
+        # the s with (xs)y = x(sy) for all x, y are closed under the product,
+        # so checking the generators of the whole table suffices, in O(n^2 k)
+        for s in _generating_indices(table, e):
+            if not np.array_equal(table[table[:, s], :], table[:, table[s, :]]):
+                raise ValueError("Cayley table is not associative")
         table = table.copy()
         table.setflags(write=False)
         inverses.setflags(write=False)
@@ -117,6 +120,41 @@ class FiniteGroup:
 
 
 GroupDescriptor = FiniteGroup | LieGroup
+
+
+def _generated(table: np.ndarray, identity: int, gens: list[int]) -> np.ndarray:
+    """Mask of the elements reached from the identity by right multiplication
+    with the generators (breadth first)."""
+    seen = np.zeros(table.shape[0], dtype=bool)
+    seen[identity] = True
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = int(table[x, s])
+                if not seen[y]:
+                    seen[y] = True
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _generating_indices(table: np.ndarray, identity: int) -> list[int]:
+    gens: list[int] = []
+    seen = _generated(table, identity, gens)
+    while not seen.all():
+        gens.append(int(np.argmin(seen)))
+        seen = _generated(table, identity, gens)
+    return gens
+
+
+def generating_set(group: FiniteGroup) -> list[FiniteElement]:
+    """A generating set, greedily: repeatedly add the first element outside
+    the subgroup generated so far.  Each addition at least doubles that
+    subgroup, so there are at most log2 |G| elements (1 for Z_n, 3 for Q8,
+    none for the trivial group)."""
+    return [FiniteElement(i) for i in _generating_indices(group.table, group.identity)]
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,13 @@ class Subspace:
         return [unvec(self.basis[:, k]) for k in range(self.dim)]
 
 
-def _null_basis(M: np.ndarray, cutoff: float) -> np.ndarray:
-    """Orthonormal basis of {v : ||Mv|| <= cutoff}, via SVD."""
+def _null_basis(M: np.ndarray, cutoff: float, thin: bool = False) -> np.ndarray:
+    """Orthonormal basis of {v : ||Mv|| <= cutoff}, via SVD.  ``thin`` skips
+    the left factor's complement, which loses no right vector when M is
+    tall."""
     if M.shape[0] == 0:
         return np.eye(M.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(M)
+    _, s, vh = np.linalg.svd(M, full_matrices=not (thin and M.shape[0] >= M.shape[1]))
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T
 
@@ -184,20 +186,23 @@ def joint_null_space(operators, n: int, tol: float = DEFAULT_TOL, scales=None) -
     """Intersection of the null spaces of the given n x n operators.
 
     Computed by sequential restriction: the running basis is narrowed by the
-    null space of each operator in turn, which keeps every SVD small.  The
-    rank cutoff for operator i is tol * scales[i]; scales default to each
-    operator's own largest singular value, but callers whose operators may be
-    numerically zero (e.g. commutators with near-scalar matrices) must pass
-    the natural problem scale instead.
+    null space of each operator in turn, which keeps every SVD small.
+    ``operators`` may be a generator; each operator is taken only when its
+    step runs, and none after the intersection is empty.  The rank cutoff
+    for operator i is tol * scales[i]; scales default to each operator's own
+    largest singular value, but callers whose operators may be numerically
+    zero (e.g. commutators with near-scalar matrices) must pass the natural
+    problem scale instead.
     """
-    N = np.eye(n, dtype=complex)
+    N = None  # the identity, until the first restriction
     for i, L in enumerate(operators):
-        if N.shape[1] == 0:
+        if N is not None and N.shape[1] == 0:
             break
         L = np.asarray(L, dtype=complex)
         scale = scales[i] if scales is not None else float(np.linalg.norm(L, 2))
-        N = N @ _null_basis(L @ N, tol * scale)
-    return Subspace(n, N, tol)
+        step = _null_basis(L if N is None else L @ N, tol * scale, thin=True)
+        N = step if N is None else N @ step
+    return Subspace(n, np.eye(n, dtype=complex) if N is None else N, tol)
 
 
 def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -211,7 +216,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     for A in mats:
         if A.shape[0] != d:
             raise DimensionMismatch(f"expected {d}x{d} matrices, got {A.shape}")
-    ops = [_commutator_superop(A, d) for A in mats]
+    ops = (_commutator_superop(A, d) for A in mats)
     scales = [max(frobenius(A), 1e-300) for A in mats]
     return joint_null_space(ops, d * d, tol, scales=scales)
 

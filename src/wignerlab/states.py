@@ -175,6 +175,8 @@ def haar_average(
     seed: int = 0,
     count: int = 4096,
     generators: int = 3,
+    probes: int = 20,
+    probe_seed: int = 0,
 ) -> HaarAverageResult:
     """Group-average a state: rho_bar = integral of U(g)^dag rho U(g) dg.
 
@@ -190,6 +192,8 @@ def haar_average(
       ``generators`` Haar samples drawn from ``seed`` (any group kind);
     * "auto": finite -> finite_exact, u1 and su2 -> quadrature,
       su3 -> cesaro.
+
+    ``residual`` is ``invariance_residual(rep, state, probes, probe_seed)``.
     """
     if rho.d != rep.dim:
         raise DimensionMismatch(f"state dim {rho.d} != representation dim {rep.dim}")
@@ -203,7 +207,8 @@ def haar_average(
 
         problem = WignerProblem(rep, tuple(G.haar_sample(rep, seed, generators)))
         state = cesaro_fixed_point(problem, rho, tol=1e-11)
-        return HaarAverageResult(state, invariance_residual(rep, state), method, None)
+        residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
+        return HaarAverageResult(state, residual, method, None)
 
     if method == "quadrature" and kind == "su2":
         def f(el):
@@ -233,7 +238,7 @@ def haar_average(
 
     repaired, magnitude = repair_psd(avg)
     state = DensityState(rho.d, repaired)
-    residual = invariance_residual(rep, state)
+    residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
     return HaarAverageResult(state, residual, method, magnitude)
 
 

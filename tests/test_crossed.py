@@ -10,6 +10,8 @@ from wignerlab import (
     cyclic_group,
     cyclic_rep,
     embed,
+    finite_rep,
+    generating_set,
     kron,
     quaternion_rep,
     regular_unitary,
@@ -17,7 +19,7 @@ from wignerlab import (
     trivial_rep,
 )
 from wignerlab.crossed import spanning_generators
-from wignerlab.groups import FiniteGroup, finite_elements
+from wignerlab.groups import FiniteGroup, finite_elements, haar_unitary, philox_stream, quaternion_group
 from wignerlab.matrixcore import double_commutant
 
 
@@ -164,3 +166,37 @@ def test_nontrivial_inner_action_blocks(rng):
     E1 = np.diag([0.0, 1.0])
     expected = kron(A, E0) + kron(z @ A @ z, E1)
     assert np.abs(out - expected).max() <= 1e-14
+
+
+def _cyclic_models():
+    rng = philox_stream(606)
+    for n in range(2, 13):
+        for d in range(1, 5):
+            if n * d <= 24:
+                weights = [int(w) for w in rng.integers(0, n, size=d)]
+                yield CrossedProductModel(cyclic_rep(n, weights=weights))
+
+
+def test_crossed_dimension_is_closed_form():
+    rng = philox_stream(607)
+    v = haar_unitary(2, rng)
+    q8 = quaternion_rep()
+    conj = [v @ q8.matrix_fn(g) @ v.conj().T for g in finite_elements(q8.group)]
+    models = list(_cyclic_models()) + [
+        CrossedProductModel(finite_rep(q8.group, conj, "q8-conj")),
+        CrossedProductModel(trivial_rep(quaternion_group(), 2)),
+        CrossedProductModel(trivial_rep(cyclic_group(5), 3)),
+    ]
+    for model in models:
+        assert crossed_dimension(model) == model.d**2 * model.order, model.rep.name
+        gens = spanning_generators(model)
+        assert len(gens) == len(generating_set(model.group)) + 2
+
+
+def test_closure_of_non_star_closed_generator():
+    E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    span = algebra_closure([E12], 2)
+    assert span.dim == 4
+    assert span.residual(np.eye(2)) <= 1e-12
+    for M in span.matrices():
+        assert span.residual(M.conj().T) <= 1e-12

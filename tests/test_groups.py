@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wignerlab import (
     element_unitary,
     finite_group_from_json,
     finite_group_to_json,
+    generating_set,
     haar_quadrature_su2,
     haar_sample,
     philox_stream,
@@ -28,7 +30,16 @@ from wignerlab import (
     trivial_rep,
     u1_rep,
 )
-from wignerlab.groups import compose, euler_from_su2, finite_elements, haar_unitary, inverse_element, su2_matrix
+from wignerlab.groups import (
+    _generating_indices,
+    compose,
+    euler_from_su2,
+    finite_elements,
+    haar_unitary,
+    inverse_element,
+    product_group,
+    su2_matrix,
+)
 
 from conftest import random_hermitian
 
@@ -54,6 +65,60 @@ def test_finite_group_rejects_nonassociative_loop():
     )
     with pytest.raises(ValueError, match="associative"):
         FiniteGroup(tuple("eabcd"), loop, 0)
+
+
+def test_single_generator_nonassociative_loop_rejected():
+    # right powers of element 1 run through all six elements, so Light's
+    # test has one generator to check; (1*1)*2 = 0 while 1*(1*2) = 3
+    loop = np.array(
+        [
+            [0, 1, 2, 3, 4, 5],
+            [1, 2, 3, 0, 5, 4],
+            [2, 4, 0, 5, 1, 3],
+            [3, 0, 5, 4, 2, 1],
+            [4, 5, 1, 2, 3, 0],
+            [5, 3, 4, 1, 0, 2],
+        ]
+    )
+    assert _generating_indices(loop, 0) == [1]
+    with pytest.raises(ValueError, match="associative"):
+        FiniteGroup(tuple("eabcde"), loop, 0)
+
+
+def _closure(group, gens):
+    reached = {group.identity}
+    while True:
+        grown = reached | {int(group.table[x, s.index]) for x in reached for s in gens}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def test_generating_set_generates_with_log_size():
+    z2 = cyclic_group(2)
+    groups = [cyclic_group(n) for n in (1, 2, 5, 12)] + [
+        quaternion_group(),
+        product_group(cyclic_group(3), cyclic_group(4)),
+        product_group(z2, product_group(z2, z2)),
+        product_group(quaternion_group(), cyclic_group(3)),
+    ]
+    for group in groups:
+        gens = generating_set(group)
+        assert _closure(group, gens) == set(range(group.order))
+        assert len(gens) <= math.log2(group.order)
+    assert len(generating_set(cyclic_group(7))) == 1
+    assert len(generating_set(quaternion_group())) == 3
+
+
+def test_large_cyclic_group_builds_in_quadratic_memory():
+    tracemalloc.start()
+    try:
+        group = cyclic_group(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 1000
+    assert peak < 50 * 2**20
 
 
 def test_cyclic_and_quaternion_pass_construction_checks():

@@ -338,3 +338,12 @@ def test_state_json_roundtrip(rng):
     assert np.array_equal(back.rho, rho.rho)
     with pytest.raises(ValueError):
         DensityState.from_json({"d": 2})
+
+
+def test_haar_average_residual_uses_callers_probes(rng):
+    rho = random_density(3, rng)
+    for rep, method in ((su2_irrep(3), "auto"), (groups.su3_fundamental(), "cesaro"),
+                        (su2_irrep(3), "montecarlo")):
+        for s in (0, 5):
+            result = haar_average(rep, rho, method=method, count=64, probes=50, probe_seed=s)
+            assert result.residual == invariance_residual(rep, result.state, probes=50, seed=s)
