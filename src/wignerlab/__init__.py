@@ -73,7 +73,6 @@ from .wigner import (
     wigner_subspace,
 )
 from .crossed import (
-    AlgebraSpan,
     CrossedProductModel,
     NonConvergent,
     ResourceCapExceeded,

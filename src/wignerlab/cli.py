@@ -68,7 +68,7 @@ def _setting(args_value, config: dict, key: str, default):
 
 
 def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
-    """Map a --group string to a representation.
+    """Map a --group string to a representation through ``groups.rep_from_config``.
 
     Accepts su2, su3, u1, q8, zn:<n>, file:<path to Cayley-table JSON>.
     """
@@ -78,21 +78,14 @@ def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read group file {path}: {exc}") from exc
-        _, rep = G.finite_group_from_json(doc)
-        if rep is None:
-            raise ValueError(f"group file {path} carries no 'rep' block")
-        return rep
-    if group == "su2":
-        return G.su2_irrep(dim or 2)
-    if group == "su3":
-        return G.su3_rep(dim or 3)
+        return G.rep_from_config({"kind": "finite", "group": doc})
+    if group in ("su2", "su3", "q8"):
+        return G.rep_from_config({"kind": group, "dim": dim} if dim else {"kind": group})
     if group == "u1":
-        return G.u1_rep(list(range(dim or 2)))
-    if group == "q8":
-        return G.quaternion_rep(dim or 2)
+        return G.rep_from_config({"kind": "u1", "weights": list(range(dim or 2))})
     if group.startswith("zn:"):
         n = int(group[3:])
-        return G.cyclic_rep(n, dim=dim or n)
+        return G.rep_from_config({"kind": "zn", "n": n, "dim": dim or n})
     raise ValueError(f"unknown group {group!r} (expected su2, su3, u1, q8, zn:<n>, file:<path>)")
 
 

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as G
-from .matrixcore import (
-    DimensionMismatch,
-    as_matrix,
-    double_commutant,
-    kron,
-    unvec,
-    vec,
-)
+from .matrixcore import DimensionMismatch, Subspace, as_matrix, double_commutant, kron, vec
 
 
 class NonConvergent(RuntimeError):
@@ -95,14 +88,8 @@ def embed(model: CrossedProductModel, A) -> np.ndarray:
     return out
 
 
-def _matrix_units(d: int) -> list[np.ndarray]:
-    units = []
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            units.append(E)
-    return units
+def _matrix_units(d: int) -> np.ndarray:
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
 
 
 def covariance_check(model: CrossedProductModel) -> float:
@@ -117,29 +104,6 @@ def covariance_check(model: CrossedProductModel) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class AlgebraSpan:
-    """Orthonormal (Hilbert-Schmidt) basis of a *-closed unital subspace of
-    matrices, stored as vectorized columns."""
-
-    matrix_dim: int
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def matrices(self) -> list[np.ndarray]:
-        return [unvec(self.basis[:, k], self.matrix_dim) for k in range(self.dim)]
-
-    def residual(self, M) -> float:
-        v = vec(as_matrix(M))
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v)) / nv)
-
-
 def _orthonormal_columns(X: np.ndarray, tol: float) -> np.ndarray:
     if X.size == 0:
         return np.zeros((X.shape[0], 0), dtype=complex)
@@ -148,7 +112,7 @@ def _orthonormal_columns(X: np.ndarray, tol: float) -> np.ndarray:
     return u[:, s > cutoff]
 
 
-def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> AlgebraSpan:
+def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> Subspace:
     """Close the span of the generators under products and adjoints.
 
     The closure is the span of the identity and all words in the letters,
@@ -157,7 +121,8 @@ def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> AlgebraS
     the left by every letter, in one stacked einsum, so words grow one
     letter a round.  The products are projected twice against the running
     orthonormal basis (classical Gram-Schmidt with one reorthogonalisation)
-    and rank-cut at ``tol``.
+    and rank-cut at ``tol``.  The result is a subspace of vectorized
+    matrix_dim x matrix_dim matrices.
     """
     gens = [as_matrix(M) for M in generators]
     letters = gens + [M.conj().T for M in gens if not np.array_equal(M.conj().T, M)]
@@ -181,7 +146,7 @@ def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> AlgebraS
         fresh = _orthonormal_columns(X, tol)
         if fresh.shape[1]:
             basis = np.column_stack([basis, fresh])
-    return AlgebraSpan(matrix_dim, basis)
+    return Subspace(n, basis)
 
 
 # seed of the Philox stream the generic fibre pair is drawn from

@@ -315,9 +315,6 @@ class UnitaryRep:
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
 
-    def matrix(self, g: GroupElement) -> np.ndarray:
-        return element_unitary(self, g)
-
 
 def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     """The representing unitary U(g), validated to 1e-10."""
@@ -586,14 +583,8 @@ def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with index (i, j) -> i * |b| + j."""
     na, nb = a.order, b.order
     labels = tuple(f"{la}|{lb}" for la in a.labels for lb in b.labels)
-    table = np.zeros((na * nb, na * nb), dtype=int)
-    for i1 in range(na):
-        for j1 in range(nb):
-            for i2 in range(na):
-                for j2 in range(nb):
-                    table[i1 * nb + j1, i2 * nb + j2] = (
-                        a.table[i1, i2] * nb + b.table[j1, j2]
-                    )
+    # row (i1, j1), column (i2, j2) holds a[i1, i2] * nb + b[j1, j2]
+    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(na * nb, -1)
     return FiniteGroup(labels, table, a.identity * nb + b.identity)
 
 

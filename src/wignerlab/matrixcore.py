@@ -9,6 +9,9 @@ fixed here and used by every other module:
   vectorizes to ``kron(conj(U), U)``.
 * Kronecker products index the first factor slowest (numpy's ``kron``).
 * Rank decisions use a relative singular-value threshold, default 1e-10.
+* Singular values come from numpy's LAPACK SVD; ``trace_norm`` and
+  ``principal_angle_residual`` raise ``ValueError`` on NaN or Inf input
+  (numpy raises ``LinAlgError`` on a NaN but returns NaNs for an Inf).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 DEFAULT_TOL = 1e-10
 
@@ -50,9 +52,17 @@ def op_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _singular_values(M) -> np.ndarray:
+    """Singular values of M, descending; ValueError on NaN or Inf entries."""
+    A = np.asarray(M)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.svd(A, compute_uv=False)
+
+
 def trace_norm(M) -> float:
     """Sum of singular values."""
-    return float(np.sum(sla.svdvals(M)))
+    return float(np.sum(_singular_values(M)))
 
 
 def vec(M) -> np.ndarray:
@@ -102,7 +112,6 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         B = np.asarray(self.basis, dtype=complex)
@@ -139,9 +148,6 @@ class Subspace:
             return 0.0
         return float(np.linalg.norm(v - self.project(v)) / nv)
 
-    def contains(self, v: np.ndarray, tol: float | None = None) -> bool:
-        return self.residual(v) <= (self.tol if tol is None else tol)
-
     def matrices(self) -> list[np.ndarray]:
         """Basis vectors unvectorized to matrices (ambient_dim must be a square)."""
         return [unvec(self.basis[:, k]) for k in range(self.dim)]
@@ -171,9 +177,9 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
         raise DimensionMismatch("null_space expects a 2-d array")
     n = M.shape[1]
     if M.shape[0] == 0 or not M.any():
-        return Subspace(n, np.eye(n, dtype=complex), tol)
+        return Subspace(n, np.eye(n, dtype=complex))
     s_max = float(np.linalg.norm(M, 2))
-    return Subspace(n, _null_basis(M, tol * s_max), tol)
+    return Subspace(n, _null_basis(M, tol * s_max))
 
 
 def _commutator_superop(A: np.ndarray, d: int) -> np.ndarray:
@@ -202,7 +208,7 @@ def joint_null_space(operators, n: int, tol: float = DEFAULT_TOL, scales=None) -
         scale = scales[i] if scales is not None else float(np.linalg.norm(L, 2))
         step = _null_basis(L if N is None else L @ N, tol * scale, thin=True)
         N = step if N is None else N @ step
-    return Subspace(n, np.eye(n, dtype=complex) if N is None else N, tol)
+    return Subspace(n, np.eye(n, dtype=complex) if N is None else N)
 
 
 def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -242,7 +248,7 @@ def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:
         return float(np.pi / 2), 0.0
     gap = op_norm(a.projector() - b.projector())
     angle = float(np.arcsin(min(1.0, gap)))
-    sigma = sla.svdvals(a.basis.conj().T @ b.basis)
+    sigma = _singular_values(a.basis.conj().T @ b.basis)
     return angle, float(sigma.min())
 
 

@@ -90,7 +90,7 @@ def intersect_stacked(subspaces: list[Subspace], tol: float = DEFAULT_TOL) -> Su
     n = subspaces[0].ambient_dim
     eye = np.eye(n)
     stacked = np.vstack([s.projector() - eye for s in subspaces])
-    return null_space(stacked, tol) if stacked.any() else Subspace(n, np.eye(n, dtype=complex), tol)
+    return null_space(stacked, tol) if stacked.any() else Subspace(n, np.eye(n, dtype=complex))
 
 
 def intersect_alternating(
@@ -117,7 +117,7 @@ def intersect_alternating(
         raise RuntimeError("alternating projections did not reach an idempotent limit")
     u, sv, _ = np.linalg.svd(Q)
     keep = sv > 0.5
-    return Subspace(n, u[:, keep], threshold)
+    return Subspace(n, u[:, keep])
 
 
 @dataclass(frozen=True)
@@ -246,15 +246,10 @@ def cesaro_fixed_point(
 
 
 def _rep_for(kind: str, d: int, order_hint: int) -> G.UnitaryRep:
-    if kind == "su2":
-        return G.su2_irrep(d)
-    if kind == "su3":
-        return G.su3_rep(max(d, 3))
+    config = {"kind": kind, "dim": max(d, 3) if kind == "su3" else d}
     if kind == "zn":
-        return G.cyclic_rep(order_hint, dim=d)
-    if kind == "q8":
-        return G.quaternion_rep(d)
-    raise ValueError(f"unknown problem kind {kind!r}")
+        config["n"] = order_hint
+    return G.rep_from_config(config)
 
 
 def standard_problem_batch(

@@ -285,3 +285,32 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("n,entropy")
+
+
+REFUSE_SCIPY = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from wignerlab.cli import main
+
+codes = [
+    main(["entropy", "--max-n", "4", "--out", sys.argv[1]]),
+    main(["crossed", "--group", "zn:2", "--dim", "2", "--out", sys.argv[2]]),
+]
+print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.startswith("scipy")]}))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    outs = [str(tmp_path / "sweep.csv"), str(tmp_path / "crossed.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_SCIPY, *outs], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}

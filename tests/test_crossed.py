@@ -20,7 +20,7 @@ from wignerlab import (
 )
 from wignerlab.crossed import spanning_generators
 from wignerlab.groups import FiniteGroup, finite_elements, haar_unitary, philox_stream, quaternion_group
-from wignerlab.matrixcore import double_commutant
+from wignerlab.matrixcore import double_commutant, vec
 
 
 def z2_trivial_m2():
@@ -101,9 +101,9 @@ def test_closure_matches_double_commutant():
 def test_algebra_span_star_closed_and_unital():
     model = q8_m2()
     span = algebra_closure(spanning_generators(model), model.ambient_dim)
-    assert span.residual(np.eye(model.ambient_dim)) <= 1e-9
+    assert span.residual(vec(np.eye(model.ambient_dim))) <= 1e-9
     for M in span.matrices():
-        assert span.residual(M.conj().T) <= 1e-9
+        assert span.residual(vec(M.conj().T)) <= 1e-9
 
 
 def test_crossed_dimension_invariant_under_relabeling():
@@ -197,6 +197,6 @@ def test_closure_of_non_star_closed_generator():
     E12 = np.array([[0, 1], [0, 0]], dtype=complex)
     span = algebra_closure([E12], 2)
     assert span.dim == 4
-    assert span.residual(np.eye(2)) <= 1e-12
+    assert span.residual(vec(np.eye(2))) <= 1e-12
     for M in span.matrices():
-        assert span.residual(M.conj().T) <= 1e-12
+        assert span.residual(vec(M.conj().T)) <= 1e-12

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -108,6 +109,14 @@ def test_generating_set_generates_with_log_size():
         assert len(gens) <= math.log2(group.order)
     assert len(generating_set(cyclic_group(7))) == 1
     assert len(generating_set(quaternion_group())) == 3
+
+
+def test_product_group_table_matches_nested_loop_definition():
+    for a, b in [(cyclic_group(2), quaternion_group()), (cyclic_group(3), cyclic_group(4))]:
+        nb = b.order
+        table = product_group(a, b).table
+        for i1, j1, i2, j2 in itertools.product(range(a.order), range(nb), range(a.order), range(nb)):
+            assert table[i1 * nb + j1, i2 * nb + j2] == a.table[i1, i2] * nb + b.table[j1, j2]
 
 
 def test_large_cyclic_group_builds_in_quadratic_memory():

@@ -7,6 +7,7 @@ from wignerlab.matrixcore import (
     matrix_to_json,
     pairwise_mean,
     principal_angle_residual,
+    trace_norm,
     unvec,
     vec,
 )
@@ -144,6 +145,13 @@ def test_matrix_validation_rejects_nonfinite_and_rectangular():
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         as_matrix(np.ones((2, 3)))
+
+
+def test_trace_norm_rejects_nonfinite():
+    # numpy's SVD raises LinAlgError on a NaN but silently returns NaNs for an Inf
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            trace_norm(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 def test_principal_angle_residual_cases():
