@@ -47,6 +47,8 @@ class BundleSpec:
 
     def __post_init__(self):
         points = tuple(str(p) for p in self.points)
+        if not points:
+            raise ValueError("a bundle needs at least one base point")
         if len(points) != len(set(points)):
             raise ValueError("base-point labels must be unique")
         if set(self.reps) != set(points):

@@ -1,6 +1,11 @@
 """Command-line driver: reproducible experiments with JSON/CSV reports.
 
 Subcommands: wigner-verify, invariant-state, crossed, entropy, bundle.
+Each takes --config and --out plus one flag per setting it reads (SETTINGS).
+A setting comes from its flag if given, else from its key in the --config
+JSON object (null counts as absent), else from its default.  A config key
+other than schema_version that names no setting of the subcommand is an
+error, and so is a flag the subcommand does not read.
 Exit codes: 0 success, 1 usage/config error, 2 verified-contract violation.
 Reports embed the resolved config; timestamps live in a separate "meta"
 field so the "report" subtree is byte-identical for identical (config, seed).
@@ -40,31 +45,62 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
+# The settings of each subcommand with their defaults.  Each is a flag
+# --<key> (dashes for underscores) and a config key <key>, except "points",
+# which only a config file gives.
+SETTINGS = {
+    "wigner-verify": {"count": 200, "seed": 2026, "tol": 1e-10, "group": None, "dim": None},
+    "invariant-state": {"seed": 0, "tol": 1e-7, "group": "su2", "dim": None, "method": "auto",
+                        "generators": 3, "count": 4096, "state": None},
+    "crossed": {"group": "zn:2", "dim": 2, "action": "rep", "tensor_factors": None,
+                "ambient_cap": 64},
+    "entropy": {"max_n": 8, "format": "csv"},
+    "bundle": {"seed": 0, "points": [{"label": "x0", "rep": {"kind": "su2", "dim": 2}}]},
+}
+
+_FLAGS = {
+    "count": {"type": int, "help": "number of problems, or of Monte Carlo samples"},
+    "seed": {"type": int, "help": "RNG seed"},
+    "tol": {"type": float, "help": "tolerance"},
+    "group": {"help": "group: su2, su3, u1, q8, zn:<n>, file:<path>"},
+    "dim": {"type": int, "help": "representation dimension"},
+    "method": {"choices": ("auto", "quadrature", "montecarlo", "finite_exact", "cesaro")},
+    "generators": {"type": int, "help": "Cesaro generator count"},
+    "state": {"help": "seed state JSON file"},
+    "action": {"choices": ("rep", "trivial"), "help": "act through the group's rep or trivially"},
+    "tensor_factors": {"type": int,
+                       "help": "also run the tensor-product dimension check with n copies"},
+    "ambient_cap": {"type": int},
+    "max_n": {"type": int, "help": "sweep n = 1..N (default 8)"},
+    "format": {"choices": ("json", "csv"), "help": "output format"},
+}
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    version = doc.get("schema_version", 1)
-    if version != 1:
-        raise ValueError(f"unsupported schema_version {version}")
-    return doc
-
-
-def _setting(args_value, config: dict, key: str, default):
-    if args_value is not None:
-        return args_value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _resolve(args) -> None:
+    """Set each setting of args.command on args: its flag if given, else its
+    config key (a JSON null counts as absent), else its default.  A config
+    key that names no setting of the subcommand raises ValueError."""
+    defaults, config = SETTINGS[args.command], {}
+    if args.config:
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        version = config.get("schema_version", 1)
+        if version != 1:
+            raise ValueError(f"unsupported schema_version {version}")
+    unknown = sorted(set(config) - set(defaults) - {"schema_version"})
+    if unknown:
+        raise ValueError(
+            f"unknown config key {', '.join(map(repr, unknown))} for {args.command} "
+            f"(it reads schema_version, {', '.join(sorted(defaults))})"
+        )
+    for key, default in defaults.items():
+        if getattr(args, key, None) is None:
+            value = config.get(key)
+            setattr(args, key, default if value is None else value)
 
 
 def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
@@ -112,12 +148,8 @@ def _emit(report: dict, out: str | None, text: str | None = None) -> None:
 
 
 def cmd_wigner_verify(args) -> int:
-    config = _load_config(args.config)
-    count = int(_setting(args.count, config, "count", 200))
-    seed = int(_setting(args.seed, config, "seed", 2026))
-    tol = float(_setting(args.tol, config, "tol", 1e-10))
-    group = _setting(args.group, config, "group", None)
-    dim = _setting(args.dim, config, "dim", None)
+    count, seed, tol = int(args.count), int(args.seed), float(args.tol)
+    group, dim = args.group, args.dim
 
     if group is not None:
         rep = resolve_rep(group, dim)
@@ -151,17 +183,10 @@ def cmd_wigner_verify(args) -> int:
 
 
 def cmd_invariant_state(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_setting(args.seed, config, "seed", 0))
-    tol = float(_setting(args.tol, config, "tol", 1e-7))
-    group = _setting(args.group, config, "group", "su2")
-    dim = _setting(args.dim, config, "dim", None)
-    method = _setting(args.method, config, "method", "auto")
-    generators = int(_setting(args.generators, config, "generators", 3))
-    count = int(_setting(args.count, config, "count", 4096))
-    state_path = _setting(args.state, config, "state", None)
+    seed, tol, group, state_path = int(args.seed), float(args.tol), args.group, args.state
+    count, generators = int(args.count), int(args.generators)
 
-    rep = resolve_rep(group, dim)
+    rep = resolve_rep(group, args.dim)
     if state_path:
         seed_state = DensityState.from_json(json.loads(Path(state_path).read_text()))
         if seed_state.d != rep.dim:
@@ -170,7 +195,7 @@ def cmd_invariant_state(args) -> int:
         seed_state = random_density(rep.dim, G.philox_stream(seed, 17))
 
     try:
-        result = haar_average(rep, seed_state, method=method, seed=seed, count=count,
+        result = haar_average(rep, seed_state, method=args.method, seed=seed, count=count,
                               generators=generators, probes=50, probe_seed=seed + 1)
     except NoConvergence as exc:
         _emit({"error": str(exc), "residual": exc.residual}, args.out)
@@ -199,12 +224,8 @@ def cmd_invariant_state(args) -> int:
 
 
 def cmd_crossed(args) -> int:
-    config = _load_config(args.config)
-    group = _setting(args.group, config, "group", "zn:2")
-    dim = _setting(args.dim, config, "dim", 2)
-    action = _setting(args.action, config, "action", "rep")
-    factors = _setting(args.tensor_factors, config, "tensor_factors", None)
-    cap = int(_setting(args.ambient_cap, config, "ambient_cap", 64))
+    group, dim, action, factors = args.group, args.dim, args.action, args.tensor_factors
+    cap = int(args.ambient_cap)
 
     rep = resolve_rep(group, int(dim) if dim else None)
     if action == "trivial":
@@ -242,9 +263,7 @@ def cmd_crossed(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    config = _load_config(args.config)
-    max_n = int(_setting(args.max_n, config, "max_n", 8))
-    fmt = _setting(args.format, config, "format", "csv")
+    max_n, fmt = int(args.max_n), args.format
     if max_n < 1:
         raise ValueError("--max-n must be >= 1")
 
@@ -252,7 +271,7 @@ def cmd_entropy(args) -> int:
     violation = max(abs(h - math.log(n)) for n, h in rows)
 
     if fmt == "csv":
-        text = "n,entropy\n" + "".join(f"{n},{_fmt17(h)}\n" for n, h in rows)
+        text = "n,entropy\n" + "".join(f"{n},{h:.17g}\n" for n, h in rows)
         _emit({}, args.out, text=text)
     elif fmt == "json":
         report = {
@@ -266,14 +285,9 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_bundle(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_setting(args.seed, config, "seed", 0))
-    if "points" in config:
-        spec = bundle_spec_from_json(config)
-        spec_doc = {"points": config["points"]}
-    else:
-        spec_doc = {"points": [{"label": "x0", "rep": {"kind": "su2", "dim": 2}}]}
-        spec = bundle_spec_from_json(spec_doc)
+    seed = int(args.seed)
+    spec_doc = {"points": args.points}
+    spec = bundle_spec_from_json(spec_doc)
 
     try:
         field = assign_invariant_field(spec, seed=seed)
@@ -302,55 +316,24 @@ def cmd_bundle(args) -> int:
 # parser plumbing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override config keys")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-    sub.add_argument("--tol", type=float, default=None, help="tolerance")
-    sub.add_argument("--dim", type=int, default=None, help="representation dimension")
-    sub.add_argument(
-        "--group", default=None, help="group: su2, su3, u1, q8, zn:<n>, file:<path>"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wignerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wignerlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("wigner-verify", help="verify the fixed-set intersection identity")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=None, help="number of problems (default 200)")
-    p.set_defaults(fn=cmd_wigner_verify)
-
-    p = subs.add_parser("invariant-state", help="group-average a state to an invariant one")
-    _add_common(p)
-    p.add_argument("--method", default=None,
-                   choices=("auto", "quadrature", "montecarlo", "finite_exact", "cesaro"))
-    p.add_argument("--state", default=None, help="seed state JSON file")
-    p.add_argument("--count", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--generators", type=int, default=None, help="Cesaro generator count")
-    p.set_defaults(fn=cmd_invariant_state)
-
-    p = subs.add_parser("crossed", help="crossed-product covariance and dimension report")
-    _add_common(p)
-    p.add_argument("--action", default=None, choices=("rep", "trivial"),
-                   help="act through the group's rep or trivially")
-    p.add_argument("--tensor-factors", type=int, default=None,
-                   help="also run the tensor-product dimension check with n copies")
-    p.add_argument("--ambient-cap", type=int, default=None)
-    p.set_defaults(fn=cmd_crossed)
-
-    p = subs.add_parser("entropy", help="uniform-partition entropy sweep")
-    _add_common(p)
-    p.add_argument("--max-n", type=int, default=None, help="sweep n = 1..N (default 8)")
-    p.set_defaults(fn=cmd_entropy)
-
-    p = subs.add_parser("bundle", help="assign an invariant separating field state")
-    _add_common(p)
-    p.set_defaults(fn=cmd_bundle)
-
+    for name, fn, summary in (
+        ("wigner-verify", cmd_wigner_verify, "verify the fixed-set intersection identity"),
+        ("invariant-state", cmd_invariant_state, "group-average a state to an invariant one"),
+        ("crossed", cmd_crossed, "crossed-product covariance and dimension report"),
+        ("entropy", cmd_entropy, "uniform-partition entropy sweep"),
+        ("bundle", cmd_bundle, "assign an invariant separating field state"),
+    ):
+        p = subs.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON config file; flags override config keys")
+        p.add_argument("--out", help="output path (default: stdout)")
+        for key in SETTINGS[name]:
+            if key in _FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -361,6 +344,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_CONFIG
     try:
+        _resolve(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"wignerlab: {exc}\n")

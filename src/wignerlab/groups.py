@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .matrixcore import DimensionMismatch, as_matrix, frobenius, kron, matrix_from_json, matrix_to_json
+from .matrixcore import (DimensionMismatch, as_matrix, frobenius, int_from_json, kron,
+                         matrix_from_json, matrix_to_json)
 
 TWO_PI = 2.0 * math.pi
 
@@ -718,7 +719,7 @@ def rep_from_config(doc: dict) -> UnitaryRep:
                 raise ValueError("finite rep config needs a 'rep' block in the group document")
         else:
             raise ValueError(f"unknown rep kind {kind!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed rep config: {exc}") from exc
     rep.meta["config"] = dict(doc)
     return rep
@@ -753,8 +754,10 @@ def finite_group_from_json(doc: dict) -> tuple[FiniteGroup, UnitaryRep | None]:
         raise ValueError("group document must be a JSON object")
     try:
         labels = tuple(str(s) for s in doc["labels"])
-        table = np.asarray(doc["table"], dtype=int)
-        identity = int(doc["identity"])
+        n = len(labels)
+        table = np.array([[int_from_json(v, "table entry", n) for v in row]
+                          for row in doc["table"]], dtype=int)
+        identity = int_from_json(doc["identity"], "identity", n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed group document: {exc}") from exc
     group = FiniteGroup(labels, table, identity)
@@ -762,7 +765,7 @@ def finite_group_from_json(doc: dict) -> tuple[FiniteGroup, UnitaryRep | None]:
     if "rep" in doc and doc["rep"] is not None:
         rdoc = doc["rep"]
         try:
-            dim = int(rdoc["dim"])
+            dim = int_from_json(rdoc["dim"], "rep dim")
             mats = [matrix_from_json(m, "rep matrix") for m in rdoc["matrices"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed rep block: {exc}") from exc

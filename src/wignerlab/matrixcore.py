@@ -17,6 +17,7 @@ fixed here and used by every other module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -121,6 +122,8 @@ class Subspace:
             raise DimensionMismatch(
                 f"basis vectors live in dim {B.shape[0]}, expected {self.ambient_dim}"
             )
+        if not np.isfinite(B).all():
+            raise ValueError("subspace basis contains NaN or Inf entries")
         gram = B.conj().T @ B
         if B.shape[1] and np.max(np.abs(gram - np.eye(B.shape[1]))) > 1e-10:
             raise ValueError("subspace basis is not orthonormal to 1e-10")
@@ -153,14 +156,13 @@ class Subspace:
         return [unvec(self.basis[:, k]) for k in range(self.dim)]
 
 
-def _null_basis(M: np.ndarray, cutoff: float, thin: bool = False) -> np.ndarray:
-    """Orthonormal basis of {v : ||Mv|| <= cutoff}, via SVD.  ``thin`` skips
-    the left factor's complement, which loses no right vector when M is
-    tall."""
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
+def _null_basis(M: np.ndarray, tol: float, scale: float | None = None,
+                thin: bool = False) -> np.ndarray:
+    """Orthonormal basis of {v : ||Mv|| <= tol * scale} from one SVD; scale
+    defaults to M's largest singular value.  ``thin`` skips the left
+    factor's complement, which loses no right vector when M is tall."""
     _, s, vh = np.linalg.svd(M, full_matrices=not (thin and M.shape[0] >= M.shape[1]))
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > tol * (s[0] if scale is None else scale)))
     return vh[rank:].conj().T
 
 
@@ -178,8 +180,7 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
     n = M.shape[1]
     if M.shape[0] == 0 or not M.any():
         return Subspace(n, np.eye(n, dtype=complex))
-    s_max = float(np.linalg.norm(M, 2))
-    return Subspace(n, _null_basis(M, tol * s_max))
+    return Subspace(n, _null_basis(M, tol))
 
 
 def _commutator_superop(A: np.ndarray, d: int) -> np.ndarray:
@@ -188,25 +189,23 @@ def _commutator_superop(A: np.ndarray, d: int) -> np.ndarray:
     return np.kron(eye, A) - np.kron(A.T, eye)
 
 
-def joint_null_space(operators, n: int, tol: float = DEFAULT_TOL, scales=None) -> Subspace:
+def joint_null_space(operators, n: int, scales, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of the null spaces of the given n x n operators.
 
     Computed by sequential restriction: the running basis is narrowed by the
     null space of each operator in turn, which keeps every SVD small.
     ``operators`` may be a generator; each operator is taken only when its
     step runs, and none after the intersection is empty.  The rank cutoff
-    for operator i is tol * scales[i]; scales default to each operator's own
-    largest singular value, but callers whose operators may be numerically
-    zero (e.g. commutators with near-scalar matrices) must pass the natural
-    problem scale instead.
+    for operator i is tol * scales[i], the natural problem scale rather than
+    the operator's own largest singular value, because an operator may be
+    numerically zero (e.g. a commutator with a near-scalar matrix).
     """
     N = None  # the identity, until the first restriction
     for i, L in enumerate(operators):
         if N is not None and N.shape[1] == 0:
             break
         L = np.asarray(L, dtype=complex)
-        scale = scales[i] if scales is not None else float(np.linalg.norm(L, 2))
-        step = _null_basis(L if N is None else L @ N, tol * scale, thin=True)
+        step = _null_basis(L if N is None else L @ N, tol, scales[i], thin=True)
         N = step if N is None else N @ step
     return Subspace(n, np.eye(n, dtype=complex) if N is None else N)
 
@@ -224,7 +223,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
             raise DimensionMismatch(f"expected {d}x{d} matrices, got {A.shape}")
     ops = (_commutator_superop(A, d) for A in mats)
     scales = [max(frobenius(A), 1e-300) for A in mats]
-    return joint_null_space(ops, d * d, tol, scales=scales)
+    return joint_null_space(ops, d * d, scales, tol)
 
 
 def double_commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
@@ -279,9 +278,17 @@ def matrix_to_json(M) -> list:
 
 def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
     try:
-        A = np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in data]
-        )
-    except (TypeError, IndexError) as exc:
+        A = np.asarray([[complex(re, im) for re, im in row] for row in data])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {name} encoding: {exc}") from exc
     return as_matrix(A, name)
+
+
+def int_from_json(value, name: str, below: int | None = None) -> int:
+    """A JSON integer, in 0..below-1 when ``below`` is given; ValueError for
+    anything else, bools, floats and strings included."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if below is not None and not 0 <= value < below:
+        raise ValueError(f"{name} must lie in 0..{below - 1}")
+    return int(value)

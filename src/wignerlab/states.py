@@ -23,6 +23,7 @@ from .matrixcore import (
     as_matrix,
     eig_hermitian,
     frobenius,
+    int_from_json,
     matrix_from_json,
     matrix_to_json,
     pairwise_mean,
@@ -68,7 +69,7 @@ class DensityState:
     @classmethod
     def from_json(cls, doc: dict) -> "DensityState":
         try:
-            d = int(doc["d"])
+            d = int_from_json(doc["d"], "d")
             rho = matrix_from_json(doc["rho"], "rho")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed state document: {exc}") from exc

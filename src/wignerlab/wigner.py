@@ -87,10 +87,8 @@ def intersect_stacked(subspaces: list[Subspace], tol: float = DEFAULT_TOL) -> Su
     """Subspace intersection via one null space of stacked (P_j - I) blocks."""
     if not subspaces:
         raise ValueError("need at least one subspace")
-    n = subspaces[0].ambient_dim
-    eye = np.eye(n)
-    stacked = np.vstack([s.projector() - eye for s in subspaces])
-    return null_space(stacked, tol) if stacked.any() else Subspace(n, np.eye(n, dtype=complex))
+    eye = np.eye(subspaces[0].ambient_dim)
+    return null_space(np.vstack([s.projector() - eye for s in subspaces]), tol)
 
 
 def intersect_alternating(
@@ -165,9 +163,8 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
         raise RuntimeError(
             f"intersection algorithms disagree: stacked {inter.dim}, alternating {inter_alt.dim}"
         )
-    avg = averaged_fixed_subspace(problem, tol)
-
     S = averaged_superop(problem)
+    avg = null_space(S - np.eye(S.shape[0]), tol)
     inclusion = 0.0
     for k in range(inter.dim):
         v = inter.basis[:, k]

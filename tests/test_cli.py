@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wignerlab import (
     DensityState,
@@ -19,7 +21,7 @@ from wignerlab import (
     random_density,
     su3_rep,
 )
-from wignerlab.cli import main
+from wignerlab.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -268,6 +270,70 @@ def test_config_flag_override(tmp_path):
     code = run_cli("entropy", "--config", str(cfg), "--out", str(out))
     assert code == 0
     assert len(out.read_text().strip().splitlines()) == 4
+
+
+OPTIONS = {
+    "wigner-verify": {"--config", "--out", "--seed", "--tol", "--dim", "--group", "--count"},
+    "invariant-state": {"--config", "--out", "--seed", "--tol", "--dim", "--group", "--count",
+                        "--method", "--state", "--generators"},
+    "crossed": {"--config", "--out", "--group", "--dim", "--action", "--tensor-factors",
+                "--ambient-cap"},
+    "entropy": {"--config", "--out", "--format", "--max-n"},
+    "bundle": {"--config", "--out", "--seed"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert declared == OPTIONS
+    assert sum(len(flags) for flags in declared.values()) == 31
+
+
+@pytest.mark.parametrize("argv", [
+    ("wigner-verify", "--count", "1", "--format", "json"),
+    ("invariant-state", "--format", "json"),
+    ("crossed", "--seed", "9"),
+    ("crossed", "--tol", "1e-3"),
+    ("crossed", "--format", "csv"),
+    ("entropy", "--seed", "4"),
+    ("entropy", "--tol", "1e-3"),
+    ("entropy", "--dim", "3"),
+    ("entropy", "--group", "su2"),
+    ("bundle", "--format", "json"),
+    ("bundle", "--tol", "1e-3"),
+    ("bundle", "--dim", "3"),
+    ("bundle", "--group", "su3"),
+])
+def test_option_the_subcommand_does_not_read_exits_1(argv, capsys):
+    assert run_cli(*argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, unknown", [
+    ("entropy", {"seeed": 4}, "seeed"),
+    ("crossed", {"tol": 1e-3}, "tol"),
+    ("bundle", {"group": "su3"}, "group"),
+    ("wigner-verify", {"count": 1, "format": "json"}, "format"),
+])
+def test_config_key_the_subcommand_does_not_read_exits_1(tmp_path, capsys, command, config,
+                                                          unknown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert repr(unknown) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_null_counts_as_absent(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "max_n": None, "format": None}))
+    out = tmp_path / "sweep.csv"
+    assert run_cli("entropy", "--config", str(cfg), "--out", str(out)) == 0
+    assert len(out.read_text().strip().splitlines()) == 9
 
 
 def test_bad_schema_version_exits_1(tmp_path, capsys):

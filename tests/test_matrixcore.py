@@ -138,6 +138,13 @@ def test_subspace_rejects_non_orthonormal():
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
+def test_subspace_rejects_nonfinite_basis():
+    # a NaN makes every comparison False, so a "> 1e-10" check alone lets it through
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Subspace(2, np.array([[bad], [0.0]], dtype=complex))
+
+
 def test_matrix_validation_rejects_nonfinite_and_rectangular():
     from wignerlab.matrixcore import as_matrix
 
