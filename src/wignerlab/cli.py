@@ -5,7 +5,9 @@ Each takes --config and --out plus one flag per setting it reads (SETTINGS).
 A setting comes from its flag if given, else from its key in the --config
 JSON object (null counts as absent), else from its default.  A config key
 other than schema_version that names no setting of the subcommand is an
-error, and so is a flag the subcommand does not read.
+error, and so is a flag the subcommand does not read or a config value of
+the wrong JSON type (an integer setting takes an integer, a float setting a
+number; bools and strings are neither).
 Exit codes: 0 success, 1 usage/config error, 2 verified-contract violation.
 Reports embed the resolved config; timestamps live in a separate "meta"
 field so the "report" subtree is byte-identical for identical (config, seed).
@@ -18,6 +20,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from numbers import Real
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +28,7 @@ from . import groups as G
 from .bundle import FieldAssignmentError, assign_invariant_field, bundle_spec_from_json
 from .crossed import CrossedProductModel, covariance_check, crossed_dimension, tensor_iso_check
 from .entropy import PartitionWeights, partition_entropy
+from .matrixcore import int_from_json
 from .states import (
     DensityState,
     haar_average,
@@ -79,7 +83,9 @@ _FLAGS = {
 def _resolve(args) -> None:
     """Set each setting of args.command on args: its flag if given, else its
     config key (a JSON null counts as absent), else its default.  A config
-    key that names no setting of the subcommand raises ValueError."""
+    key that names no setting of the subcommand raises ValueError, and so
+    does a config value that is not a JSON integer for an int setting or a
+    JSON number for a float one."""
     defaults, config = SETTINGS[args.command], {}
     if args.config:
         try:
@@ -99,8 +105,14 @@ def _resolve(args) -> None:
         )
     for key, default in defaults.items():
         if getattr(args, key, None) is None:
-            value = config.get(key)
-            setattr(args, key, default if value is None else value)
+            value, kind = config.get(key), _FLAGS.get(key, {}).get("type")
+            if value is None:
+                value = default
+            elif kind is int:
+                value = int_from_json(value, f"config key {key!r}")
+            elif kind is float and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ValueError(f"config key {key!r} must be a number, got {type(value).__name__}")
+            setattr(args, key, value)
 
 
 def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:

@@ -697,22 +697,32 @@ def rep_from_config(doc: dict) -> UnitaryRep:
     Recognized kinds: {"kind": "su2", "dim": d}, {"kind": "su3", "dim": d},
     {"kind": "u1", "weights": [...]}, {"kind": "zn", "n": n, "dim": d},
     {"kind": "q8", "dim": d}, and {"kind": "finite", "group": <Cayley doc
-    with a rep block>}.  The config is kept on rep.meta["config"].
+    with a rep block>}.  dim, n and weights must be JSON integers and dim at
+    least 1; anything else raises ValueError.  The config is kept on
+    rep.meta["config"].
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("rep config must be an object with a 'kind' field")
     kind = doc["kind"]
+
+    def checked_dim(default):
+        d = int_from_json(doc.get("dim", default), "dim")
+        if d < 1:
+            raise ValueError(f"dim must be >= 1, got {d}")
+        return d
+
     try:
         if kind == "su2":
-            rep = su2_irrep(int(doc.get("dim", 2)))
+            rep = su2_irrep(checked_dim(2))
         elif kind == "su3":
-            rep = su3_rep(int(doc.get("dim", 3)))
+            rep = su3_rep(checked_dim(3))
         elif kind == "u1":
-            rep = u1_rep([int(w) for w in doc["weights"]])
+            rep = u1_rep([int_from_json(w, "weight") for w in doc["weights"]])
         elif kind == "zn":
-            rep = cyclic_rep(int(doc["n"]), dim=int(doc.get("dim", doc["n"])))
+            n = int_from_json(doc["n"], "n")
+            rep = cyclic_rep(n, dim=checked_dim(n))
         elif kind == "q8":
-            rep = quaternion_rep(int(doc.get("dim", 2)))
+            rep = quaternion_rep(checked_dim(2))
         elif kind == "finite":
             _, rep = finite_group_from_json(doc["group"])
             if rep is None:

@@ -8,6 +8,14 @@ averaged map (1/n) sum_j U(g_j)^dag . U(g_j).  This module computes both
 sides independently, reports their dimensions and principal angles, and
 extracts invariant density matrices by restarted Cesaro iteration of the
 averaged map.
+
+The Cesaro window sums sum_{k<w} S^k of the d^2 x d^2 averaged
+superoperator S are formed by binary powering, O(log w) products for the
+first window, and reused when the window doubles: sum_{k<2w} S^k =
+sum_{k<w} S^k + S^w sum_{k<w} S^k, two products.  Each window mean is the
+same convex combination of pullbacks that step-by-step iteration gives, at
+O(d^6 log w) for the first window and O(d^6) for each later one, with up to
+five d^2 x d^2 matrices in memory (S, the sum, the power, two new products).
 """
 
 from __future__ import annotations
@@ -188,6 +196,17 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     )
 
 
+def _power_sum(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{k<w} S^k, S^w) by binary powering over the bits of w."""
+    total, power = np.zeros_like(S), np.eye(S.shape[0], dtype=S.dtype)
+    for bit in bin(w)[2:]:
+        # m -> 2m, then m -> m + 1 on a set bit
+        total, power = total + power @ total, power @ power
+        if bit == "1":
+            total, power = total + power, power @ S
+    return total, power
+
+
 def cesaro_fixed_point(
     problem: WignerProblem,
     rho0: DensityState,
@@ -196,12 +215,18 @@ def cesaro_fixed_point(
 ) -> DensityState:
     """Invariant density matrix in the orbit hull of rho0.
 
-    Iterates the averaged map T(rho) = (1/n) sum_j U(g_j)^dag rho U(g_j) and
-    averages the iterates over a window (Cesaro mean), restarting from the
+    Averages the iterates of the averaged map T(rho) = (1/n) sum_j
+    U(g_j)^dag rho U(g_j) over a window (Cesaro mean), restarting from the
     window mean with doubled window length until ||T(rho*) - rho*||_tr <= tol.
+    max_iter caps the number of map applications the windows stand for.
     Every window mean is a convex combination of pullbacks of rho0, so the
     output stays in the orbit hull; plain iteration alone can oscillate on
     the peripheral spectrum, the window means cannot.
+
+    The window sum sum_{k<w} S^k of the averaged superoperator S is formed
+    by binary powering, O(d^6 log w) for the first window, and reused when
+    the window doubles, two d^2 x d^2 products for each later window; up to
+    five d^2 x d^2 matrices are held at once.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -217,6 +242,7 @@ def cesaro_fixed_point(
     residual = t_residual(sigma)
     iterations = 0
     window = _BASE_WINDOW
+    power = None
     while residual > tol:
         if iterations >= max_iter:
             raise NoConvergence(
@@ -225,12 +251,12 @@ def cesaro_fixed_point(
                 residual,
             )
         w = min(window, max_iter - iterations)
-        acc = np.zeros_like(sigma)
-        cur = sigma
-        for _ in range(w):
-            acc = acc + cur
-            cur = S @ cur
-        sigma = acc / w
+        if power is None or w < window:
+            total, power = _power_sum(S, w)
+        else:
+            # the previous window had length w / 2
+            total, power = total + power @ total, power @ power
+        sigma = total @ sigma / w
         iterations += w
         window *= 2
         residual = t_residual(sigma)

@@ -328,6 +328,22 @@ def test_config_key_the_subcommand_does_not_read_exits_1(tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, bad", [
+    ("invariant-state", {"dim": 2.5}, "dim"),
+    ("invariant-state", {"dim": "3"}, "dim"),
+    ("invariant-state", {"seed": True}, "seed"),
+    ("wigner-verify", {"count": 1, "tol": "1e-3"}, "tol"),
+    ("wigner-verify", {"count": 1, "tol": False}, "tol"),
+    ("entropy", {"max_n": 3.0}, "max_n"),
+])
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, config, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    assert repr(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_null_counts_as_absent(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "max_n": None, "format": None}))

@@ -14,6 +14,7 @@ from wignerlab import (
     philox_stream,
     quaternion_rep,
     random_density,
+    rep_from_config,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150,
@@ -120,3 +121,24 @@ def test_state_documents_load_or_raise_value_error(doc):
 @example({"points": [{"label": "x0", "rep": {"kind": "u1", "weights": [2**2000]}}]})
 def test_bundle_specs_load_or_raise_value_error(doc):
     _returns_or_value_error(bundle_spec_from_json, doc)
+
+
+@PROPERTY
+@given(REP_CONFIGS)
+@example({"kind": "su2", "dim": 2.5})
+@example({"kind": "u1", "weights": [1.5, -0.5]})
+@example({"kind": "zn", "n": 3, "dim": 0})
+@example({"kind": "q8", "dim": -1})
+def test_rep_configs_load_exactly_or_raise_value_error(doc):
+    rep = _returns_or_value_error(rep_from_config, doc)
+    if rep is None or doc["kind"] == "finite":
+        return
+    # nothing was rounded or truncated on the way in
+    assert rep.dim >= 1
+    if doc["kind"] == "u1":
+        assert json.dumps(list(rep.meta["weights"])) == json.dumps(doc["weights"])
+    else:
+        if doc["kind"] == "zn":
+            assert json.dumps(rep.group.order) == json.dumps(doc["n"])
+        default = {"su2": 2, "su3": 3, "q8": 2, "zn": doc.get("n")}[doc["kind"]]
+        assert json.dumps(rep.dim) == json.dumps(doc.get("dim", default))

@@ -16,14 +16,22 @@ from wignerlab import (
     random_density,
     standard_problem_batch,
     su2_fundamental,
+    su2_irrep,
     su3_fundamental,
     trace_distance,
     verify_wigner_identity,
     wigner_subspace,
 )
 from wignerlab.groups import identity_element
-from wignerlab.matrixcore import Subspace, vec
-from wignerlab.wigner import averaged_superop, intersect_alternating, intersect_stacked
+from wignerlab.matrixcore import Subspace, trace_norm, unvec, vec
+from wignerlab.states import repair_psd
+from wignerlab.wigner import (
+    _power_sum,
+    averaged_superop,
+    intersect_alternating,
+    intersect_stacked,
+    problem_seed_state,
+)
 
 from conftest import PAULI_X, PAULI_Z, element_index, matrix_group
 
@@ -124,6 +132,56 @@ def test_nested_families_weakly_decreasing(pauli_rep):
     assert all(a >= b for a, b in zip(dims, dims[1:]))
 
 
+def _cesaro_by_steps(problem, rho0, tol=1e-10, max_iter=10**5):
+    """Reference: restarted Cesaro windows summed one map application at a
+    time, the windows and stopping rule of cesaro_fixed_point."""
+    S = averaged_superop(problem)
+    side = problem.d
+
+    def t_residual(v):
+        return trace_norm(unvec(S @ v - v, side))
+
+    sigma = vec(rho0.rho)
+    residual = t_residual(sigma)
+    iterations, window = 0, 840
+    while residual > tol:
+        if iterations >= max_iter:
+            raise NoConvergence("reference did not converge", residual)
+        w = min(window, max_iter - iterations)
+        acc = np.zeros_like(sigma)
+        cur = sigma
+        for _ in range(w):
+            acc = acc + cur
+            cur = S @ cur
+        sigma = acc / w
+        iterations += w
+        window *= 2
+        residual = t_residual(sigma)
+    repaired, _ = repair_psd(unvec(sigma, side))
+    return DensityState(side, repaired)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 840, 1000])
+def test_power_sum_is_the_explicit_sum(w):
+    rep = su2_irrep(3)
+    S = averaged_superop(WignerProblem(rep, tuple(haar_sample(rep, 5, 3))))
+    total, power = np.zeros_like(S), np.eye(S.shape[0], dtype=S.dtype)
+    for _ in range(w):
+        total, power = total + power, power @ S
+    got_total, got_power = _power_sum(S, w)
+    # S is an average of unitaries: every power has norm <= 1, so the sum of
+    # w of them may differ by a few ulps per term
+    assert np.abs(got_total - total).max() <= 1e-13 * w
+    assert np.abs(got_power - power).max() <= 1e-13 * w
+
+
+def test_cesaro_matches_step_loop_on_standard_batch():
+    for i, problem in enumerate(standard_problem_batch(count=20, base_seed=41)):
+        rho0 = problem_seed_state(problem, 41 + i)
+        out = cesaro_fixed_point(problem, rho0)
+        assert np.abs(out.rho - _cesaro_by_steps(problem, rho0).rho).max() <= 1e-12
+
+
 def test_cesaro_identity_map_returns_seed(rng):
     rep = su2_fundamental()
     rho0 = random_density(2, rng)
@@ -162,6 +220,23 @@ def test_cesaro_raises_no_convergence(rng):
     with pytest.raises(NoConvergence) as err:
         cesaro_fixed_point(problem, rho0, tol=1e-12, max_iter=3)
     assert err.value.residual > 0
+
+
+def test_cesaro_truncated_last_window_matches_step_loop(rng):
+    # max_iter 1000 = 840 + 160 and 2600 = 840 + 1680 + 80 cut the last window
+    rep = su2_fundamental()
+    problem = WignerProblem(rep, tuple(haar_sample(rep, 13, 2)))
+    rho0 = random_density(2, rng)
+    for max_iter in (1000, 2600):
+        with pytest.raises(NoConvergence) as err:
+            cesaro_fixed_point(problem, rho0, tol=1e-12, max_iter=max_iter)
+        with pytest.raises(NoConvergence) as ref:
+            _cesaro_by_steps(problem, rho0, tol=1e-12, max_iter=max_iter)
+        assert abs(err.value.residual - ref.value.residual) <= 1e-12
+    # residual 1.2e-3 after the first window, 1.8e-5 after the cut one
+    out = cesaro_fixed_point(problem, rho0, tol=1e-4, max_iter=1000)
+    ref_out = _cesaro_by_steps(problem, rho0, tol=1e-4, max_iter=1000)
+    assert np.abs(out.rho - ref_out.rho).max() <= 1e-12
 
 
 def test_standard_batch_is_deterministic():
