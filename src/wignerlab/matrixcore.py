@@ -9,6 +9,8 @@ fixed here and used by every other module:
   vectorizes to ``kron(conj(U), U)``.
 * Kronecker products index the first factor slowest (numpy's ``kron``).
 * Rank decisions use a relative singular-value threshold, default 1e-10.
+* ``commutant`` cuts a generic Hermitian element's spectrum into
+  eigenvalue clusters only at gaps above sqrt(tol) times its norm.
 * Singular values come from numpy's LAPACK SVD; ``trace_norm`` and
   ``principal_angle_residual`` raise ``ValueError`` on NaN or Inf input
   (numpy raises ``LinAlgError`` on a NaN but returns NaNs for an Inf).
@@ -183,54 +185,52 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(n, _null_basis(M, tol))
 
 
-def _commutator_superop(A: np.ndarray, d: int) -> np.ndarray:
-    # vec(AM - MA) = (I kron A - A.T kron I) vec(M)
-    eye = np.eye(d)
-    return np.kron(eye, A) - np.kron(A.T, eye)
-
-
-def joint_null_space(operators, n: int, scales, tol: float = DEFAULT_TOL) -> Subspace:
-    """Intersection of the null spaces of the given n x n operators.
-
-    Computed by sequential restriction: the running basis is narrowed by the
-    null space of each operator in turn, which keeps every SVD small.
-    ``operators`` may be a generator; each operator is taken only when its
-    step runs, and none after the intersection is empty.  The rank cutoff
-    for operator i is tol * scales[i], the natural problem scale rather than
-    the operator's own largest singular value, because an operator may be
-    numerically zero (e.g. a commutator with a near-scalar matrix).
-    """
-    N = None  # the identity, until the first restriction
-    for i, L in enumerate(operators):
-        if N is not None and N.shape[1] == 0:
-            break
-        L = np.asarray(L, dtype=complex)
-        step = _null_basis(L if N is None else L @ N, tol, scales[i], thin=True)
-        N = step if N is None else N @ step
-    return Subspace(n, np.eye(n, dtype=complex) if N is None else N)
+# key of the Philox stream the generic Hermitian element's coefficients come from
+_GENERIC_SEED = 0x434F4D4D
 
 
 def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Basis of {M : MA = AM for all A in S} as a subspace of vectorized M_d.
 
-    The zero-decision scale for each generator A is ||A||_F, so matrices that
-    commute with everything (scalars) yield the full space rather than a
-    noise-rank artifact.
+    Contract: each A in S is normal or has its adjoint in span(S), so that S'
+    is the commutant of the *-algebra S generates; otherwise ``ValueError``.
+    The zero-decision scale for each A is ||A||_F, so matrices that commute
+    with everything (scalars) yield the full space rather than a noise-rank
+    artifact.
     """
     mats = [as_matrix(A) for A in S]
+    if any(A.shape[0] != d for A in mats):
+        raise DimensionMismatch(f"expected {d}x{d} matrices")
+    mats = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    mats /= np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
+    adjs = mats.conj().transpose(0, 2, 1)
+    span, adj = mats.reshape(-1, d * d).T, adjs.reshape(-1, d * d).T
+    outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj)[0], axis=0) > tol
+    if np.any(outside & (np.linalg.norm(mats @ adjs - adjs @ mats, axis=(1, 2)) > tol)):
+        raise ValueError("S has a matrix that is not normal and whose adjoint is not in span(S)")
+    # X = sum a_k (A_k + A_k^dag) + b_k i (A_k - A_k^dag) is in S's *-algebra: S' lies in {X}'
+    coef = np.random.Generator(np.random.Philox(key=_GENERIC_SEED)).standard_normal((2, len(mats)))
+    Y = np.tensordot(coef[0] + 1j * coef[1], mats, axes=1)
+    vals, V = np.linalg.eigh(Y + Y.conj().T)
+    # {X}' is spanned by v_i v_j^dag, i and j in one eigenvalue cluster.  A cut
+    # at gap g turns eigenvectors across it by about eps ||X|| / g, so cut only
+    # at gaps above sqrt(tol) ||X||: that may merge eigenspaces, never split one
+    cuts = np.flatnonzero(np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()) + 1
+    B = np.column_stack([np.kron(Vc.conj(), Vc) for Vc in np.split(V, cuts, axis=1)])
     for A in mats:
-        if A.shape[0] != d:
-            raise DimensionMismatch(f"expected {d}x{d} matrices, got {A.shape}")
-    ops = (_commutator_superop(A, d) for A in mats)
-    scales = [max(frobenius(A), 1e-300) for A in mats]
-    return joint_null_space(ops, d * d, scales, tol)
+        # B's column j reshaped in C order is M_j^T, and (AM - MA)^T = M^T A^T - A^T M^T
+        Mt = B.T.reshape(-1, d, d)
+        L = (Mt @ A.T - A.T @ Mt).reshape(-1, d * d).T
+        # ||L||_F bounds every singular value: at or below tol, all of B stays
+        if np.linalg.norm(L) > tol:
+            B = B @ _null_basis(L, tol, 1.0, thin=True)
+    return Subspace(d * d, B)
 
 
 def double_commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Commutant applied twice; in finite dimension this is the generated
     unital *-algebra of S."""
-    first = commutant(S, d, tol)
-    return commutant(first.matrices(), d, tol)
+    return commutant(commutant(S, d, tol).matrices(), d, tol)
 
 
 def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:

@@ -141,6 +141,11 @@ def test_tensor_iso_three_factors():
     report = tensor_iso_check([m, m, m])
     assert report.equal
     assert report.product_of_dims == 8 and report.product_model_dim == 8
+    # ambient 32: fibre M_4, group Z_2^3
+    plane = z2_trivial_m2()
+    report = tensor_iso_check([plane, plane, m])
+    assert report.equal and report.ambient_dim == 32
+    assert report.product_of_dims == 128 and report.product_model_dim == 128
 
 
 def test_tensor_iso_resource_guard():

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from wignerlab import NotHermitian, Subspace, commutant, double_commutant, eig_hermitian, kron, null_space
+from wignerlab import (
+    CrossedProductModel,
+    NotHermitian,
+    Subspace,
+    commutant,
+    cyclic_group,
+    cyclic_rep,
+    double_commutant,
+    eig_hermitian,
+    kron,
+    null_space,
+    quaternion_rep,
+    trivial_rep,
+)
+from wignerlab.crossed import spanning_generators
+from wignerlab.groups import haar_unitary, philox_stream
 from wignerlab.matrixcore import (
+    _GENERIC_SEED,
     matrix_from_json,
     matrix_to_json,
     pairwise_mean,
@@ -124,6 +140,82 @@ def test_commutant_examples():
     sub = commutant([np.diag([1.0, -1.0]).astype(complex)], 2)
     assert sub.dim == 2
     assert sub.residual(vec(np.diag([2.0, 5.0]).astype(complex))) < 1e-10
+
+
+def superop_commutant(S, d: int, tol: float = 1e-10) -> Subspace:
+    """Reference commutant: for each A in turn, the null space of the
+    d^2 x d^2 commutator superoperator vec(AM - MA) = (I kron A - A.T kron I)
+    vec(M) on the running basis, cut at tol * ||A||_F."""
+    N = np.eye(d * d, dtype=complex)
+    for A in S:
+        if N.shape[1] == 0:
+            break
+        A = np.asarray(A, dtype=complex)
+        L = (np.kron(np.eye(d), A) - np.kron(A.T, np.eye(d))) @ N
+        _, s, vh = np.linalg.svd(L, full_matrices=False)
+        N = N @ vh[int(np.sum(s > tol * np.linalg.norm(A))):].conj().T
+    return Subspace(d * d, N)
+
+
+CROSSED_MODELS = {
+    "z2-trivial-m2": lambda: CrossedProductModel(trivial_rep(cyclic_group(2), 2)),
+    "z2-inner-m2": lambda: CrossedProductModel(cyclic_rep(2, dim=2)),
+    "q8-m2": lambda: CrossedProductModel(quaternion_rep()),
+}
+
+
+def _crossed_case(name: str, first_commutant: bool):
+    # the first commutant's basis: non-normal matrices with a *-closed span
+    model = CROSSED_MODELS[name]()
+    S, d = spanning_generators(model), model.ambient_dim
+    return (superop_commutant(S, d).matrices() if first_commutant else S), d
+
+
+ORACLE_CASES = {
+    "identity": lambda rng: ([np.eye(2)], 2),
+    "matrix-units": lambda rng: (list(np.eye(4, dtype=complex).reshape(4, 2, 2)), 2),
+    "diag(1,-1)": lambda rng: ([np.diag([1.0, -1.0])], 2),
+    "two-random-hermitian": lambda rng: ([random_hermitian(4, rng), random_hermitian(4, rng)], 4),
+    "repeated-eigenvalue": lambda rng: ([np.diag([1.0, 1.0, 2.0])], 3),
+    "near-degenerate-pair": lambda rng: ([np.diag([0.0, 1e-12, 1.0])], 3),
+}
+for _name in CROSSED_MODELS:
+    ORACLE_CASES[f"{_name}-generators"] = lambda rng, n=_name: _crossed_case(n, False)
+    ORACLE_CASES[f"{_name}-first-commutant"] = lambda rng, n=_name: _crossed_case(n, True)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_commutant_matches_superoperator_oracle(case, rng):
+    S, d = ORACLE_CASES[case](rng)
+    new, ref = commutant(S, d), superop_commutant(S, d)
+    assert new.dim == ref.dim
+    assert principal_angle_residual(new, ref)[0] <= 1e-9
+
+
+def test_commutant_keeps_elements_across_a_small_eigenvalue_gap():
+    # P = diag(1, 1, 1, -1, -1, -1) and A = diag(s, s + t) have a 6-dim
+    # commutant.  t is chosen so that the kernel's generic element
+    # X = 2 a_0 P / ||P|| + 2 a_1 A / ||A|| has its eigenvalues in pairs 1e-8
+    # apart, one from each block.  eigh mixes such a pair by about eps / 1e-8,
+    # far above tol, so a cut between the two would lose commutant elements.
+    a = np.random.Generator(np.random.Philox(key=_GENERIC_SEED)).standard_normal((2, 2))[0]
+    s, n = np.arange(3.0), 3
+    r = (1e-8 + 4 * a[0] / np.sqrt(2 * n)) / (2 * a[1])
+    t = 0.0
+    for _ in range(200):  # a contraction: |r| sqrt(n) < 1
+        t = r * np.linalg.norm(np.concatenate([s, s + t]))
+    W = haar_unitary(2 * n, philox_stream(3))
+    diagonals = ([1.0] * n + [-1.0] * n, np.concatenate([s, s + t]))
+    S = [W @ np.diag(v) @ W.conj().T for v in diagonals]
+    assert commutant(S, 2 * n).dim == superop_commutant(S, 2 * n).dim == 2 * n
+
+
+def test_commutant_rejects_set_without_adjoints():
+    # N's commutant has dim 2 (I and N); that of its *-algebra, M_2, has dim 1
+    N = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValueError):
+        commutant([N], 2)
+    assert commutant([N, N.conj().T], 2).dim == 1
 
 
 def test_double_commutant_contains_generators(rng):

@@ -8,6 +8,7 @@ from wignerlab import (
     WignerProblem,
     averaged_fixed_subspace,
     cesaro_fixed_point,
+    commutant,
     cyclic_rep,
     element_unitary,
     haar_sample,
@@ -67,6 +68,18 @@ def test_wigner_subspace_generic_su3_element():
     sub = wigner_subspace(rep, g)
     # oracle: commutant dimension is the sum of squared eigenvalue multiplicities
     assert sub.dim == 3
+
+
+def test_wigner_sets_match_the_commutant_kernel_and_multiplicities():
+    # W_g two independent ways, and the closed form sum of m_lambda^2 over
+    # U(g)'s eigenvalue multiplicities (the number of equal eigenvalue pairs);
+    # on these problems equal eigenvalues agree exactly, others differ by > 0.02
+    for problem in standard_problem_batch(40):
+        for g in problem.elements:
+            U = element_unitary(problem.rep, g)
+            lam = np.linalg.eigvals(U)
+            pairs = int(np.sum(np.abs(np.subtract.outer(lam, lam)) < 1e-6))
+            assert wigner_subspace(problem.rep, g).dim == commutant([U], problem.d).dim == pairs
 
 
 def test_averaged_subspace_trivial_cases(pauli_rep):
