@@ -205,7 +205,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     mats /= np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
     adjs = mats.conj().transpose(0, 2, 1)
     span, adj = mats.reshape(-1, d * d).T, adjs.reshape(-1, d * d).T
-    outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj)[0], axis=0) > tol
+    outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj, rcond=None)[0], axis=0) > tol
     if np.any(outside & (np.linalg.norm(mats @ adjs - adjs @ mats, axis=(1, 2)) > tol)):
         raise ValueError("S has a matrix that is not normal and whose adjoint is not in span(S)")
     # X = sum a_k (A_k + A_k^dag) + b_k i (A_k - A_k^dag) is in S's *-algebra: S' lies in {X}'
