@@ -20,9 +20,14 @@ U^dag rho U for a d-dimensional representation has spin at most d-1, so
 order 2d-1 averages it exactly with O(d^3) nodes.
 
 Haar sampling is Ginibre + QR with diagonal-phase correction, then division
-by the principal n-th root of the determinant for the special groups.  All
-randomness flows through Philox counter streams keyed by (seed, stream
-index), so sampling is reproducible and order-independent.
+by the principal n-th root of the determinant for the special groups
+(Mezzadri, Notices AMS 54, 2007).  All randomness flows through Philox
+counter streams keyed by (seed, stream index): sample i of
+``haar_sample(rep, seed, count)`` is drawn from stream (seed, i) alone, so
+sampling is reproducible, order-independent and prefix-stable.  A batch
+re-keys one Philox in place per sample instead of building a generator per
+stream, and runs QR and determinant on stacks of ``BATCH`` matrices; the
+results are bitwise those of ``haar_unitary(n, philox_stream(seed, i))``.
 """
 
 from __future__ import annotations
@@ -332,6 +337,38 @@ def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     return U
 
 
+# matrices per stacked LAPACK call or validation pass: large enough to
+# amortise per-call overhead, small enough that a batch of d = 8 matrices
+# takes 256 KB, so batching adds no full-size temporaries
+BATCH = 256
+
+
+def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
+    """The (N, d, d) stack of U(g) for g in elements, equal to stacking
+    ``element_unitary`` bitwise and validated the same way: membership and
+    shape per element, unitarity and unit determinant per chunk of
+    ``BATCH`` matrices."""
+    d = rep.dim
+    special = rep.group.kind in ("su2", "su3")
+    out = np.empty((len(elements), d, d), dtype=complex)
+    for start in range(0, len(elements), BATCH):
+        chunk = out[start : start + BATCH]
+        for U, g in zip(chunk, elements[start : start + BATCH]):
+            check_membership(rep.group, g)
+            M = np.asarray(rep.matrix_fn(g), dtype=complex)
+            if M.shape != (d, d):
+                raise DimensionMismatch(
+                    f"representation produced shape {M.shape}, expected ({d}, {d})"
+                )
+            U[...] = M
+        gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
+        if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
+            raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
+        if special and np.any(np.abs(np.linalg.det(chunk) - 1.0) > 1e-10):
+            raise ValueError(f"representation {rep.name!r} lost the unit determinant")
+    return out
+
+
 def act(rep: UnitaryRep, g: GroupElement, A) -> np.ndarray:
     """Gauge automorphism A -> U(g) A U(g)^dag."""
     A = as_matrix(A)
@@ -629,23 +666,66 @@ def haar_unitary(n: int, rng: np.random.Generator, special: bool = True) -> np.n
     return q
 
 
+def _philox_streams(seed: int, count: int):
+    """Yield a Generator in the state of ``philox_stream(seed, i)`` for
+    i = 0..count-1: one Philox re-keyed in place, counter and buffers reset,
+    instead of a new generator per stream.  Each yield invalidates the last."""
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    seed %= 2**64
+    for i in range(count):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": np.array([seed, i % 2**64], dtype=np.uint64)},
+            "buffer": zero,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def _haar_special_unitaries(n: int, seed: int, count: int):
+    """Yield ``haar_unitary(n, philox_stream(seed, i))`` for i < count,
+    bitwise.  Per batch of ``BATCH`` samples the Ginibre draws go into one
+    stack and QR, phase fix and det run stacked (LAPACK factors each matrix
+    on its own); the det phase is divided out per sample with the scalar
+    expression, since a broadcast exp/angle is not bitwise the scalar one."""
+    streams = _philox_streams(seed, count)
+    for start in range(0, count, BATCH):
+        z = np.empty((min(BATCH, count - start), n, n), dtype=complex)
+        for zi, rng in zip(z, streams):
+            zi.real = rng.standard_normal((n, n))
+            zi.imag = rng.standard_normal((n, n))
+        z /= math.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        q *= np.where(np.abs(d) > 0, d / np.abs(d), 1.0)[:, None, :]
+        det = np.linalg.det(q)
+        for qi, di in zip(q, det):
+            yield qi * np.exp(-1j * np.angle(di) / n)
+
+
 def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement]:
-    """Sample group elements from Haar measure (finite groups: uniform)."""
+    """Sample group elements from Haar measure (finite groups: uniform).
+
+    Sample i is drawn from ``philox_stream(rng_seed, i)`` alone, so
+    ``haar_sample(rep, s, n)[:k] == haar_sample(rep, s, k)``; SU(2) and SU(3)
+    samples are bitwise ``haar_unitary`` of that stream, computed in stacks.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     group = rep.group
-    out: list[GroupElement] = []
-    for i in range(count):
-        rng = philox_stream(rng_seed, i)
-        if isinstance(group, FiniteGroup):
-            out.append(FiniteElement(int(rng.integers(group.order))))
-        elif group.kind == "u1":
-            out.append(U1Element(float(rng.uniform(0.0, TWO_PI))))
-        elif group.kind == "su2":
-            out.append(euler_from_su2(haar_unitary(2, rng)))
-        else:
-            out.append(SU3Element(haar_unitary(3, rng)))
-    return out
+    if isinstance(group, FiniteGroup):
+        return [FiniteElement(int(rng.integers(group.order)))
+                for rng in _philox_streams(rng_seed, count)]
+    if group.kind == "u1":
+        return [U1Element(float(rng.uniform(0.0, TWO_PI)))
+                for rng in _philox_streams(rng_seed, count)]
+    if group.kind == "su2":
+        return [euler_from_su2(U) for U in _haar_special_unitaries(2, rng_seed, count)]
+    return [SU3Element(U) for U in _haar_special_unitaries(3, rng_seed, count)]
 
 
 def _wrap_psi(psi: float) -> float:

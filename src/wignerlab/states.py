@@ -233,9 +233,13 @@ def haar_average(
             elements = G.haar_sample(rep, seed, count)
         else:
             raise MethodUnsupported(f"unknown method {method!r}")
-        avg = pairwise_mean(np.stack([
-            U.conj().T @ rho.rho @ U for U in (G.element_unitary(rep, g) for g in elements)
-        ]))
+        stack = G.element_unitaries(rep, elements)
+        # U^dag rho U overwrites U, one batch at a time, so no temporary
+        # is as large as the stack
+        for start in range(0, len(stack), G.BATCH):
+            U = stack[start : start + G.BATCH]
+            U[...] = U.conj().transpose(0, 2, 1) @ rho.rho @ U
+        avg = pairwise_mean(stack)
 
     repaired, magnitude = repair_psd(avg)
     state = DensityState(rho.d, repaired)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wignerlab import FiniteGroup, finite_rep
-from wignerlab.groups import philox_stream
+from wignerlab import FiniteElement, FiniteGroup, SU3Element, U1Element, finite_rep
+from wignerlab.groups import TWO_PI, euler_from_su2, haar_unitary, philox_stream
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -54,3 +54,21 @@ def element_index(rep, matrix):
         if np.allclose(element_unitary(rep, g), matrix, atol=1e-12):
             return g
     raise AssertionError("matrix not found in the represented group")
+
+
+def reference_haar_sample(rep, seed, count):
+    """Per-sample reference for ``haar_sample``: sample i is drawn from its
+    own ``philox_stream(seed, i)``, one generator and one QR at a time."""
+    group = rep.group
+    out = []
+    for i in range(count):
+        rng = philox_stream(seed, i)
+        if isinstance(group, FiniteGroup):
+            out.append(FiniteElement(int(rng.integers(group.order))))
+        elif group.kind == "u1":
+            out.append(U1Element(float(rng.uniform(0.0, TWO_PI))))
+        elif group.kind == "su2":
+            out.append(euler_from_su2(haar_unitary(2, rng)))
+        else:
+            out.append(SU3Element(haar_unitary(3, rng)))
+    return out

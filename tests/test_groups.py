@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,11 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    SU2,
+    SU3,
+    U1,
     BadElement,
+    DimensionMismatch,
     FiniteElement,
     FiniteGroup,
     SU2Element,
@@ -15,9 +20,11 @@ from wignerlab import (
     act,
     cyclic_group,
     cyclic_rep,
+    element_unitaries,
     element_unitary,
     finite_group_from_json,
     finite_group_to_json,
+    finite_rep,
     generating_set,
     haar_quadrature_su2,
     haar_sample,
@@ -30,6 +37,7 @@ from wignerlab import (
     su3_rep,
     trivial_rep,
     u1_rep,
+    UnitaryRep,
 )
 from wignerlab.groups import (
     _generating_indices,
@@ -38,11 +46,13 @@ from wignerlab.groups import (
     finite_elements,
     haar_unitary,
     inverse_element,
+    describe_element,
     product_group,
+    product_rep,
     su2_matrix,
 )
 
-from conftest import random_hermitian
+from conftest import reference_haar_sample, random_hermitian
 
 
 def test_finite_group_rejects_bad_table():
@@ -208,6 +218,91 @@ def test_haar_sampling_reproducible_and_stream_indexed():
     c = haar_sample(rep, 42, 2)
     assert c == a[:2]
     assert haar_sample(rep, 43, 2) != c
+
+
+HAAR_SEEDS = (0, 1, 1001, 2**63 + 5, -3)
+HAAR_COUNTS = (1, 2, 257, 4096)
+
+
+def _exact(elements):
+    # json.dumps writes repr of each float, so -0.0 and 0.0 differ
+    return [json.dumps(describe_element(g)) for g in elements]
+
+
+@pytest.mark.parametrize("seed", HAAR_SEEDS)
+def test_haar_sample_is_bitwise_the_per_stream_loop(seed):
+    reps = (su2_fundamental(), su3_fundamental(), u1_rep([0, 1, -2]), quaternion_rep(2))
+    for rep in reps:
+        reference = _exact(reference_haar_sample(rep, seed, max(HAAR_COUNTS)))
+        for count in HAAR_COUNTS:
+            samples = haar_sample(rep, seed, count)
+            assert _exact(samples) == reference[:count], (rep.name, seed, count)
+
+
+@pytest.mark.parametrize("rep", [su2_fundamental(), su3_fundamental(), u1_rep([2, -1]),
+                                 cyclic_rep(7, dim=1)], ids=lambda r: r.name)
+def test_haar_sample_prefix_contract(rep):
+    full = haar_sample(rep, 1001, 300)
+    for k in (1, 2, 255, 256, 257, 299):
+        assert _exact(haar_sample(rep, 1001, k)) == _exact(full[:k])
+
+
+def _reps_for_stacks():
+    z3 = cyclic_group(3)
+    rot = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    yield finite_rep(z3, [np.eye(3), rot, rot @ rot], "z3-perm")
+    yield cyclic_rep(5)
+    yield quaternion_rep(5)
+    yield product_rep(cyclic_rep(3, dim=2), quaternion_rep(2))
+    yield u1_rep([0, 1, -2, 3])
+    for d in range(2, 9):
+        yield su2_irrep(d)
+    for d in range(3, 7):
+        yield su3_rep(d)
+
+
+@pytest.mark.parametrize("rep", list(_reps_for_stacks()), ids=lambda r: r.name)
+def test_element_unitaries_stack_element_unitary_bitwise(rep):
+    if isinstance(rep.group, FiniteGroup):
+        elements = finite_elements(rep.group)
+    else:
+        # more than one validation chunk
+        elements = haar_sample(rep, 77, 300)
+    stack = element_unitaries(rep, elements)
+    reference = np.stack([element_unitary(rep, g) for g in elements])
+    assert stack.shape == reference.shape
+    assert stack.tobytes() == reference.tobytes()
+
+
+def _raised(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "rep, elements",
+    [
+        # an element of the wrong group, after a full chunk of good ones
+        (su2_irrep(3), haar_sample(su2_irrep(3), 5, 260) + [U1Element(1.0)]),
+        # an out-of-range finite index
+        (cyclic_rep(3), [FiniteElement(1), FiniteElement(7)]),
+        # a matrix of the wrong shape
+        (UnitaryRep(SU2, 3, lambda g: np.eye(2)), [SU2Element(0.1, 0.2, 0.3)]),
+        # a non-unitary matrix, in the second validation chunk only
+        (UnitaryRep(U1, 2, lambda g: np.eye(2) * (2.0 if g.theta > 2.9 else 1.0)),
+         [U1Element(0.01 * k) for k in range(300)]),
+        # a unitary matrix of det e^{i pi/3} for a special group
+        (UnitaryRep(SU3, 3, lambda g: np.diag([np.exp(1j * math.pi / 3), 1.0, 1.0])),
+         [SU3Element(np.eye(3))]),
+    ],
+    ids=["wrong-group", "finite-index", "shape", "non-unitary", "det"],
+)
+def test_element_unitaries_raise_like_element_unitary(rep, elements):
+    single = _raised(lambda: [element_unitary(rep, g) for g in elements])
+    batch = _raised(lambda: element_unitaries(rep, elements))
+    assert type(batch) is type(single)
+    assert str(batch) == str(single)
 
 
 def test_philox_streams_independent():

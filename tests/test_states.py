@@ -29,7 +29,7 @@ from wignerlab import (
 from wignerlab import groups
 from wignerlab.states import repair_psd
 
-from conftest import random_hermitian
+from conftest import reference_haar_sample, random_hermitian
 
 
 def test_density_state_validation():
@@ -347,3 +347,54 @@ def test_haar_average_residual_uses_callers_probes(rng):
         for s in (0, 5):
             result = haar_average(rep, rho, method=method, count=64, probes=50, probe_seed=s)
             assert result.residual == invariance_residual(rep, result.state, probes=50, seed=s)
+
+
+def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probes=20):
+    """haar_average computed one element at a time, on reference samples."""
+    from wignerlab import cesaro_fixed_point, WignerProblem
+    from wignerlab.matrixcore import pairwise_mean
+
+    kind = rep.group.kind
+    finite = groups.finite_elements(rep.group) if kind == "finite" else None
+    if method == "cesaro":
+        problem = WignerProblem(rep, tuple(reference_haar_sample(rep, seed, generators)))
+        state = cesaro_fixed_point(problem, rho, tol=1e-11)
+    else:
+        if method == "finite_exact":
+            elements = finite
+        elif method == "quadrature" and kind == "u1":
+            n = max(2 * (max(rep.meta["weights"]) - min(rep.meta["weights"])) + 1, 8)
+            elements = [groups.U1Element(2.0 * math.pi * k / n) for k in range(n)]
+        else:
+            elements = reference_haar_sample(rep, seed, count)
+        avg = pairwise_mean(np.stack([
+            U.conj().T @ rho.rho @ U for U in (element_unitary(rep, g) for g in elements)
+        ]))
+        state = DensityState(rho.d, repair_psd(avg)[0])
+    probe_elements = finite or reference_haar_sample(rep, 0, probes)
+    residual = max(trace_distance(pullback(rep, g, state), state) for g in probe_elements)
+    return state, residual
+
+
+@pytest.mark.parametrize(
+    "rep, method",
+    [
+        (groups.su3_rep(3), "montecarlo"),
+        (groups.su3_rep(6), "montecarlo"),
+        (su2_irrep(4), "montecarlo"),
+        (u1_rep([0, 1, -2, 3]), "montecarlo"),
+        (groups.cyclic_rep(5), "finite_exact"),
+        (groups.quaternion_rep(5), "finite_exact"),
+        (u1_rep([0, 2, -1, 1]), "quadrature"),
+        (groups.su3_rep(3), "auto"),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x.name,
+)
+def test_haar_average_is_bitwise_the_per_element_reference(rep, method):
+    rho = random_density(rep.dim, groups.philox_stream(2024, rep.dim))
+    result = haar_average(rep, rho, method=method, seed=11)
+    ref_method = "cesaro" if method == "auto" else method
+    state, residual = _reference_average(rep, rho, ref_method, seed=11)
+    assert result.method == ref_method
+    assert result.state.rho.tobytes() == state.rho.tobytes()
+    assert result.residual == residual
