@@ -123,14 +123,9 @@ def _average_one(rep: G.UnitaryRep, seed_state: DensityState, gen_seed: int) -> 
     return haar_average(rep, seed_state, seed=gen_seed).state
 
 
-def assign_invariant_field(
-    spec: BundleSpec,
-    seed: int = 0,
-    invariance_tol: float = 1e-7,
-    separating_tol: float = 1e-10,
-    probes: int = 50,
-) -> FieldState:
-    """Assign every base point an invariant, separating (full-rank) state.
+def assign_invariant_field(spec: BundleSpec, seed: int = 0) -> FieldState:
+    """Assign every base point an invariant, separating (full-rank) state:
+    invariance residual at most 1e-7 over 50 probes, separating to 1e-10.
 
     Deterministic for fixed (spec, seed): all randomness flows through
     counter streams keyed by the point index.
@@ -140,12 +135,12 @@ def assign_invariant_field(
         rep = spec.reps[label]
         seed_state = _blend_seed_state(rep.dim, 0.5, G.philox_stream(seed, idx))
         state = _average_one(rep, seed_state, _point_seed(seed, idx, 1))
-        residual = invariance_residual(rep, state, probes=probes, seed=_point_seed(seed, idx, 2))
-        sep = is_separating(state, separating_tol)
-        if residual > invariance_tol or not sep.separating:
+        residual = invariance_residual(rep, state, probes=50, seed=_point_seed(seed, idx, 2))
+        sep = is_separating(state, 1e-10)
+        if residual > 1e-7 or not sep.separating:
             raise FieldAssignmentError(
                 label,
-                f"invariance residual {residual:.3e} (tol {invariance_tol:.1e}), "
+                f"invariance residual {residual:.3e} (tol 1.0e-07), "
                 f"min eigenvalue {sep.min_eigenvalue:.3e}",
             )
         states[label] = state

@@ -68,8 +68,7 @@ def regular_unitary(model: CrossedProductModel, h: G.GroupElement) -> np.ndarray
     group = model.group
     hinv = G.inverse_element(group, h)
     perm = np.zeros((group.order, group.order))
-    for g in range(group.order):
-        perm[group.table[g, hinv.index], g] = 1.0
+    perm[group.table[:, hinv.index], np.arange(group.order)] = 1.0
     return kron(np.eye(model.d), perm)
 
 
@@ -78,14 +77,13 @@ def embed(model: CrossedProductModel, A) -> np.ndarray:
     A = as_matrix(A)
     if A.shape[0] != model.d:
         raise DimensionMismatch(f"operator dim {A.shape[0]} != fibre dim {model.d}")
-    order = model.order
-    out = np.zeros((model.ambient_dim, model.ambient_dim), dtype=complex)
-    for g in G.finite_elements(model.group):
-        block = G.act(model.rep, g, A)
-        E = np.zeros((order, order))
-        E[g.index, g.index] = 1.0
-        out += kron(block, E)
-    return out
+    U = G.element_unitaries(model.rep, G.finite_elements(model.group))
+    # out[i, g, j, g] = alpha_g(A)[i, j], fibre index slowest as in kron;
+    # added into zeros, not assigned, so that every zero entry is +0.0
+    idx = np.arange(model.order)
+    out = np.zeros((model.d, model.order, model.d, model.order), dtype=complex)
+    out[:, idx, :, idx] += U @ A @ U.conj().transpose(0, 2, 1)
+    return out.reshape(model.ambient_dim, model.ambient_dim)
 
 
 def _matrix_units(d: int) -> np.ndarray:

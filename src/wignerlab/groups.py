@@ -96,12 +96,11 @@ class FiniteGroup:
             raise ValueError("identity index out of range")
         if not (np.all(table[e, :] == np.arange(n)) and np.all(table[:, e] == np.arange(n))):
             raise ValueError("declared identity is not a two-sided identity")
-        inverses = np.full(n, -1, dtype=int)
-        for i in range(n):
-            js = np.flatnonzero(table[i, :] == e)
-            if js.size != 1 or table[js[0], i] != e:
-                raise ValueError(f"element {i} has no two-sided inverse")
-            inverses[i] = js[0]
+        # the Latin square holds one e per row: the right inverse of each i
+        inverses = np.argmax(table == e, axis=1)
+        one_sided = table[inverses, np.arange(n)] != e
+        if one_sided.any():
+            raise ValueError(f"element {np.argmax(one_sided)} has no two-sided inverse")
         # a Latin square with identity is only a loop; the translation
         # unitaries U_h U_k = U_{hk} need actual associativity.  Light's test:
         # the s with (xs)y = x(sy) for all x, y are closed under the product,
@@ -378,27 +377,27 @@ def act(rep: UnitaryRep, g: GroupElement, A) -> np.ndarray:
     return U @ A @ U.conj().T
 
 
-def _validate_rep(rep: UnitaryRep, pair_tol: float = 1e-9) -> UnitaryRep:
+def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
     e = identity_element(rep.group)
     if frobenius(element_unitary(rep, e) - np.eye(rep.dim)) > 1e-10:
         raise ValueError(f"representation {rep.name!r} does not map identity to identity")
     if isinstance(rep.group, FiniteGroup):
-        els = finite_elements(rep.group)
-        mats = [element_unitary(rep, g) for g in els]
-        for g in els:
-            for h in els:
-                gh = compose(rep.group, g, h)
-                if frobenius(mats[g.index] @ mats[h.index] - mats[gh.index]) > 1e-10:
-                    raise ValueError(
-                        f"representation {rep.name!r} breaks the homomorphism at "
-                        f"({rep.group.labels[g.index]}, {rep.group.labels[h.index]})"
-                    )
+        mats = element_unitaries(rep, finite_elements(rep.group))
+        # row g of the table at once: U_g U_h - U_{gh} for every h
+        for g, row in enumerate(rep.group.table):
+            broken = np.linalg.norm(mats[g] @ mats - mats[row], axis=(1, 2)) > 1e-10
+            if broken.any():
+                h = np.argmax(broken)
+                raise ValueError(
+                    f"representation {rep.name!r} breaks the homomorphism at "
+                    f"({rep.group.labels[g]}, {rep.group.labels[h]})"
+                )
     else:
         samples = haar_sample(rep, rng_seed=0x5EED, count=4)
         for g, h in zip(samples[:2], samples[2:]):
             lhs = element_unitary(rep, g) @ element_unitary(rep, h)
             rhs = element_unitary(rep, compose(rep.group, g, h))
-            if frobenius(lhs - rhs) > pair_tol:
+            if frobenius(lhs - rhs) > 1e-9:
                 raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
     return rep
 
@@ -584,25 +583,20 @@ _Q8_MATS = {
 }
 
 
-def _q8_matrices() -> list[np.ndarray]:
-    mats = []
-    for sym in ("1", "i", "j", "k"):
-        mats.append(_Q8_MATS[sym])
-        mats.append(-_Q8_MATS[sym])
-    return mats
+def _q8_matrices() -> np.ndarray:
+    """The (8, 2, 2) stack 1, -1, i, -i, j, -j, k, -k."""
+    return np.array([M for s in ("1", "i", "j", "k") for M in (_Q8_MATS[s], -_Q8_MATS[s])])
 
 
 def quaternion_group() -> FiniteGroup:
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     mats = _q8_matrices()
-    table = np.zeros((8, 8), dtype=int)
-    for a in range(8):
-        for b in range(8):
-            prod = mats[a] @ mats[b]
-            matches = [c for c in range(8) if np.allclose(prod, mats[c], atol=1e-12)]
-            assert len(matches) == 1
-            table[a, b] = matches[0]
-    return FiniteGroup(labels, table, 0)
+    # matches[a, b, c]: g_a g_b equals g_c entrywise as np.allclose(atol=1e-12) decides
+    prods = mats[:, None] @ mats[None]
+    matches = np.isclose(prods[:, :, None], mats, atol=1e-12).all(axis=(3, 4))
+    if not np.all(matches.sum(axis=2) == 1):
+        raise ValueError("Q8 matrices do not match each product exactly once")
+    return FiniteGroup(labels, np.argmax(matches, axis=2), 0)
 
 
 def quaternion_rep(total_dim: int = 2) -> UnitaryRep:
@@ -733,7 +727,7 @@ def _wrap_psi(psi: float) -> float:
     return psi - 2.0 * TWO_PI if psi > TWO_PI else psi
 
 
-def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int = 24) -> np.ndarray:
+def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int) -> np.ndarray:
     """Integrate a matrix-valued function over SU(2) Haar measure.
 
     Product rule in Euler coordinates, exact for every matrix coefficient of
@@ -831,7 +825,7 @@ def finite_group_to_json(group: FiniteGroup, rep: UnitaryRep | None = None) -> d
         doc["rep"] = {
             "dim": rep.dim,
             "matrices": [
-                matrix_to_json(element_unitary(rep, g)) for g in finite_elements(group)
+                matrix_to_json(U) for U in element_unitaries(rep, finite_elements(group))
             ],
         }
     return doc

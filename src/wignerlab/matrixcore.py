@@ -11,9 +11,10 @@ fixed here and used by every other module:
 * Rank decisions use a relative singular-value threshold, default 1e-10.
 * ``commutant`` cuts a generic Hermitian element's spectrum into
   eigenvalue clusters only at gaps above sqrt(tol) times its norm.
-* Singular values come from numpy's LAPACK SVD; ``trace_norm`` and
-  ``principal_angle_residual`` raise ``ValueError`` on NaN or Inf input
-  (numpy raises ``LinAlgError`` on a NaN but returns NaNs for an Inf).
+* Singular values come from numpy's LAPACK SVD; ``singular_values``,
+  ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
+  NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs
+  for an Inf).
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def op_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def _singular_values(M) -> np.ndarray:
-    """Singular values of M, descending; ValueError on NaN or Inf entries."""
+def singular_values(M) -> np.ndarray:
+    """Singular values of M, or of each matrix in a stack, descending;
+    ValueError on NaN or Inf entries."""
     A = np.asarray(M)
     if not np.all(np.isfinite(A)):
         raise ValueError("array must not contain infs or NaNs")
@@ -65,7 +67,7 @@ def _singular_values(M) -> np.ndarray:
 
 def trace_norm(M) -> float:
     """Sum of singular values."""
-    return float(np.sum(_singular_values(M)))
+    return float(np.sum(singular_values(M)))
 
 
 def vec(M) -> np.ndarray:
@@ -247,7 +249,7 @@ def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:
         return float(np.pi / 2), 0.0
     gap = op_norm(a.projector() - b.projector())
     angle = float(np.arcsin(min(1.0, gap)))
-    sigma = _singular_values(a.basis.conj().T @ b.basis)
+    sigma = singular_values(a.basis.conj().T @ b.basis)
     return angle, float(sigma.min())
 
 
@@ -261,7 +263,8 @@ def pairwise_mean(stack: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     if n == 0:
         raise ValueError("cannot average an empty stack")
-    acc = arr.copy()
+    # each level builds a new array, so the input is never written
+    acc = arr
     while acc.shape[0] > 1:
         m = acc.shape[0]
         half = m // 2

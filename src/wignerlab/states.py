@@ -27,6 +27,7 @@ from .matrixcore import (
     matrix_from_json,
     matrix_to_json,
     pairwise_mean,
+    singular_values,
     trace_norm,
 )
 
@@ -141,12 +142,18 @@ def invariance_residual(
     rep: G.UnitaryRep, state: DensityState, probes: int = 20, seed: int = 0
 ) -> float:
     """Max trace-norm defect of the state under a deterministic probe set of
-    group elements (all elements for finite groups, fixed-seed Haar otherwise)."""
+    group elements (all elements for finite groups, fixed-seed Haar otherwise):
+    the largest trace norm in the stack U(g)^dag rho U(g) - rho."""
     if isinstance(rep.group, G.FiniteGroup):
         elements = G.finite_elements(rep.group)
     else:
         elements = G.haar_sample(rep, seed, probes)
-    return max(trace_distance(pullback(rep, g, state), state) for g in elements)
+    if state.d != rep.dim:
+        raise DimensionMismatch(f"state dim {state.d} != representation dim {rep.dim}")
+    U = G.element_unitaries(rep, elements)
+    defects = U.conj().transpose(0, 2, 1) @ state.rho @ U
+    defects -= state.rho
+    return float(np.max(np.sum(singular_values(defects), axis=1)))
 
 
 @dataclass(frozen=True)

@@ -99,15 +99,13 @@ def intersect_stacked(subspaces: list[Subspace], tol: float = DEFAULT_TOL) -> Su
     return null_space(np.vstack([s.projector() - eye for s in subspaces]), tol)
 
 
-def intersect_alternating(
-    subspaces: list[Subspace], threshold: float = 1e-12, max_rounds: int = 100
-) -> Subspace:
+def intersect_alternating(subspaces: list[Subspace]) -> Subspace:
     """Subspace intersection by powering the cyclic product of projectors.
 
     The product of the orthogonal projectors converges (von Neumann /
     Halperin) to the projector onto the intersection; repeated squaring makes
-    the convergence fast.  Stops when the iterate is idempotent to
-    ``threshold``.
+    the convergence fast.  Stops when the iterate is idempotent to 1e-12 in
+    Frobenius norm, and raises after 100 squarings.
     """
     if not subspaces:
         raise ValueError("need at least one subspace")
@@ -115,8 +113,8 @@ def intersect_alternating(
     Q = np.eye(n, dtype=complex)
     for s in subspaces:
         Q = s.projector() @ Q
-    for _ in range(max_rounds):
-        if frobenius(Q @ Q - Q) <= threshold:
+    for _ in range(100):
+        if frobenius(Q @ Q - Q) <= 1e-12:
             break
         Q = Q @ Q
     else:
@@ -268,33 +266,31 @@ def cesaro_fixed_point(
 # reproducible problem batches (shared by the CLI and the acceptance suite)
 
 
-def _rep_for(kind: str, d: int, order_hint: int) -> G.UnitaryRep:
+_BATCH_KINDS = ("su2", "su3", "zn", "q8")
+
+
+def _rep_config(kind: str, d: int, order_hint: int) -> dict:
     config = {"kind": kind, "dim": max(d, 3) if kind == "su3" else d}
     if kind == "zn":
         config["n"] = order_hint
-    return G.rep_from_config(config)
+    return config
 
 
 def standard_problem_batch(
-    count: int = 200,
-    base_seed: int = 2026,
-    kinds: tuple[str, ...] = ("su2", "su3", "zn", "q8"),
-    dims: tuple[int, ...] = (2, 3, 4, 5, 6),
-    max_elements: int = 4,
+    count: int = 200, base_seed: int = 2026, dims: tuple[int, ...] = (2, 3, 4, 5, 6)
 ) -> list[WignerProblem]:
     """Deterministic schedule of randomized problems cycling over dimensions,
-    family sizes, and group kinds; elements are drawn from the seed schedule
-    base_seed + index."""
+    families of 1 to 4 elements, and the group kinds SU(2), SU(3), Z_n and
+    Q8; elements are drawn from the seed schedule base_seed + index.  Each
+    distinct rep config is built once."""
     cache: dict = {}
     problems = []
     for i in range(count):
-        d = dims[i % len(dims)]
-        n = 1 + i % max_elements
-        kind = kinds[i % len(kinds)]
-        order_hint = 2 + (i // 3) % 5
-        key = (kind, d, order_hint)
+        n = 1 + i % 4
+        config = _rep_config(_BATCH_KINDS[i % 4], dims[i % len(dims)], 2 + (i // 3) % 5)
+        key = tuple(config.values())
         if key not in cache:
-            cache[key] = _rep_for(kind, d, order_hint)
+            cache[key] = G.rep_from_config(config)
         rep = cache[key]
         elements = tuple(G.haar_sample(rep, base_seed + i, n))
         problems.append(WignerProblem(rep, elements))

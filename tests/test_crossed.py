@@ -19,7 +19,16 @@ from wignerlab import (
     trivial_rep,
 )
 from wignerlab.crossed import spanning_generators
-from wignerlab.groups import FiniteGroup, finite_elements, haar_unitary, philox_stream, quaternion_group
+from wignerlab.groups import (
+    FiniteGroup,
+    act,
+    element_unitary,
+    finite_elements,
+    haar_unitary,
+    inverse_element,
+    philox_stream,
+    quaternion_group,
+)
 from wignerlab.matrixcore import double_commutant, vec
 
 
@@ -52,6 +61,53 @@ def test_regular_unitaries_form_representation():
         for h in els:
             gh = model.group.table[g.index, h.index]
             assert np.abs(mats[g.index] @ mats[h.index] - mats[gh]).max() <= 1e-12
+
+
+def _reference_embed(model, A):
+    """Phi(A) one group element at a time: the sum of kron(alpha_g(A), E_gg)."""
+    order = model.order
+    out = np.zeros((model.ambient_dim, model.ambient_dim), dtype=complex)
+    for g in finite_elements(model.group):
+        E = np.zeros((order, order))
+        E[g.index, g.index] = 1.0
+        out += kron(act(model.rep, g, A), E)
+    return out
+
+
+def _reference_regular_unitary(model, h):
+    """U_h one column of the permutation at a time."""
+    group = model.group
+    hinv = inverse_element(group, h)
+    perm = np.zeros((group.order, group.order))
+    for g in range(group.order):
+        perm[group.table[g, hinv.index], g] = 1.0
+    return kron(np.eye(model.d), perm)
+
+
+def _benchmark_models():
+    """The crossed-products benchmark's model shapes: Z_n on seeded weights
+    and Q8's 2-dim irrep conjugated by a Haar unitary."""
+    rng = philox_stream(13)
+    models = [
+        CrossedProductModel(cyclic_rep(n, weights=[int(w) for w in rng.integers(0, n, size=d)]))
+        for n, d in [(2, 2), (4, 2), (3, 4), (5, 4), (12, 2)]
+    ]
+    v = haar_unitary(2, rng)
+    base = quaternion_rep()
+    mats = [v @ element_unitary(base, g) @ v.conj().T for g in finite_elements(base.group)]
+    return models + [CrossedProductModel(finite_rep(base.group, mats, "q8-conj"))]
+
+
+@pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
+def test_embed_and_regular_unitary_are_bitwise_the_loops(model):
+    rng = philox_stream(17, model.ambient_dim)
+    d = model.d
+    fibre = [*np.eye(d * d, dtype=complex).reshape(-1, d, d),
+             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
+    for A in fibre:
+        assert embed(model, A).tobytes() == _reference_embed(model, A).tobytes()
+    for h in finite_elements(model.group):
+        assert regular_unitary(model, h).tobytes() == _reference_regular_unitary(model, h).tobytes()
 
 
 def test_embed_unital_and_trivial_action(rng):

@@ -41,6 +41,7 @@ from wignerlab import (
 )
 from wignerlab.groups import (
     _generating_indices,
+    _q8_matrices,
     compose,
     euler_from_su2,
     finite_elements,
@@ -148,6 +149,101 @@ def test_cyclic_and_quaternion_pass_construction_checks():
     # -1 is central and squares to the identity
     minus1 = FiniteElement(1)
     assert compose(q8, minus1, minus1).index == q8.identity
+
+
+def _reference_q8_table():
+    """Q8's Cayley table by definition: each product matched against the
+    eight matrices one np.allclose at a time."""
+    mats = list(_q8_matrices())
+    table = np.zeros((8, 8), dtype=int)
+    for a in range(8):
+        for b in range(8):
+            matches = [c for c in range(8) if np.allclose(mats[a] @ mats[b], mats[c], atol=1e-12)]
+            assert len(matches) == 1
+            table[a, b] = matches[0]
+    return table
+
+
+def test_quaternion_table_is_the_allclose_loop():
+    assert np.array_equal(quaternion_group().table, _reference_q8_table())
+    signs = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"), (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
+    units = {"1": np.eye(2), "i": np.diag([1j, -1j]), "j": np.array([[0, 1], [-1, 0]]),
+             "k": np.array([[0, 1j], [1j, 0]])}
+    assert np.array_equal(_q8_matrices(), [s * units[u] for s, u in signs])
+
+
+def _reference_inverse_failure(table, e):
+    """The per-element inverse check: first i whose right inverse is not
+    also a left inverse, or None."""
+    for i in range(table.shape[0]):
+        js = np.flatnonzero(table[i, :] == e)
+        if js.size != 1 or table[js[0], i] != e:
+            return i
+    return None
+
+
+def test_loop_with_one_sided_inverse_rejected():
+    # a Latin square with identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
+    loop = np.array(
+        [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ]
+    )
+    assert _reference_inverse_failure(loop, 0) == 2
+    with pytest.raises(ValueError, match=r"^element 2 has no two-sided inverse$"):
+        FiniteGroup(tuple("eabcd"), loop, 0)
+
+
+def _reference_homomorphism_error(rep):
+    """The pairwise homomorphism check over the whole table: the message for
+    the first (g, h) with ||U_g U_h - U_gh||_F > 1e-10, or None."""
+    els = finite_elements(rep.group)
+    mats = [element_unitary(rep, g) for g in els]
+    for g in els:
+        for h in els:
+            gh = compose(rep.group, g, h)
+            if np.linalg.norm(mats[g.index] @ mats[h.index] - mats[gh.index]) > 1e-10:
+                return (
+                    f"representation {rep.name!r} breaks the homomorphism at "
+                    f"({rep.group.labels[g.index]}, {rep.group.labels[h.index]})"
+                )
+    return None
+
+
+def _small_rotation(d, eps):
+    """exp(i eps H) for a fixed Hermitian H: unitary to rounding, eps from 1."""
+    w, V = np.linalg.eigh(random_hermitian(d, philox_stream(31)))
+    return (V * np.exp(1j * eps * w)) @ V.conj().T
+
+
+@pytest.mark.parametrize(
+    "base, index, factor",
+    [
+        (quaternion_rep(), 6, -np.eye(2)),
+        (quaternion_rep(5), 3, np.diag([1, 1, 1, 1, -1])),
+        (quaternion_rep(), 2, _small_rotation(2, 1e-9)),
+        (cyclic_rep(5), 3, _small_rotation(5, 1e-9)),
+        (cyclic_rep(4, dim=2), 0, np.eye(2)),
+    ],
+    ids=["q8-sign", "q8d5-pad-sign", "q8-1e-9", "z5-1e-9", "z4-intact"],
+)
+def test_finite_rep_homomorphism_error_is_the_pairwise_loops(base, index, factor):
+    group = base.group
+    mats = [element_unitary(base, g) for g in finite_elements(group)]
+    mats[index] = mats[index] @ factor
+    expected = _reference_homomorphism_error(
+        UnitaryRep(group, base.dim, lambda g: mats[g.index], "broken")
+    )
+    if expected is None:
+        finite_rep(group, mats, "broken")
+        return
+    with pytest.raises(ValueError) as err:
+        finite_rep(group, mats, "broken")
+    assert str(err.value) == expected
 
 
 def test_finite_rep_homomorphism_full_table():

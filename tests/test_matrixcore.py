@@ -267,6 +267,24 @@ def test_pairwise_mean_matches_plain_mean(rng):
     assert np.abs(pairwise_mean(stack) - stack.mean(axis=0)).max() < 1e-14
 
 
+def test_pairwise_mean_leaves_its_input_and_matches_a_copy_first_tree(rng):
+    def copy_first(stack):
+        acc = stack.copy()
+        while acc.shape[0] > 1:
+            half = acc.shape[0] // 2
+            head = acc[: 2 * half : 2] + acc[1 : 2 * half : 2]
+            acc = np.concatenate([head, acc[2 * half :]], axis=0) if acc.shape[0] % 2 else head
+        return acc[0] / stack.shape[0]
+
+    for n in (1, 2, 7, 64, 257):
+        stack = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+        before = stack.copy()
+        out = pairwise_mean(stack)
+        assert stack.tobytes() == before.tobytes()
+        assert out.tobytes() == copy_first(before).tobytes()
+        assert not np.shares_memory(out, stack)
+
+
 def test_matrix_json_roundtrip(rng):
     M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     back = matrix_from_json(matrix_to_json(M))

@@ -332,6 +332,24 @@ def test_invariance_residual_probes_deterministic(rng):
     )
 
 
+@pytest.mark.parametrize(
+    "rep",
+    [su2_irrep(2), su2_irrep(8), su2_irrep(9), su2_irrep(16), groups.su3_rep(6),
+     u1_rep([0, 1, -1, 2]), groups.cyclic_rep(5), groups.quaternion_rep(5)],
+    ids=lambda rep: rep.name,
+)
+def test_invariance_residual_is_bitwise_the_pullback_loop(rep):
+    # d > 8 sums more singular values than numpy's unrolled block, so its
+    # pairwise summation runs both in the stacked sum and in trace_norm
+    rho = random_density(rep.dim, groups.philox_stream(77, rep.dim))
+    finite = groups.finite_elements(rep.group) if rep.group.kind == "finite" else None
+    for state in (rho, haar_average(rep, rho).state):
+        for seed in (0, 9):
+            probes = finite or groups.haar_sample(rep, seed, 20)
+            expected = max(trace_distance(pullback(rep, g, state), state) for g in probes)
+            assert invariance_residual(rep, state, probes=20, seed=seed) == expected
+
+
 def test_state_json_roundtrip(rng):
     rho = random_density(3, rng)
     back = DensityState.from_json(rho.to_json())

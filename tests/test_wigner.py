@@ -261,6 +261,17 @@ def test_standard_batch_is_deterministic():
         assert pa.elements == pb.elements
 
 
+def test_standard_batch_builds_each_rep_config_once(monkeypatch):
+    from wignerlab import groups
+
+    built, build = [], groups.rep_from_config
+    monkeypatch.setattr(groups, "rep_from_config", lambda c: built.append(dict(c)) or build(c))
+    problems = standard_problem_batch(200)
+    assert len(built) == 29
+    assert all(built.count(c) == 1 for c in built)
+    assert len({id(p.rep) for p in problems}) == 29
+
+
 def test_problem_rejects_foreign_elements():
     rep = su2_fundamental()
     with pytest.raises(Exception):
