@@ -134,6 +134,15 @@ def pullback(rep: G.UnitaryRep, g: G.GroupElement, rho: DensityState) -> Density
     return DensityState(rho.d, U.conj().T @ rho.rho @ U)
 
 
+def _pull_back(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Overwrite each U of the stack with U^dag rho U, one batch at a time, so
+    no temporary is as large as the stack; returns the stack."""
+    for start in range(0, len(stack), G.BATCH):
+        U = stack[start : start + G.BATCH]
+        U[...] = U.conj().transpose(0, 2, 1) @ rho @ U
+    return stack
+
+
 def trace_distance(a: DensityState, b: DensityState) -> float:
     return trace_norm(a.rho - b.rho)
 
@@ -150,8 +159,7 @@ def invariance_residual(
         elements = G.haar_sample(rep, seed, probes)
     if state.d != rep.dim:
         raise DimensionMismatch(f"state dim {state.d} != representation dim {rep.dim}")
-    U = G.element_unitaries(rep, elements)
-    defects = U.conj().transpose(0, 2, 1) @ state.rho @ U
+    defects = _pull_back(G.element_unitaries(rep, elements), state.rho)
     defects -= state.rho
     return float(np.max(np.sum(singular_values(defects), axis=1)))
 
@@ -240,13 +248,7 @@ def haar_average(
             elements = G.haar_sample(rep, seed, count)
         else:
             raise MethodUnsupported(f"unknown method {method!r}")
-        stack = G.element_unitaries(rep, elements)
-        # U^dag rho U overwrites U, one batch at a time, so no temporary
-        # is as large as the stack
-        for start in range(0, len(stack), G.BATCH):
-            U = stack[start : start + G.BATCH]
-            U[...] = U.conj().transpose(0, 2, 1) @ rho.rho @ U
-        avg = pairwise_mean(stack)
+        avg = pairwise_mean(_pull_back(G.element_unitaries(rep, elements), rho.rho))
 
     repaired, magnitude = repair_psd(avg)
     state = DensityState(rho.d, repaired)
