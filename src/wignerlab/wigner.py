@@ -287,7 +287,8 @@ def standard_problem_batch(
     problems = []
     for i in range(count):
         n = 1 + i % 4
-        config = _rep_config(_BATCH_KINDS[i % 4], dims[i % len(dims)], 2 + (i // 3) % 5)
+        kind = _BATCH_KINDS[i % len(_BATCH_KINDS)]
+        config = _rep_config(kind, dims[i % len(dims)], 2 + (i // 3) % 5)
         key = tuple(config.values())
         if key not in cache:
             cache[key] = G.rep_from_config(config)
