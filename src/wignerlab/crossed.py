@@ -77,7 +77,11 @@ def embed(model: CrossedProductModel, A) -> np.ndarray:
     A = as_matrix(A)
     if A.shape[0] != model.d:
         raise DimensionMismatch(f"operator dim {A.shape[0]} != fibre dim {model.d}")
-    U = G.element_unitaries(model.rep, G.finite_elements(model.group))
+    return _embed(model, G.element_unitaries(model.rep, G.finite_elements(model.group)), A)
+
+
+def _embed(model: CrossedProductModel, U: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Phi(A) from the stack U of every element unitary, in table order."""
     # out[i, g, j, g] = alpha_g(A)[i, j], fibre index slowest as in kron;
     # added into zeros, not assigned, so that every zero entry is +0.0
     idx = np.arange(model.order)
@@ -92,12 +96,16 @@ def _matrix_units(d: int) -> np.ndarray:
 
 def covariance_check(model: CrossedProductModel) -> float:
     """Max over h and a fibre basis of ||U_h Phi(A) U_h^dag - Phi(alpha_h(A))||_F."""
+    U = G.element_unitaries(model.rep, G.finite_elements(model.group))
+    units = _matrix_units(model.d)
+    phis = [_embed(model, U, A) for A in units]
     worst = 0.0
     for h in G.finite_elements(model.group):
-        U = regular_unitary(model, h)
-        for A in _matrix_units(model.d):
-            lhs = U @ embed(model, A) @ U.conj().T
-            rhs = embed(model, G.act(model.rep, h, A))
+        R = regular_unitary(model, h)
+        Uh = U[h.index]
+        for A, phi in zip(units, phis):
+            lhs = R @ phi @ R.conj().T
+            rhs = _embed(model, U, Uh @ A @ Uh.conj().T)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 

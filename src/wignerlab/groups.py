@@ -28,6 +28,14 @@ sampling is reproducible, order-independent and prefix-stable.  A batch
 re-keys one Philox in place per sample instead of building a generator per
 stream, and runs QR and determinant on stacks of ``BATCH`` matrices; the
 results are bitwise those of ``haar_unitary(n, philox_stream(seed, i))``.
+SU(3) samples are the rows of one read-only (count, 3, 3) stack, checked
+special unitary once, in chunks.
+
+The built-in SU(2) and SU(3) representations define their matrices once,
+on element stacks (``UnitaryRep.stack_fn``): the Euler angle arrays for
+SU(2), the stacked matrices for SU(3).  ``element_unitaries`` evaluates a
+chunk of elements in one call; ``matrix_fn(g)`` is the same function on a
+stack of one, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -213,16 +221,35 @@ class SU3Element:
         return hash(self.matrix.tobytes())
 
     def __post_init__(self):
-        M = as_matrix(self.matrix, "SU(3) element")
-        if M.shape != (3, 3):
-            raise BadElement(f"SU(3) element must be 3x3, got {M.shape}")
-        if frobenius(M.conj().T @ M - np.eye(3)) > 1e-10:
-            raise BadElement("SU(3) element is not unitary to 1e-10")
-        if abs(np.linalg.det(M) - 1.0) > 1e-10:
-            raise BadElement("SU(3) element determinant differs from 1 by more than 1e-10")
-        M = M.copy()
+        M = as_matrix(self.matrix, "SU(3) element").copy()
+        _check_su3(M[None])
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
+
+
+def _check_su3(M: np.ndarray) -> None:
+    """Raise unless every matrix of the (N, 3, 3) stack M is finite and
+    special unitary to 1e-10: ||M^dag M - I||_F and |det M - 1|."""
+    if M.shape[1:] != (3, 3):
+        raise BadElement(f"SU(3) element must be 3x3, got {M.shape[1:]}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("SU(3) element contains NaN or Inf entries")
+    gram = M.conj().transpose(0, 2, 1) @ M - np.eye(3)
+    if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
+        raise BadElement("SU(3) element is not unitary to 1e-10")
+    if np.any(np.abs(np.linalg.det(M) - 1.0) > 1e-10):
+        raise BadElement("SU(3) element determinant differs from 1 by more than 1e-10")
+
+
+def _su3_elements(stack: np.ndarray) -> list[SU3Element]:
+    """One element per matrix of a read-only stack that ``_check_su3`` has
+    passed, each holding its row of the stack, without checking it again."""
+    elements = []
+    for M in stack:
+        g = object.__new__(SU3Element)
+        object.__setattr__(g, "matrix", M)
+        elements.append(g)
+    return elements
 
 
 GroupElement = FiniteElement | U1Element | SU2Element | SU3Element
@@ -248,12 +275,20 @@ def identity_element(group: GroupDescriptor) -> GroupElement:
     return SU3Element(np.eye(3))
 
 
+_HALF_PHASES = np.array([0.5j, -0.5j])
+
+
+def _su2_matrices(phi: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The (N, 2, 2) stack U(phi_k, theta_k, psi_k) for arrays of Euler angles."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    zl = np.exp(_HALF_PHASES * phi[:, None])
+    zr = np.exp(_HALF_PHASES * psi[:, None])
+    ry = np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
+    return (zl[:, :, None] * ry) * zr[:, None, :]
+
+
 def su2_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    zl = np.array([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
-    zr = np.array([np.exp(0.5j * psi), np.exp(-0.5j * psi)])
-    ry = np.array([[c, -s], [s, c]], dtype=complex)
-    return (zl[:, None] * ry) * zr[None, :]
+    return _su2_matrices(*np.array([[phi], [theta], [psi]], dtype=float))[0]
 
 
 def euler_from_su2(U) -> SU2Element:
@@ -312,23 +347,51 @@ def describe_element(g: GroupElement) -> dict:
 
 @dataclass(frozen=True)
 class UnitaryRep:
-    """A concrete unitary representation: a group plus a matrix for each element."""
+    """A concrete unitary representation: a group plus a matrix for each element.
+
+    The built-in SU(2) and SU(3) representations also carry ``stack_fn``:
+    the (N, d, d) matrices of N elements, from the Euler angle arrays
+    phi, theta, psi (SU(2)) or the (N, 3, 3) element matrices (SU(3)).
+    Their ``matrix_fn`` is ``stack_fn`` on a stack of one."""
 
     group: GroupDescriptor
     dim: int
     matrix_fn: Callable[[GroupElement], np.ndarray]
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
+    stack_fn: Callable[..., np.ndarray] | None = None
 
 
-def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    """The representing unitary U(g), validated to 1e-10."""
+def _lie_arrays(group: LieGroup, elements: Sequence[GroupElement]) -> np.ndarray:
+    """The parameters of a stack of SU(2) or SU(3) elements: the (3, N) rows
+    phi, theta, psi, or the (1, N, 3, 3) stack of matrices."""
+    if group.kind == "su2":
+        return np.array([[g.phi for g in elements], [g.theta for g in elements],
+                         [g.psi for g in elements]], dtype=float)
+    return np.array([g.matrix for g in elements])[None]
+
+
+def _lie_rep(group: LieGroup, dim: int, stack_fn: Callable[..., np.ndarray],
+             name: str) -> UnitaryRep:
+    def matrix_fn(g):
+        return stack_fn(*_lie_arrays(group, [g]))[0]
+
+    return _validate_rep(UnitaryRep(group, dim, matrix_fn, name, stack_fn=stack_fn))
+
+
+def _rep_matrix(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     check_membership(rep.group, g)
     U = np.asarray(rep.matrix_fn(g), dtype=complex)
     if U.shape != (rep.dim, rep.dim):
         raise DimensionMismatch(
             f"representation produced shape {U.shape}, expected ({rep.dim}, {rep.dim})"
         )
+    return U
+
+
+def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
+    """The representing unitary U(g), validated to 1e-10."""
+    U = _rep_matrix(rep, g)
     if frobenius(U.conj().T @ U - np.eye(rep.dim)) > 1e-10:
         raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
     if rep.group.kind in ("su2", "su3") and abs(np.linalg.det(U) - 1.0) > 1e-10:
@@ -344,22 +407,23 @@ BATCH = 256
 
 def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
     """The (N, d, d) stack of U(g) for g in elements, equal to stacking
-    ``element_unitary`` bitwise and validated the same way: membership and
-    shape per element, unitarity and unit determinant per chunk of
-    ``BATCH`` matrices."""
+    ``element_unitary`` bitwise and validated the same way.  Per chunk of
+    ``BATCH`` elements: membership of each element; the matrices from one
+    ``rep.stack_fn`` call, or, for reps without one, one ``matrix_fn`` call
+    and shape check per element; unitarity and unit determinant."""
     d = rep.dim
     special = rep.group.kind in ("su2", "su3")
     out = np.empty((len(elements), d, d), dtype=complex)
     for start in range(0, len(elements), BATCH):
         chunk = out[start : start + BATCH]
-        for U, g in zip(chunk, elements[start : start + BATCH]):
-            check_membership(rep.group, g)
-            M = np.asarray(rep.matrix_fn(g), dtype=complex)
-            if M.shape != (d, d):
-                raise DimensionMismatch(
-                    f"representation produced shape {M.shape}, expected ({d}, {d})"
-                )
-            U[...] = M
+        batch = elements[start : start + BATCH]
+        if rep.stack_fn is None:
+            for U, g in zip(chunk, batch):
+                U[...] = _rep_matrix(rep, g)
+        else:
+            for g in batch:
+                check_membership(rep.group, g)
+            chunk[...] = rep.stack_fn(*_lie_arrays(rep.group, batch))
         gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
         if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
             raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
@@ -419,8 +483,7 @@ def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
 
 
 def su2_fundamental() -> UnitaryRep:
-    rep = UnitaryRep(SU2, 2, lambda g: su2_matrix(g.phi, g.theta, g.psi), "su2-fund")
-    return _validate_rep(rep)
+    return _lie_rep(SU2, 2, _su2_matrices, "su2-fund")
 
 
 def _spin_jy(dim: int) -> np.ndarray:
@@ -448,17 +511,20 @@ def su2_irrep(dim: int) -> UnitaryRep:
     # the spectrum of J_y is exactly j, ..., -j
     w = np.round(2.0 * w) / 2.0
     m = (dim - 1) / 2.0 - np.arange(dim)
+    # phi (i m) is (i phi) m up to the sign of a zero real part, which exp
+    # ignores; likewise theta (-i w)
+    im, minus_iw, Vh = 1j * m, -1j * w, V.conj().T
 
-    def fn(g, _w=w, _V=V, _m=m):
-        ry = (_V * np.exp(-1j * g.theta * _w)) @ _V.conj().T
-        return np.exp(1j * g.phi * _m)[:, None] * ry * np.exp(1j * g.psi * _m)[None, :]
+    def fn(phi, theta, psi):
+        ry = (V * np.exp(theta[:, None] * minus_iw)[:, None, :]) @ Vh
+        left = np.exp(phi[:, None] * im)[:, :, None]
+        return left * ry * np.exp(psi[:, None] * im)[:, None, :]
 
-    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}"))
+    return _lie_rep(SU2, dim, fn, f"su2-sym{dim - 1}")
 
 
 def su3_fundamental() -> UnitaryRep:
-    rep = UnitaryRep(SU3, 3, lambda g: g.matrix, "su3-fund")
-    return _validate_rep(rep)
+    return _lie_rep(SU3, 3, lambda M: M, "su3-fund")
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -477,27 +543,28 @@ def _symmetric_isometry_pairs(n: int) -> np.ndarray:
 def su3_rep(dim: int) -> UnitaryRep:
     """An SU(3) representation of the given dimension (3..6).
 
-    3 is the fundamental, 6 its symmetric square; 4 and 5 pad the
-    fundamental with a trivial block.
+    3 is the fundamental, 6 its symmetric square S^T (M kron M) S; 4 and 5
+    pad the fundamental with a trivial block.
     """
     if dim == 3:
         return su3_fundamental()
     if dim in (4, 5):
-        pad = dim - 3
-
-        def fn(g, _pad=pad):
-            U = np.eye(3 + _pad, dtype=complex)
-            U[:3, :3] = g.matrix
+        def fn(M):
+            U = np.zeros((len(M), dim, dim), dtype=complex)
+            U[:, :3, :3] = M
+            U[:, 3:, 3:] = np.eye(dim - 3)
             return U
 
-        return _validate_rep(UnitaryRep(SU3, dim, fn, f"su3-fund+{pad}"))
+        return _lie_rep(SU3, dim, fn, f"su3-fund+{dim - 3}")
     if dim == 6:
         S = _symmetric_isometry_pairs(3)
 
-        def fn6(g, _S=S):
-            return _S.T @ np.kron(g.matrix, g.matrix) @ _S
+        def fn6(M):
+            # M kron M for each matrix of the stack, first factor slowest
+            K = (M[:, :, None, :, None] * M[:, None, :, None, :]).reshape(len(M), 9, 9)
+            return S.T @ K @ S
 
-        return _validate_rep(UnitaryRep(SU3, 6, fn6, "su3-sym2"))
+        return _lie_rep(SU3, 6, fn6, "su3-sym2")
     raise ValueError(f"no built-in SU(3) representation of dimension {dim}")
 
 
@@ -680,15 +747,17 @@ def _philox_streams(seed: int, count: int):
         yield rng
 
 
-def _haar_special_unitaries(n: int, seed: int, count: int):
-    """Yield ``haar_unitary(n, philox_stream(seed, i))`` for i < count,
-    bitwise.  Per batch of ``BATCH`` samples the Ginibre draws go into one
-    stack and QR, phase fix and det run stacked (LAPACK factors each matrix
-    on its own); the det phase is divided out per sample with the scalar
-    expression, since a broadcast exp/angle is not bitwise the scalar one."""
+def _haar_special_unitaries(n: int, seed: int, count: int) -> np.ndarray:
+    """The (count, n, n) stack of ``haar_unitary(n, philox_stream(seed, i))``,
+    bitwise, filled in place.  Per batch of ``BATCH`` samples the Ginibre
+    draws go into the stack and QR, phase fix and det run stacked (LAPACK
+    factors each matrix on its own); the det phase is divided out per sample
+    with the scalar expression, since a broadcast exp/angle is not bitwise
+    the scalar one."""
+    out = np.empty((count, n, n), dtype=complex)
     streams = _philox_streams(seed, count)
     for start in range(0, count, BATCH):
-        z = np.empty((min(BATCH, count - start), n, n), dtype=complex)
+        z = out[start : start + BATCH]
         for zi, rng in zip(z, streams):
             zi.real = rng.standard_normal((n, n))
             zi.imag = rng.standard_normal((n, n))
@@ -696,9 +765,9 @@ def _haar_special_unitaries(n: int, seed: int, count: int):
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=1, axis2=2)
         q *= np.where(np.abs(d) > 0, d / np.abs(d), 1.0)[:, None, :]
-        det = np.linalg.det(q)
-        for qi, di in zip(q, det):
-            yield qi * np.exp(-1j * np.angle(di) / n)
+        for zi, qi, di in zip(z, q, np.linalg.det(q)):
+            np.multiply(qi, np.exp(-1j * np.angle(di) / n), out=zi)
+    return out
 
 
 def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement]:
@@ -707,6 +776,8 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
     Sample i is drawn from ``philox_stream(rng_seed, i)`` alone, so
     ``haar_sample(rep, s, n)[:k] == haar_sample(rep, s, k)``; SU(2) and SU(3)
     samples are bitwise ``haar_unitary`` of that stream, computed in stacks.
+    SU(3) samples are the rows of one read-only stack, checked once in
+    chunks of ``BATCH``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -719,7 +790,11 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
                 for rng in _philox_streams(rng_seed, count)]
     if group.kind == "su2":
         return [euler_from_su2(U) for U in _haar_special_unitaries(2, rng_seed, count)]
-    return [SU3Element(U) for U in _haar_special_unitaries(3, rng_seed, count)]
+    stack = _haar_special_unitaries(3, rng_seed, count)
+    for start in range(0, count, BATCH):
+        _check_su3(stack[start : start + BATCH])
+    stack.setflags(write=False)
+    return _su3_elements(stack)
 
 
 def _wrap_psi(psi: float) -> float:

@@ -16,6 +16,7 @@ from wignerlab import (
     crossed_dimension,
     cyclic_group,
     cyclic_rep,
+    element_unitaries,
     element_unitary,
     haar_quadrature_su2,
     haar_sample,
@@ -84,9 +85,7 @@ def test_criterion_3_haar_machinery():
         assert np.abs(avg - np.eye(2) / 2).max() <= 1e-8
 
     for rep, n in ((rep2, 2), (su3_fundamental(), 3)):
-        vals = np.array(
-            [abs(element_unitary(rep, g)[0, 0]) ** 2 for g in haar_sample(rep, 4242, 10**5)]
-        )
+        vals = np.abs(element_unitaries(rep, haar_sample(rep, 4242, 10**5))[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0 / n) <= 4 * se
     print("criterion 3 (SU(2) quadrature + Monte Carlo first moments): PASS")

@@ -110,6 +110,19 @@ def test_embed_and_regular_unitary_are_bitwise_the_loops(model):
         assert regular_unitary(model, h).tobytes() == _reference_regular_unitary(model, h).tobytes()
 
 
+@pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
+def test_covariance_check_is_bitwise_the_per_unit_loop(model):
+    # the check as written per (h, matrix unit), each side through the public embed
+    worst = 0.0
+    for h in finite_elements(model.group):
+        U = regular_unitary(model, h)
+        for A in np.eye(model.d**2, dtype=complex).reshape(-1, model.d, model.d):
+            lhs = U @ embed(model, A) @ U.conj().T
+            rhs = embed(model, act(model.rep, h, A))
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    assert repr(covariance_check(model)) == repr(worst)
+
+
 def test_embed_unital_and_trivial_action(rng):
     model = z2_trivial_m2()
     assert np.allclose(embed(model, np.eye(2)), np.eye(4))

@@ -401,6 +401,138 @@ def test_element_unitaries_raise_like_element_unitary(rep, elements):
     assert str(batch) == str(single)
 
 
+# Per-element formulas of the built-in Lie representations, kept here as
+# independent references for the stacked forms the library evaluates.
+
+
+def _ref_su2_matrix(phi, theta, psi):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    zl = np.array([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
+    zr = np.array([np.exp(0.5j * psi), np.exp(-0.5j * psi)])
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    return (zl[:, None] * ry) * zr[None, :]
+
+
+def _ref_su2_irrep(dim):
+    j = (dim - 1) / 2.0
+    mm = j - np.arange(1, dim)
+    jplus = np.diag(np.sqrt(j * (j + 1.0) - mm * (mm + 1.0)), 1)
+    w, V = np.linalg.eigh((jplus - jplus.T) / 2j)
+    w = np.round(2.0 * w) / 2.0
+    m = j - np.arange(dim)
+
+    def fn(g):
+        ry = (V * np.exp(-1j * g.theta * w)) @ V.conj().T
+        return np.exp(1j * g.phi * m)[:, None] * ry * np.exp(1j * g.psi * m)[None, :]
+
+    return fn
+
+
+def _ref_su3_sym2(g):
+    S = np.zeros((9, 6))
+    col = 0
+    for i in range(3):
+        for k in range(i, 3):
+            if i == k:
+                S[i * 3 + k, col] = 1.0
+            else:
+                S[i * 3 + k, col] = S[k * 3 + i, col] = 1.0 / math.sqrt(2.0)
+            col += 1
+    return S.T @ np.kron(g.matrix, g.matrix) @ S
+
+
+def _ref_su3_padded(dim):
+    def fn(g):
+        U = np.eye(dim, dtype=complex)
+        U[:3, :3] = g.matrix
+        return U
+
+    return fn
+
+
+def _lie_references():
+    yield su2_fundamental(), lambda g: _ref_su2_matrix(g.phi, g.theta, g.psi)
+    for d in (3, 4, 5, 8, 9):
+        yield su2_irrep(d), _ref_su2_irrep(d)
+    yield su3_fundamental(), lambda g: g.matrix
+    for d in (4, 5):
+        yield su3_rep(d), _ref_su3_padded(d)
+    yield su3_rep(6), _ref_su3_sym2
+
+
+@pytest.mark.parametrize("rep, reference", list(_lie_references()),
+                         ids=lambda r: getattr(r, "name", ""))
+def test_stacked_lie_reps_are_bitwise_the_per_element_formulas(rep, reference):
+    # 300 samples: more than one BATCH chunk of element_unitaries
+    elements = haar_sample(rep, 2024, 300)
+    expected = np.stack([reference(g) for g in elements]).astype(complex).tobytes()
+    assert element_unitaries(rep, elements).tobytes() == expected
+    assert np.stack([element_unitary(rep, g) for g in elements]).tobytes() == expected
+    if rep.name == "su2-fund":
+        direct = np.stack([su2_matrix(g.phi, g.theta, g.psi) for g in elements])
+        assert direct.tobytes() == expected
+
+
+SU3_MESSAGES = {
+    "non-unitary": "SU(3) element is not unitary to 1e-10",
+    "det": "SU(3) element determinant differs from 1 by more than 1e-10",
+}
+
+
+@pytest.mark.parametrize("case, spoil", [
+    ("non-unitary", lambda M: M * 1.001),
+    # unitary, with det e^{i pi/3}
+    ("det", lambda M: M * np.exp(1j * math.pi / 9)),
+])
+def test_haar_sample_su3_stack_check_fires(monkeypatch, case, spoil):
+    import wignerlab.groups as groups_module
+
+    rep = su3_fundamental()
+    sampler = groups_module._haar_special_unitaries
+    bad = groups_module.BATCH + 3
+    spoiled = []
+
+    def broken(n, seed, count):
+        stack = sampler(n, seed, count)
+        stack[bad] = spoil(stack[bad])
+        spoiled.append(stack[bad].copy())
+        return stack
+
+    monkeypatch.setattr(groups_module, "_haar_special_unitaries", broken)
+    with pytest.raises(BadElement) as info:
+        haar_sample(rep, 7, 300)
+    assert str(info.value) == SU3_MESSAGES[case]
+    with pytest.raises(BadElement) as single:
+        SU3Element(spoiled[0])
+    assert str(single.value) == SU3_MESSAGES[case]
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    (np.full((3, 3), np.nan), ValueError, "SU(3) element contains NaN or Inf entries"),
+    (np.eye(2), BadElement, "SU(3) element must be 3x3, got (2, 2)"),
+    (np.ones((3, 2)), DimensionMismatch, "SU(3) element must be square, got shape (3, 2)"),
+    (np.eye(3) * 1.001, BadElement, SU3_MESSAGES["non-unitary"]),
+    (np.eye(3) * np.exp(1j * math.pi / 9), BadElement, SU3_MESSAGES["det"]),
+], ids=["nan", "2x2", "non-square", "non-unitary", "det"])
+def test_su3_element_rejects_like_before(matrix, error, message):
+    with pytest.raises(ValueError) as info:
+        SU3Element(matrix)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_haar_sample_su3_elements_are_read_only():
+    elements = haar_sample(su3_fundamental(), 5, 300)
+    for g in (elements[0], elements[-1]):
+        assert not g.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            g.matrix[0, 0] = 0.0
+    M = np.eye(3, dtype=complex)
+    g = SU3Element(M)
+    M[0, 0] = 2.0
+    assert g.matrix[0, 0] == 1.0 and not g.matrix.flags.writeable
+
+
 def test_philox_streams_independent():
     x = philox_stream(9, 0).standard_normal(4)
     y = philox_stream(9, 1).standard_normal(4)
