@@ -280,10 +280,12 @@ _HALF_PHASES = np.array([0.5j, -0.5j])
 
 def _su2_matrices(phi: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The (N, 2, 2) stack U(phi_k, theta_k, psi_k) for arrays of Euler angles."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    half = theta / 2.0
+    c, s = np.cos(half), np.sin(half)
     zl = np.exp(_HALF_PHASES * phi[:, None])
     zr = np.exp(_HALF_PHASES * psi[:, None])
-    ry = np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
+    # real R_y: the product casts it to complex, as a complex R_y would be
+    ry = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
     return (zl[:, :, None] * ry) * zr[:, None, :]
 
 
