@@ -364,13 +364,13 @@ class UnitaryRep:
     stack_fn: Callable[..., np.ndarray] | None = None
 
 
-def _lie_arrays(group: LieGroup, elements: Sequence[GroupElement]) -> np.ndarray:
-    """The parameters of a stack of SU(2) or SU(3) elements: the (3, N) rows
-    phi, theta, psi, or the (1, N, 3, 3) stack of matrices."""
+def _lie_arrays(group: LieGroup, elements: Sequence[GroupElement]):
+    """The ``stack_fn`` arguments for a stack of SU(2) or SU(3) elements: the
+    rows phi, theta, psi of one (3, N) array, or the (N, 3, 3) matrices."""
     if group.kind == "su2":
         return np.array([[g.phi for g in elements], [g.theta for g in elements],
                          [g.psi for g in elements]], dtype=float)
-    return np.array([g.matrix for g in elements])[None]
+    return (np.array([g.matrix for g in elements]),)
 
 
 def _lie_rep(group: LieGroup, dim: int, stack_fn: Callable[..., np.ndarray],
