@@ -28,14 +28,14 @@ sampling is reproducible, order-independent and prefix-stable.  A batch
 re-keys one Philox in place per sample instead of building a generator per
 stream, and runs QR and determinant on stacks of ``BATCH`` matrices; the
 results are bitwise those of ``haar_unitary(n, philox_stream(seed, i))``.
-SU(3) samples are the rows of one read-only (count, 3, 3) stack, checked
-special unitary once, in chunks.
+SU(3) samples are checked special unitary once, in chunks of one
+(count, 3, 3) stack; each element keeps a read-only copy of its row.
 
-The built-in SU(2) and SU(3) representations define their matrices once,
-on element stacks (``UnitaryRep.stack_fn``): the Euler angle arrays for
-SU(2), the stacked matrices for SU(3).  ``element_unitaries`` evaluates a
-chunk of elements in one call; ``matrix_fn(g)`` is the same function on a
-stack of one, so both give the same bits.
+The built-in SU(3) representations define their matrices once, on stacks
+of element matrices (``UnitaryRep.stack_fn``).  ``element_unitaries``
+evaluates a chunk of elements in one call; ``matrix_fn(g)`` is the same
+function on a stack of one, so both give the same bits.  SU(2)
+representations are evaluated per element.
 """
 
 from __future__ import annotations
@@ -242,10 +242,13 @@ def _check_su3(M: np.ndarray) -> None:
 
 
 def _su3_elements(stack: np.ndarray) -> list[SU3Element]:
-    """One element per matrix of a read-only stack that ``_check_su3`` has
-    passed, each holding its row of the stack, without checking it again."""
+    """One element per matrix of a stack that ``_check_su3`` has passed,
+    each holding a read-only copy of its row, without checking it again.
+    Copies, not views: a kept element does not keep the whole stack alive."""
     elements = []
     for M in stack:
+        M = M.copy()
+        M.setflags(write=False)
         g = object.__new__(SU3Element)
         object.__setattr__(g, "matrix", M)
         elements.append(g)
@@ -275,22 +278,12 @@ def identity_element(group: GroupDescriptor) -> GroupElement:
     return SU3Element(np.eye(3))
 
 
-_HALF_PHASES = np.array([0.5j, -0.5j])
-
-
-def _su2_matrices(phi: np.ndarray, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The (N, 2, 2) stack U(phi_k, theta_k, psi_k) for arrays of Euler angles."""
-    half = theta / 2.0
-    c, s = np.cos(half), np.sin(half)
-    zl = np.exp(_HALF_PHASES * phi[:, None])
-    zr = np.exp(_HALF_PHASES * psi[:, None])
-    # real R_y: the product casts it to complex, as a complex R_y would be
-    ry = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
-    return (zl[:, :, None] * ry) * zr[:, None, :]
-
-
 def su2_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
-    return _su2_matrices(*np.array([[phi], [theta], [psi]], dtype=float))[0]
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    zl = np.array([np.exp(0.5j * phi), np.exp(-0.5j * phi)])
+    zr = np.array([np.exp(0.5j * psi), np.exp(-0.5j * psi)])
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    return (zl[:, None] * ry) * zr[None, :]
 
 
 def euler_from_su2(U) -> SU2Element:
@@ -351,34 +344,28 @@ def describe_element(g: GroupElement) -> dict:
 class UnitaryRep:
     """A concrete unitary representation: a group plus a matrix for each element.
 
-    The built-in SU(2) and SU(3) representations also carry ``stack_fn``:
-    the (N, d, d) matrices of N elements, from the Euler angle arrays
-    phi, theta, psi (SU(2)) or the (N, 3, 3) element matrices (SU(3)).
-    Their ``matrix_fn`` is ``stack_fn`` on a stack of one."""
+    The built-in SU(3) representations also carry ``stack_fn``, which only
+    ``_su3_rep`` sets: the (N, d, d) matrices of N elements from their
+    (N, 3, 3) matrices.  Their ``matrix_fn`` is ``stack_fn`` on a stack of
+    one, so the two cannot disagree."""
 
     group: GroupDescriptor
     dim: int
     matrix_fn: Callable[[GroupElement], np.ndarray]
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
-    stack_fn: Callable[..., np.ndarray] | None = None
+    stack_fn: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
-def _lie_arrays(group: LieGroup, elements: Sequence[GroupElement]):
-    """The ``stack_fn`` arguments for a stack of SU(2) or SU(3) elements: the
-    rows phi, theta, psi of one (3, N) array, or the (N, 3, 3) matrices."""
-    if group.kind == "su2":
-        return np.array([[g.phi for g in elements], [g.theta for g in elements],
-                         [g.psi for g in elements]], dtype=float)
-    return (np.array([g.matrix for g in elements]),)
-
-
-def _lie_rep(group: LieGroup, dim: int, stack_fn: Callable[..., np.ndarray],
-             name: str) -> UnitaryRep:
+def _su3_rep(dim: int, stack_fn: Callable[[np.ndarray], np.ndarray], name: str) -> UnitaryRep:
     def matrix_fn(g):
-        return stack_fn(*_lie_arrays(group, [g]))[0]
+        return stack_fn(g.matrix[None])[0]
 
-    return _validate_rep(UnitaryRep(group, dim, matrix_fn, name, stack_fn=stack_fn))
+    rep = UnitaryRep(SU3, dim, matrix_fn, name)
+    object.__setattr__(rep, "stack_fn", stack_fn)
+    return _validate_rep(rep)
 
 
 def _rep_matrix(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
@@ -425,7 +412,7 @@ def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.n
         else:
             for g in batch:
                 check_membership(rep.group, g)
-            chunk[...] = rep.stack_fn(*_lie_arrays(rep.group, batch))
+            chunk[...] = rep.stack_fn(np.array([g.matrix for g in batch]))
         gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
         if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
             raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
@@ -485,7 +472,8 @@ def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
 
 
 def su2_fundamental() -> UnitaryRep:
-    return _lie_rep(SU2, 2, _su2_matrices, "su2-fund")
+    rep = UnitaryRep(SU2, 2, lambda g: su2_matrix(g.phi, g.theta, g.psi), "su2-fund")
+    return _validate_rep(rep)
 
 
 def _spin_jy(dim: int) -> np.ndarray:
@@ -513,20 +501,16 @@ def su2_irrep(dim: int) -> UnitaryRep:
     # the spectrum of J_y is exactly j, ..., -j
     w = np.round(2.0 * w) / 2.0
     m = (dim - 1) / 2.0 - np.arange(dim)
-    # phi (i m) is (i phi) m up to the sign of a zero real part, which exp
-    # ignores; likewise theta (-i w)
-    im, minus_iw, Vh = 1j * m, -1j * w, V.conj().T
 
-    def fn(phi, theta, psi):
-        ry = (V * np.exp(theta[:, None] * minus_iw)[:, None, :]) @ Vh
-        left = np.exp(phi[:, None] * im)[:, :, None]
-        return left * ry * np.exp(psi[:, None] * im)[:, None, :]
+    def fn(g, _w=w, _V=V, _m=m):
+        ry = (_V * np.exp(-1j * g.theta * _w)) @ _V.conj().T
+        return np.exp(1j * g.phi * _m)[:, None] * ry * np.exp(1j * g.psi * _m)[None, :]
 
-    return _lie_rep(SU2, dim, fn, f"su2-sym{dim - 1}")
+    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}"))
 
 
 def su3_fundamental() -> UnitaryRep:
-    return _lie_rep(SU3, 3, lambda M: M, "su3-fund")
+    return _su3_rep(3, lambda M: M, "su3-fund")
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -557,7 +541,7 @@ def su3_rep(dim: int) -> UnitaryRep:
             U[:, 3:, 3:] = np.eye(dim - 3)
             return U
 
-        return _lie_rep(SU3, dim, fn, f"su3-fund+{dim - 3}")
+        return _su3_rep(dim, fn, f"su3-fund+{dim - 3}")
     if dim == 6:
         S = _symmetric_isometry_pairs(3)
 
@@ -566,7 +550,7 @@ def su3_rep(dim: int) -> UnitaryRep:
             K = (M[:, :, None, :, None] * M[:, None, :, None, :]).reshape(len(M), 9, 9)
             return S.T @ K @ S
 
-        return _lie_rep(SU3, 6, fn6, "su3-sym2")
+        return _su3_rep(6, fn6, "su3-sym2")
     raise ValueError(f"no built-in SU(3) representation of dimension {dim}")
 
 
@@ -778,8 +762,7 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
     Sample i is drawn from ``philox_stream(rng_seed, i)`` alone, so
     ``haar_sample(rep, s, n)[:k] == haar_sample(rep, s, k)``; SU(2) and SU(3)
     samples are bitwise ``haar_unitary`` of that stream, computed in stacks.
-    SU(3) samples are the rows of one read-only stack, checked once in
-    chunks of ``BATCH``.
+    SU(3) samples are checked once, in chunks of ``BATCH`` of one stack.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -795,7 +778,6 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
     stack = _haar_special_unitaries(3, rng_seed, count)
     for start in range(0, count, BATCH):
         _check_su3(stack[start : start + BATCH])
-    stack.setflags(write=False)
     return _su3_elements(stack)
 
 

@@ -402,7 +402,8 @@ def test_element_unitaries_raise_like_element_unitary(rep, elements):
 
 
 # Per-element formulas of the built-in Lie representations, kept here as
-# independent references for the stacked forms the library evaluates.
+# independent references for the library's forms: stacked for SU(3), per
+# element for SU(2).
 
 
 def _ref_su2_matrix(phi, theta, psi):
@@ -521,10 +522,18 @@ def test_su3_element_rejects_like_before(matrix, error, message):
     assert str(info.value) == message
 
 
+def test_stack_fn_is_set_only_by_the_built_in_reps():
+    with pytest.raises(TypeError):
+        UnitaryRep(SU3, 3, lambda g: g.matrix, stack_fn=lambda M: M)
+    assert su3_rep(6).stack_fn is not None
+    assert su2_irrep(3).stack_fn is None
+
+
 def test_haar_sample_su3_elements_are_read_only():
     elements = haar_sample(su3_fundamental(), 5, 300)
     for g in (elements[0], elements[-1]):
-        assert not g.matrix.flags.writeable
+        # its own copy: a kept element does not hold the sampled stack
+        assert not g.matrix.flags.writeable and g.matrix.base is None
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 0.0
     M = np.eye(3, dtype=complex)
