@@ -28,8 +28,8 @@ sampling is reproducible, order-independent and prefix-stable.  A batch
 re-keys one Philox in place per sample instead of building a generator per
 stream, and runs QR and determinant on stacks of ``BATCH`` matrices; the
 results are bitwise those of ``haar_unitary(n, philox_stream(seed, i))``.
-SU(3) samples are checked special unitary once, in chunks of one
-(count, 3, 3) stack; each element keeps a read-only copy of its row.
+SU(3) samples are checked special unitary once, as one (count, 3, 3)
+stack in chunks; each element keeps a read-only copy of its row.
 
 The built-in SU(3) representations define their matrices once, on stacks
 of element matrices (``UnitaryRep.stack_fn``).  ``element_unitaries``
