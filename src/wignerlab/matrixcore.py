@@ -160,31 +160,41 @@ class Subspace:
         return [unvec(self.basis[:, k]) for k in range(self.dim)]
 
 
-def _null_basis(M: np.ndarray, tol: float, scale: float | None = None,
-                thin: bool = False) -> np.ndarray:
-    """Orthonormal basis of {v : ||Mv|| <= tol * scale} from one SVD; scale
-    defaults to M's largest singular value.  ``thin`` skips the left
-    factor's complement, which loses no right vector when M is tall."""
-    _, s, vh = np.linalg.svd(M, full_matrices=not (thin and M.shape[0] >= M.shape[1]))
-    rank = int(np.sum(s > tol * (s[0] if scale is None else scale)))
-    return vh[rank:].conj().T
+def _null_bases(M: np.ndarray, tol: float, scale: float | None = None,
+                thin: bool = False) -> list[np.ndarray]:
+    """Per matrix of the (k, m, n) stack M, an orthonormal basis of
+    {v : ||Mv|| <= tol * scale}, from one stacked SVD; scale defaults to that
+    matrix's largest singular value.  ``thin`` skips the left factor's
+    complement, which loses no right vector when M is tall."""
+    _, s, vh = np.linalg.svd(M, full_matrices=not (thin and M.shape[1] >= M.shape[2]))
+    ranks = np.sum(s > tol * (s[:, :1] if scale is None else scale), axis=1)
+    return [v[r:].conj().T for r, v in zip(ranks, vh)]
+
+
+def null_spaces(stack, tol: float = DEFAULT_TOL) -> list[Subspace]:
+    """Numerical null space of each matrix in a (k, m, n) stack from one
+    stacked SVD, bitwise the per-matrix SVDs.  Per matrix: all of C^n if it
+    is all zero (or has no rows), else the right-singular vectors whose
+    singular values are <= tol * (its largest).  A NaN entry raises
+    ``LinAlgError`` (from the SVD), an Inf entry ``ValueError``."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    A = np.asarray(stack, dtype=complex)
+    if A.ndim != 3:
+        raise DimensionMismatch("null_spaces expects a 3-d stack")
+    n = A.shape[2]
+    zero = ~A.any(axis=(1, 2))
+    # no SVD when every matrix is zero
+    bases = zero if zero.all() else _null_bases(A, tol)
+    return [Subspace(n, np.eye(n, dtype=complex) if z else B) for z, B in zip(zero, bases)]
 
 
 def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
-    """Numerical null space of M via SVD.
-
-    Singular values <= tol * (largest singular value) count as zero; the
-    returned basis spans the corresponding right-singular vectors.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Numerical null space of M: ``null_spaces`` on a stack of one."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatch("null_space expects a 2-d array")
-    n = M.shape[1]
-    if M.shape[0] == 0 or not M.any():
-        return Subspace(n, np.eye(n, dtype=complex))
-    return Subspace(n, _null_basis(M, tol))
+    return null_spaces(M[None], tol)[0]
 
 
 # key of the Philox stream the generic Hermitian element's coefficients come from
@@ -225,7 +235,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
         L = (Mt @ A.T - A.T @ Mt).reshape(-1, d * d).T
         # ||L||_F bounds every singular value: at or below tol, all of B stays
         if np.linalg.norm(L) > tol:
-            B = B @ _null_basis(L, tol, 1.0, thin=True)
+            B = B @ _null_bases(L[None], tol, 1.0, thin=True)[0]
     return Subspace(d * d, B)
 
 

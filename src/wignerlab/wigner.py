@@ -9,6 +9,11 @@ sides independently, reports their dimensions and principal angles, and
 extracts invariant density matrices by restarted Cesaro iteration of the
 averaged map.
 
+Each call builds its problem's n pullback superoperators once, as one
+(n, d^2, d^2) stack (83 KB at n = 4, d = 6, freed on return): verify takes
+the per-element fixed subspaces from one stacked SVD, O(n d^6), and the
+averaged map from the stack's mean; Cesaro takes that mean alone.
+
 The Cesaro window sums sum_{k<w} S^k of the d^2 x d^2 averaged
 superoperator S are formed by binary powering, O(log w) products for the
 first window, and reused when the window doubles: sum_{k<2w} S^k =
@@ -29,6 +34,7 @@ from .matrixcore import (
     Subspace,
     frobenius,
     null_space,
+    null_spaces,
     principal_angle_residual,
     trace_norm,
     unvec,
@@ -68,20 +74,22 @@ class WignerProblem:
         return self.rep.dim
 
 
-def _pullback_superop(rep: G.UnitaryRep, g: G.GroupElement) -> np.ndarray:
-    # column-stacking: vec(U^dag M U) = (U.T kron U^dag) vec(M)
-    U = G.element_unitary(rep, g)
-    return np.kron(U.T, U.conj().T)
+def _pullback_superops(rep: G.UnitaryRep, elements) -> np.ndarray:
+    """Stack of U.T kron U^dag (vec(U^dag M U) in column-stacking), one per
+    element, with the same scalar products as ``np.kron``."""
+    A = G.element_unitaries(rep, elements).transpose(0, 2, 1)
+    n, d = A.shape[:2]
+    return (A[:, :, None, :, None] * A.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
 
 
 def averaged_superop(problem: WignerProblem) -> np.ndarray:
-    ops = [_pullback_superop(problem.rep, g) for g in problem.elements]
+    ops = _pullback_superops(problem.rep, problem.elements)
     return sum(ops) / len(ops)
 
 
 def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {M : U(g)^dag M U(g) = M} (the commutant of U(g))."""
-    S = _pullback_superop(rep, g)
+    S = _pullback_superops(rep, (g,))[0]
     return null_space(S - np.eye(S.shape[0]), tol)
 
 
@@ -104,8 +112,10 @@ def intersect_alternating(subspaces: list[Subspace]) -> Subspace:
 
     The product of the orthogonal projectors converges (von Neumann /
     Halperin) to the projector onto the intersection; repeated squaring makes
-    the convergence fast.  Stops when the iterate is idempotent to 1e-12 in
-    Frobenius norm, and raises after 100 squarings.
+    the convergence fast.  Eigenvalues that should be exactly 1 are 1 +
+    O(eps), and each squaring doubles their excess, so after k squarings the
+    iterate is idempotent only to about 2^k n eps: it stops when
+    ||Q^2 - Q||_F <= max(1e-12, 2^k n eps), and raises after 100 squarings.
     """
     if not subspaces:
         raise ValueError("need at least one subspace")
@@ -113,10 +123,11 @@ def intersect_alternating(subspaces: list[Subspace]) -> Subspace:
     Q = np.eye(n, dtype=complex)
     for s in subspaces:
         Q = s.projector() @ Q
-    for _ in range(100):
-        if frobenius(Q @ Q - Q) <= 1e-12:
+    for k in range(100):
+        square = Q @ Q
+        if frobenius(square - Q) <= max(1e-12, 2.0**k * n * np.finfo(float).eps):
             break
-        Q = Q @ Q
+        Q = square
     else:
         raise RuntimeError("alternating projections did not reach an idempotent limit")
     u, sv, _ = np.linalg.svd(Q)
@@ -162,15 +173,17 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     stacking) as a guard against threshold artifacts; the averaged side comes
     from its own null-space computation.
     """
-    subs = [wigner_subspace(problem.rep, g, tol) for g in problem.elements]
+    ops = _pullback_superops(problem.rep, problem.elements)
+    eye = np.eye(ops.shape[1])
+    subs = null_spaces(ops - eye, tol)
     inter = intersect_stacked(subs, tol)
     inter_alt = intersect_alternating(subs)
     if inter.dim != inter_alt.dim:
         raise RuntimeError(
             f"intersection algorithms disagree: stacked {inter.dim}, alternating {inter_alt.dim}"
         )
-    S = averaged_superop(problem)
-    avg = null_space(S - np.eye(S.shape[0]), tol)
+    S = sum(ops) / len(ops)
+    avg = null_space(S - eye, tol)
     inclusion = 0.0
     for k in range(inter.dim):
         v = inter.basis[:, k]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,19 +16,30 @@ from wignerlab import (
     haar_sample,
     maximally_mixed,
     pullback,
+    quaternion_rep,
     random_density,
     standard_problem_batch,
     su2_fundamental,
     su2_irrep,
     su3_fundamental,
     trace_distance,
+    u1_rep,
     verify_wigner_identity,
     wigner_subspace,
 )
-from wignerlab.groups import identity_element
-from wignerlab.matrixcore import Subspace, trace_norm, unvec, vec
+from wignerlab import wigner
+from wignerlab.groups import describe_element, identity_element
+from wignerlab.matrixcore import (
+    Subspace,
+    null_space,
+    principal_angle_residual,
+    trace_norm,
+    unvec,
+    vec,
+)
 from wignerlab.states import repair_psd
 from wignerlab.wigner import (
+    WignerReport,
     _power_sum,
     averaged_superop,
     intersect_alternating,
@@ -127,6 +140,102 @@ def test_intersection_algorithms_agree(rng):
     a = intersect_stacked(subs)
     b = intersect_alternating(subs)
     assert a.dim == b.dim
+
+
+@pytest.mark.parametrize("seed, index, dim", [(1403, 37, 2), (1407, 33, 5)])
+def test_alternating_projection_stops_within_rounding_of_idempotent(seed, index, dim):
+    # eigenvalues 1 + O(eps) double their excess with each squaring: these two
+    # iterates never get idempotent to 1e-12, and squared on they collapsed to
+    # rank 1 (seed 1403) or overflowed (seed 1407)
+    problem = standard_problem_batch(200, seed)[index]
+    subs = [wigner_subspace(problem.rep, g) for g in problem.elements]
+    assert intersect_alternating(subs).dim == intersect_stacked(subs).dim == dim
+
+
+@pytest.mark.parametrize("seed", [1403, 1407])
+def test_verify_every_problem_of_a_batch(seed):
+    assert all(verify_wigner_identity(p).verdict for p in standard_problem_batch(200, seed))
+
+
+def _reference_superop(rep, g):
+    U = element_unitary(rep, g)
+    return np.kron(U.T, U.conj().T)
+
+
+def _reference_averaged_superop(problem):
+    ops = [_reference_superop(problem.rep, g) for g in problem.elements]
+    return sum(ops) / len(ops)
+
+
+def _reference_report(problem, tol=1e-10):
+    """verify_wigner_identity with one np.kron superoperator and one
+    null_space per element, as it was before the superoperators were built
+    as one stack (the alternating projection only guards the dimension)."""
+    subs = []
+    for g in problem.elements:
+        T = _reference_superop(problem.rep, g)
+        subs.append(null_space(T - np.eye(T.shape[0]), tol))
+    inter = intersect_stacked(subs, tol)
+    S = _reference_averaged_superop(problem)
+    avg = null_space(S - np.eye(S.shape[0]), tol)
+    inclusion = 0.0
+    for k in range(inter.dim):
+        v = inter.basis[:, k]
+        inclusion = max(inclusion, float(np.linalg.norm(S @ v - v)))
+    angle, sigma_min = principal_angle_residual(inter, avg)
+    verdict = (
+        inter.dim == avg.dim and angle <= 1e-8 and (inter.dim == 0 or sigma_min >= 1.0 - 1e-8)
+    )
+    return WignerReport(
+        rep_name=problem.rep.name,
+        d=problem.d,
+        element_params=tuple(describe_element(g) for g in problem.elements),
+        element_dims=tuple(s.dim for s in subs),
+        intersection_dim=inter.dim,
+        averaged_dim=avg.dim,
+        max_principal_angle=angle,
+        min_gram_singular_value=sigma_min,
+        inclusion_residual=inclusion,
+        verdict=bool(verdict),
+    )
+
+
+def _reference_families():
+    # su2-fund represents the identity exactly, so T - I is the zero matrix
+    su2, su2_8 = su2_fundamental(), su2_irrep(8)
+    e = identity_element(su2.group)
+    q8, u1 = quaternion_rep(5), u1_rep([0, 0, 1, -1, 2])
+    return [
+        WignerProblem(su2, (e, e)),
+        WignerProblem(su2, (e, *haar_sample(su2, 3, 2))),
+        WignerProblem(q8, tuple(haar_sample(q8, 5, 3))),
+        WignerProblem(u1, tuple(haar_sample(u1, 6, 2))),
+        WignerProblem(su2_8, tuple(haar_sample(su2_8, 8, 3))),
+    ]
+
+
+def test_superoperator_stack_is_bitwise_the_per_element_path(monkeypatch):
+    problems = [(p, 1001 + i) for i, p in enumerate(standard_problem_batch(200, 1001))]
+    problems += [(p, 2026 + i) for i, p in enumerate(standard_problem_batch(200, 2026))]
+    problems += [(p, 7 + i) for i, p in enumerate(_reference_families())]
+    identities = 0
+    for problem, seed in problems:
+        report = verify_wigner_identity(problem).to_json()
+        # json.dumps writes each float by its shortest round-trip repr: equal
+        # strings mean equal float bits
+        assert json.dumps(report) == json.dumps(_reference_report(problem).to_json())
+        # the identity element's T - I is zero: its Wigner set is all of M_d
+        e = identity_element(problem.rep.group)
+        for g, dim in zip(problem.elements, report["element_dims"]):
+            if g == e:
+                identities += 1
+                assert dim == problem.d**2
+        rho0 = problem_seed_state(problem, seed)
+        with monkeypatch.context() as m:
+            m.setattr(wigner, "averaged_superop", _reference_averaged_superop)
+            expected = cesaro_fixed_point(problem, rho0).rho.tobytes()
+        assert cesaro_fixed_point(problem, rho0).rho.tobytes() == expected
+    assert identities >= 3
 
 
 def test_nested_families_weakly_decreasing(pauli_rep):
