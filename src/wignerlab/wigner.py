@@ -9,10 +9,15 @@ sides independently, reports their dimensions and principal angles, and
 extracts invariant density matrices by restarted Cesaro iteration of the
 averaged map.
 
-Each call builds its problem's n pullback superoperators once, as one
-(n, d^2, d^2) stack (83 KB at n = 4, d = 6, freed on return): verify takes
-the per-element fixed subspaces from one stacked SVD, O(n d^6), and the
-averaged map from the stack's mean; Cesaro takes that mean alone.
+Each call builds its problem's n pullback superoperators T_j once, as one
+(n, d^2, d^2) stack (83 KB at n = 4, d = 6, freed on return).  Verify
+takes the intersection of the per-element fixed subspaces as the null space
+of the stacked [T_j - I] (one thin SVD), the per-element dims from one
+values-only stacked SVD, and the averaged side from the SVD of S - I, S the
+stack's mean: O(n d^6) in all.  Rank decisions use a fixed scale of 1 and
+refuse to decide (RuntimeError) when a singular value lies in
+(tol, MARGIN tol]; the per-element dims are also checked against the
+eigenvalues of U(g_j).  Cesaro takes the stack's mean alone.
 
 The Cesaro window sums sum_{k<w} S^k of the d^2 x d^2 averaged
 superoperator S are formed by binary powering, O(log w) products for the
@@ -34,7 +39,6 @@ from .matrixcore import (
     Subspace,
     frobenius,
     null_space,
-    null_spaces,
     principal_angle_residual,
     trace_norm,
     unvec,
@@ -43,6 +47,9 @@ from .matrixcore import (
 from .states import DensityState, random_density, repair_psd
 
 DEFAULT_TOL = 1e-10
+
+# a rank decision stands only when no singular value lies in (tol, MARGIN tol]
+MARGIN = 1e2
 
 # lcm(1..8): a Cesaro window of this length annihilates every peripheral
 # superoperator eigenvalue that is a root of unity of order <= 8 exactly
@@ -74,29 +81,57 @@ class WignerProblem:
         return self.rep.dim
 
 
-def _pullback_superops(rep: G.UnitaryRep, elements) -> np.ndarray:
+def _pullback_superops(U: np.ndarray) -> np.ndarray:
     """Stack of U.T kron U^dag (vec(U^dag M U) in column-stacking), one per
-    element, with the same scalar products as ``np.kron``."""
-    A = G.element_unitaries(rep, elements).transpose(0, 2, 1)
+    unitary of the (n, d, d) stack U, with the same scalar products as
+    ``np.kron``."""
+    A = U.transpose(0, 2, 1)
     n, d = A.shape[:2]
     return (A[:, :, None, :, None] * A.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
 
 
 def averaged_superop(problem: WignerProblem) -> np.ndarray:
-    ops = _pullback_superops(problem.rep, problem.elements)
+    ops = _pullback_superops(G.element_unitaries(problem.rep, problem.elements))
     return sum(ops) / len(ops)
+
+
+def _rank(s: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Number of singular values above tol along the last axis of s, at a
+    fixed scale of 1: each map T here is an average of Hilbert-Schmidt
+    isometries, so ||T - I||_2 <= 2.  RuntimeError when a singular value lies
+    in (tol, MARGIN tol], too close to the cutoff for its decision to stand."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    near = (s > tol) & (s <= MARGIN * tol)
+    if near.any():
+        raise RuntimeError(
+            f"{what}: singular value {s[near].max():.3e} lies within {MARGIN:g} tol "
+            f"of the rank cutoff tol = {tol:.1e}"
+        )
+    return np.sum(s > tol, axis=-1)
+
+
+def _fixed_space(M: np.ndarray, tol: float, what: str) -> Subspace:
+    """{v : Mv = 0} for an (m, d^2) matrix M of stacked T - I blocks: the
+    right-singular vectors of one thin SVD beyond ``_rank``."""
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    return Subspace(M.shape[1], vh[_rank(s, tol, what) :].conj().T)
 
 
 def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {M : U(g)^dag M U(g) = M} (the commutant of U(g))."""
-    S = _pullback_superops(rep, (g,))[0]
-    return null_space(S - np.eye(S.shape[0]), tol)
+    T = _pullback_superops(G.element_unitaries(rep, (g,)))[0]
+    return _fixed_space(T - np.eye(T.shape[0]), tol, "Wigner set")
 
 
 def averaged_fixed_subspace(problem: WignerProblem, tol: float = DEFAULT_TOL) -> Subspace:
     """Fixed subspace of the averaged map (1/n) sum_j U(g_j)^dag . U(g_j)."""
     S = averaged_superop(problem)
-    return null_space(S - np.eye(S.shape[0]), tol)
+    return _fixed_space(S - np.eye(S.shape[0]), tol, "averaged map")
+
+
+# Two intersection algorithms for subspaces given by bases.  Verify
+# intersects the Wigner sets from the stacked T_j - I and uses neither.
 
 
 def intersect_stacked(subspaces: list[Subspace], tol: float = DEFAULT_TOL) -> Subspace:
@@ -169,25 +204,38 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     """Check dim and principal-angle agreement of the intersection of the
     per-element fixed subspaces with the averaged map's fixed subspace.
 
-    The intersection is computed twice (alternating projections and null-space
-    stacking) as a guard against threshold artifacts; the averaged side comes
-    from its own null-space computation.
+    Both sides start from one stack of the pullback superoperators T_j.  The
+    intersection is the null space of the stacked (n d^2) x d^2 matrix
+    [T_j - I], from one thin SVD; the averaged side is the null space of
+    S - I, S the mean of the T_j, from its own SVD.  The per-element dims
+    come from one values-only stacked SVD of the T_j - I and are checked
+    against U(g_j)'s spectrum: T - I is normal with singular values
+    |lambda_a - lambda_b| over U's eigenvalues, so dim W_g is the number of
+    pairs (a, b) with |lambda_a - lambda_b| <= tol.  Every rank decision uses
+    a fixed scale of 1 and raises RuntimeError when a singular value lies in
+    (tol, MARGIN tol], or when a count disagrees with the spectrum.  Cost:
+    O(n d^6) for the SVDs, with one (n, d^2, d^2) stack in memory.
     """
-    ops = _pullback_superops(problem.rep, problem.elements)
-    eye = np.eye(ops.shape[1])
-    subs = null_spaces(ops - eye, tol)
-    inter = intersect_stacked(subs, tol)
-    inter_alt = intersect_alternating(subs)
-    if inter.dim != inter_alt.dim:
+    U = G.element_unitaries(problem.rep, problem.elements)
+    blocks = _pullback_superops(U)
+    n, d2 = blocks.shape[:2]
+    eye = np.eye(d2)
+    S = sum(blocks) / n
+    # the T_j - I, in place
+    blocks -= eye
+    element_dims = d2 - _rank(np.linalg.svd(blocks, compute_uv=False), tol, "Wigner set")
+    lam = np.linalg.eigvals(U)
+    pairs = np.sum(np.abs(lam[:, :, None] - lam[:, None, :]) <= tol, axis=(1, 2))
+    if np.any(element_dims != pairs):
+        j = int(np.argmax(element_dims != pairs))
         raise RuntimeError(
-            f"intersection algorithms disagree: stacked {inter.dim}, alternating {inter_alt.dim}"
+            f"element {j}: Wigner set dim {element_dims[j]} from the SVD, but U(g) has "
+            f"{pairs[j]} eigenvalue pairs within tol"
         )
-    S = sum(ops) / len(ops)
-    avg = null_space(S - eye, tol)
-    inclusion = 0.0
-    for k in range(inter.dim):
-        v = inter.basis[:, k]
-        inclusion = max(inclusion, float(np.linalg.norm(S @ v - v)))
+    inter = _fixed_space(blocks.reshape(n * d2, d2), tol, "intersection")
+    avg = _fixed_space(S - eye, tol, "averaged map")
+    B = inter.basis
+    inclusion = float(np.linalg.norm(S @ B - B, axis=0).max(initial=0.0))
 
     angle, sigma_min = principal_angle_residual(inter, avg)
     verdict = (
@@ -197,7 +245,7 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
         rep_name=problem.rep.name,
         d=problem.d,
         element_params=tuple(G.describe_element(g) for g in problem.elements),
-        element_dims=tuple(s.dim for s in subs),
+        element_dims=tuple(int(k) for k in element_dims),
         intersection_dim=inter.dim,
         averaged_dim=avg.dim,
         max_principal_angle=angle,
@@ -222,7 +270,7 @@ def cesaro_fixed_point(
     problem: WignerProblem,
     rho0: DensityState,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 10**5,
+    max_iter: int = 10**6,
 ) -> DensityState:
     """Invariant density matrix in the orbit hull of rho0.
 
@@ -237,7 +285,9 @@ def cesaro_fixed_point(
     The window sum sum_{k<w} S^k of the averaged superoperator S is formed
     by binary powering, O(d^6 log w) for the first window, and reused when
     the window doubles, two d^2 x d^2 products for each later window; up to
-    five d^2 x d^2 matrices are held at once.
+    five d^2 x d^2 matrices are held at once.  The default cap of 10^6 map
+    applications is ten full windows and one cut one, at most 84 d^2 x d^2
+    products (76 at a cap of 10^5).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

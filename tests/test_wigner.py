@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,11 +5,14 @@ from wignerlab import (
     DensityState,
     FiniteElement,
     NoConvergence,
+    SU2Element,
+    U1Element,
     WignerProblem,
     averaged_fixed_subspace,
     cesaro_fixed_point,
     commutant,
     cyclic_rep,
+    element_unitaries,
     element_unitary,
     haar_sample,
     maximally_mixed,
@@ -22,6 +23,7 @@ from wignerlab import (
     su2_fundamental,
     su2_irrep,
     su3_fundamental,
+    su3_rep,
     trace_distance,
     u1_rep,
     verify_wigner_identity,
@@ -131,6 +133,96 @@ def test_verify_identity_three_haar_su2():
     assert report.intersection_dim == 1 and report.averaged_dim == 1
 
 
+def _equal_pairs(keys) -> int:
+    """Pairs (a, b) with equal keys: sum of m^2 over the keys' multiplicities."""
+    keys = np.asarray(keys)
+    return int(np.sum(keys[:, None] == keys[None, :]))
+
+
+def _closed_form_problems():
+    """(problem, element dims, intersection dim), each dim a count of equal
+    eigenvalue pairs of U(g) worked out by hand, not from a spectrum."""
+    cases = []
+    # the identity element twice. These reps give U(e) = I only to rounding,
+    # so every singular value of T - I is rounding: a rank scale taken from
+    # the largest of them counted each as rank and found dim 0
+    for rep in [su2_irrep(d) for d in range(3, 9)] + [su3_rep(6)]:
+        e, d2 = identity_element(rep.group), rep.dim**2
+        cases.append((WignerProblem(rep, (e, e)), [d2, d2], d2))
+    # the central -1 of Q8 (index 1): U = -I on copies of the 2-d block, T = I
+    for d in (2, 4, 6):
+        cases.append((WignerProblem(quaternion_rep(d), (FiniteElement(1),)), [d * d], d * d))
+    # su2_irrep(d) at Euler angles (2 pi / k, 0, 0): U = diag(e^{i m 2 pi / k}),
+    # m = j - a, so eigenvalues a and b agree iff k divides a - b; k = 1 is the
+    # central +-I of SU(2)
+    for d in (2, 5, 8):
+        rep = su2_irrep(d)
+        for k in (1, 2, 3, 4):
+            dim = _equal_pairs(np.arange(d) % k)
+            cases.append((WignerProblem(rep, (SU2Element(2 * np.pi / k, 0.0, 0.0),)), [dim], dim))
+    # two commuting diagonal elements: a, b agree under both iff 6 | a - b;
+    # the family repeats an element
+    rep, a = su2_irrep(8), np.arange(8)
+    g2, g3 = SU2Element(np.pi, 0.0, 0.0), SU2Element(2 * np.pi / 3, 0.0, 0.0)
+    dim2, dim3 = _equal_pairs(a % 2), _equal_pairs(a % 3)
+    cases.append((WignerProblem(rep, (g2, g3)), [dim2, dim3], _equal_pairs(a % 6)))
+    cases.append((WignerProblem(rep, (g3, g2, g3, g3)), [dim3, dim2, dim3, dim3],
+                  _equal_pairs(a % 6)))
+    # U(1) weights with repeats: at theta = 1 distinct weights have distinct
+    # phases, so the dim is the sum of squared weight multiplicities, 15
+    weights = [0, 0, 1, -1, 2, 2, 2]
+    rep, g = u1_rep(weights), U1Element(1.0)
+    dim = _equal_pairs(weights)
+    cases.append((WignerProblem(rep, (g,)), [dim], dim))
+    cases.append((WignerProblem(rep, (g, g, g)), [dim] * 3, dim))
+    return cases
+
+
+def test_closed_form_problems_verify_with_their_dims():
+    for problem, element_dims, dim in _closed_form_problems():
+        report = verify_wigner_identity(problem)
+        assert list(report.element_dims) == element_dims, report.to_json()
+        assert report.intersection_dim == report.averaged_dim == dim, report.to_json()
+        assert report.verdict, report.to_json()
+        assert [wigner_subspace(problem.rep, g).dim for g in problem.elements] == element_dims
+        assert averaged_fixed_subspace(problem).dim == dim
+
+
+@pytest.mark.parametrize("theta, dim", [(5e-11, 4), (5e-7, 2)])
+def test_rank_decisions_on_either_side_of_the_margin(theta, dim):
+    # T - I of diag(1, e^{i theta}) has singular values |e^{i theta} - 1| ~ theta
+    # twice, fixed below tol = 1e-10 and kept above 100 tol
+    rep = u1_rep([0, 1])
+    g = U1Element(theta)
+    assert verify_wigner_identity(WignerProblem(rep, (g,))).element_dims == (dim,)
+    assert wigner_subspace(rep, g).dim == dim
+
+
+def test_near_threshold_element_raises_instead_of_deciding():
+    # singular values ~5e-9 lie in (tol, 100 tol]: no rank decision is made
+    rep = u1_rep([0, 1])
+    g = U1Element(5e-9)
+    other = haar_sample(rep, 3, 1)[0]
+    for call in (
+        lambda: verify_wigner_identity(WignerProblem(rep, (g,))),
+        lambda: verify_wigner_identity(WignerProblem(rep, (other, g))),
+        lambda: wigner_subspace(rep, g),
+        lambda: averaged_fixed_subspace(WignerProblem(rep, (g,))),
+    ):
+        with pytest.raises(RuntimeError, match="rank cutoff"):
+            call()
+
+
+def test_verify_raises_when_the_spectrum_disagrees_with_the_svd(monkeypatch):
+    # the per-element dims are checked against U(g)'s eigenvalues: a spectrum
+    # that claims U(g) = I for an element that is not must stop verify
+    rep = su2_irrep(3)
+    problem = WignerProblem(rep, tuple(haar_sample(rep, 4, 2)))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda U: np.ones(U.shape[:-1], dtype=complex))
+    with pytest.raises(RuntimeError, match="eigenvalue pairs"):
+        verify_wigner_identity(problem)
+
+
 def test_intersection_algorithms_agree(rng):
     subs = []
     for _ in range(3):
@@ -214,16 +306,25 @@ def _reference_families():
     ]
 
 
+_REPORT_FLOATS = ("max_principal_angle", "min_gram_singular_value", "inclusion_residual")
+
+
 def test_superoperator_stack_is_bitwise_the_per_element_path(monkeypatch):
+    # verify against the per-element reference algorithm: the same dims and
+    # verdict exactly, every report float to 1e-12 (the two take their null
+    # spaces from different SVDs); Cesaro against np.kron superoperators bitwise
     problems = [(p, 1001 + i) for i, p in enumerate(standard_problem_batch(200, 1001))]
     problems += [(p, 2026 + i) for i, p in enumerate(standard_problem_batch(200, 2026))]
     problems += [(p, 7 + i) for i, p in enumerate(_reference_families())]
     identities = 0
     for problem, seed in problems:
         report = verify_wigner_identity(problem).to_json()
-        # json.dumps writes each float by its shortest round-trip repr: equal
-        # strings mean equal float bits
-        assert json.dumps(report) == json.dumps(_reference_report(problem).to_json())
+        reference = _reference_report(problem).to_json()
+        for key, value in reference.items():
+            if key in _REPORT_FLOATS:
+                assert abs(report[key] - value) <= 1e-12, (key, report, reference)
+            else:
+                assert report[key] == value, (key, report, reference)
         # the identity element's T - I is zero: its Wigner set is all of M_d
         e = identity_element(problem.rep.group)
         for g, dim in zip(problem.elements, report["element_dims"]):
@@ -302,6 +403,24 @@ def test_cesaro_matches_step_loop_on_standard_batch():
         rho0 = problem_seed_state(problem, 41 + i)
         out = cesaro_fixed_point(problem, rho0)
         assert np.abs(out.rho - _cesaro_by_steps(problem, rho0).rho).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed, index", [(1607, 168), (1611, 164)])
+def test_cesaro_converges_when_t_has_eigenvalues_near_one(seed, index):
+    # one element has eigenphases near +-pi, so T has eigenvalues with
+    # |1 - lambda| ~ 7.5e-4 off its fixed space: the window means need more
+    # than 10^5 map applications to reach tol
+    problem = standard_problem_batch(200, seed)[index]
+    rho0 = problem_seed_state(problem, seed + index)
+    with pytest.raises(NoConvergence):
+        cesaro_fixed_point(problem, rho0, max_iter=10**5)
+    out = cesaro_fixed_point(problem, rho0)
+    for g in problem.elements:
+        assert trace_distance(pullback(problem.rep, g, out), out) <= 1e-9
+    # the Cesaro limit is the Hilbert-Schmidt projection onto Fix(T), the
+    # family's commutant
+    fixed = commutant(list(element_unitaries(problem.rep, problem.elements)), problem.d)
+    assert trace_norm(out.rho - unvec(fixed.project(vec(rho0.rho)))) <= 1e-7
 
 
 def test_cesaro_identity_map_returns_seed(rng):
