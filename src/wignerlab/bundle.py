@@ -156,16 +156,3 @@ def bundle_spec_from_json(doc: dict) -> BundleSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed bundle spec: {exc}") from exc
     return BundleSpec(tuple(labels), reps)
-
-
-def bundle_spec_to_json(spec: BundleSpec) -> dict:
-    points = []
-    for label in spec.points:
-        config = spec.reps[label].meta.get("config")
-        if config is None:
-            raise ValueError(
-                f"rep at {label!r} carries no config block; build the bundle spec "
-                "from JSON or attach rep.meta['config']"
-            )
-        points.append({"label": label, "rep": config})
-    return {"schema_version": 1, "points": points}

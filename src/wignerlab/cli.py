@@ -3,14 +3,19 @@
 Subcommands: wigner-verify, invariant-state, crossed, entropy, bundle.
 Each takes --config and --out plus one flag per setting it reads (SETTINGS).
 A setting comes from its flag if given, else from its key in the --config
-JSON object (null counts as absent), else from its default.  A config key
-other than schema_version that names no setting of the subcommand is an
-error, and so is a flag the subcommand does not read or a config value of
-the wrong JSON type (an integer setting takes an integer, a float setting a
-number; bools and strings are neither).
+JSON object (null counts as absent), else from its default.  Every setting
+is checked before the run starts (_FLAGS): an integer setting takes an
+integer (bools are not integers), and count, dim, generators, max_n and
+ambient_cap are at least 1, tensor_factors at least 2; tol is a finite
+number above 0; a string setting takes a string, one of its choices if it
+has any.  A config key other than schema_version that names no setting of
+the subcommand is an error, and so is a flag the subcommand does not read.
+The resolved settings are the run's one config object.  Every JSON report,
+error reports included, embeds it whole as report["config"]; passed back
+as --config it replays the run.
 Exit codes: 0 success, 1 usage/config error, 2 verified-contract violation.
-Reports embed the resolved config; timestamps live in a separate "meta"
-field so the "report" subtree is byte-identical for identical (config, seed).
+Timestamps live in a separate "meta" field so the "report" subtree is
+byte-identical for identical (config, seed).
 """
 
 from __future__ import annotations
@@ -62,30 +67,56 @@ SETTINGS = {
     "bundle": {"seed": 0, "points": [{"label": "x0", "rep": {"kind": "su2", "dim": 2}}]},
 }
 
+# argparse keywords of each flag, plus "min", the least value of an integer
+# setting; a setting without a "type" is a string
 _FLAGS = {
-    "count": {"type": int, "help": "number of problems, or of Monte Carlo samples"},
+    "count": {"type": int, "min": 1, "help": "number of problems, or of Monte Carlo samples"},
     "seed": {"type": int, "help": "RNG seed"},
-    "tol": {"type": float, "help": "tolerance"},
+    "tol": {"type": float, "help": "tolerance, finite and > 0"},
     "group": {"help": "group: su2, su3, u1, q8, zn:<n>, file:<path>"},
-    "dim": {"type": int, "help": "representation dimension"},
+    "dim": {"type": int, "min": 1, "help": "representation dimension"},
     "method": {"choices": ("auto", "quadrature", "montecarlo", "finite_exact", "cesaro")},
-    "generators": {"type": int, "help": "Cesaro generator count"},
+    "generators": {"type": int, "min": 1, "help": "Cesaro generator count"},
     "state": {"help": "seed state JSON file"},
     "action": {"choices": ("rep", "trivial"), "help": "act through the group's rep or trivially"},
-    "tensor_factors": {"type": int,
+    "tensor_factors": {"type": int, "min": 2,
                        "help": "also run the tensor-product dimension check with n copies"},
-    "ambient_cap": {"type": int},
-    "max_n": {"type": int, "help": "sweep n = 1..N (default 8)"},
+    "ambient_cap": {"type": int, "min": 1},
+    "max_n": {"type": int, "min": 1, "help": "sweep n = 1..N (default 8)"},
     "format": {"choices": ("json", "csv"), "help": "output format"},
 }
 
 
-def _resolve(args) -> None:
-    """Set each setting of args.command on args: its flag if given, else its
-    config key (a JSON null counts as absent), else its default.  A config
-    key that names no setting of the subcommand raises ValueError, and so
-    does a config value that is not a JSON integer for an int setting or a
-    JSON number for a float one."""
+def _check(key: str, value):
+    """value as setting key takes it (_FLAGS), else ValueError.  "points",
+    which has no flag, is left to ``bundle_spec_from_json``."""
+    if key not in _FLAGS:
+        return value
+    spec, name = _FLAGS[key], f"setting {key!r}"
+    kind = spec.get("type", str)
+    if kind is int:
+        value, low = int_from_json(value, name), spec.get("min")
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+        value = float(value)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and above 0, got {value}")
+    elif not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+    elif value not in spec.get("choices", (value,)):
+        raise ValueError(f"{name} must be one of {', '.join(spec['choices'])}, got {value!r}")
+    return value
+
+
+def _resolve(args) -> dict:
+    """The run's config object: schema_version 1 and each setting of
+    args.command from its flag if given, else its config key (a JSON null
+    counts as absent), else its default.  A config key that names no setting
+    of the subcommand raises ValueError, and so does a given value that
+    ``_check`` rejects."""
     defaults, config = SETTINGS[args.command], {}
     if args.config:
         try:
@@ -103,22 +134,20 @@ def _resolve(args) -> None:
             f"unknown config key {', '.join(map(repr, unknown))} for {args.command} "
             f"(it reads schema_version, {', '.join(sorted(defaults))})"
         )
+    resolved = {"schema_version": 1}
     for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            value, kind = config.get(key), _FLAGS.get(key, {}).get("type")
-            if value is None:
-                value = default
-            elif kind is int:
-                value = int_from_json(value, f"config key {key!r}")
-            elif kind is float and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ValueError(f"config key {key!r} must be a number, got {type(value).__name__}")
-            setattr(args, key, value)
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        resolved[key] = default if value is None else _check(key, value)
+    return resolved
 
 
 def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
     """Map a --group string to a representation through ``groups.rep_from_config``.
 
-    Accepts su2, su3, u1, q8, zn:<n>, file:<path to Cayley-table JSON>.
+    Accepts su2, su3, u1, q8, zn:<n>, file:<path to Cayley-table JSON>.  A
+    dim of None takes the group's default; a file's rep must have dim.
     """
     if group.startswith("file:"):
         path = group[5:]
@@ -126,43 +155,46 @@ def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read group file {path}: {exc}") from exc
-        return G.rep_from_config({"kind": "finite", "group": doc})
+        rep = G.rep_from_config({"kind": "finite", "group": doc})
+        if dim is not None and dim != rep.dim:
+            raise ValueError(f"dim {dim} differs from the dim {rep.dim} of the rep in {path}")
+        return rep
     if group in ("su2", "su3", "q8"):
-        return G.rep_from_config({"kind": group, "dim": dim} if dim else {"kind": group})
+        return G.rep_from_config({"kind": group} if dim is None else {"kind": group, "dim": dim})
     if group == "u1":
-        return G.rep_from_config({"kind": "u1", "weights": list(range(dim or 2))})
+        return G.rep_from_config({"kind": "u1", "weights": list(range(2 if dim is None else dim))})
     if group.startswith("zn:"):
         n = int(group[3:])
-        return G.rep_from_config({"kind": "zn", "n": n, "dim": dim or n})
+        return G.rep_from_config({"kind": "zn", "n": n, "dim": n if dim is None else dim})
     raise ValueError(f"unknown group {group!r} (expected su2, su3, u1, q8, zn:<n>, file:<path>)")
 
 
-def _emit(report: dict, out: str | None, text: str | None = None) -> None:
-    """Write a JSON report envelope (or raw text when given) to out/stdout."""
-    if text is None:
+def _emit(config: dict, body: dict | str, out: str | None) -> None:
+    """Write the text body, or a JSON report envelope of the dict body with
+    the config object as report["config"], to out or stdout."""
+    if isinstance(body, dict):
         doc = {
-            "report": report,
+            "report": {"config": config, **body},
             "meta": {
                 "generated_at": datetime.now(timezone.utc).isoformat(),
                 "tool": "wignerlab",
                 "version": __version__,
             },
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        body = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(body)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(body)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the run's config object and returns (exit code,
+# report without its "config", or the text to write)
 
 
-def cmd_wigner_verify(args) -> int:
-    count, seed, tol = int(args.count), int(args.seed), float(args.tol)
-    group, dim = args.group, args.dim
-
+def cmd_wigner_verify(config: dict) -> tuple[int, dict]:
+    count, seed, group, dim = config["count"], config["seed"], config["group"], config["dim"]
     if group is not None:
         rep = resolve_rep(group, dim)
         problems = [
@@ -170,36 +202,23 @@ def cmd_wigner_verify(args) -> int:
             for i in range(count)
         ]
     else:
-        dims = (int(dim),) if dim is not None else (2, 3, 4, 5, 6)
+        dims = (dim,) if dim is not None else (2, 3, 4, 5, 6)
         problems = standard_problem_batch(count=count, base_seed=seed, dims=dims)
 
-    reports = [verify_wigner_identity(p, tol) for p in problems]
-
-    failures = [r for r in reports if not r.verdict]
-    resolved = {
-        "schema_version": 1,
-        "count": count,
-        "seed": seed,
-        "tol": tol,
-        "group": group,
-        "dim": dim,
-    }
-    report = {
-        "config": resolved,
+    reports = [verify_wigner_identity(p, config["tol"]) for p in problems]
+    failures = sum(not r.verdict for r in reports)
+    return EXIT_OK if not failures else EXIT_CONTRACT, {
         "problems": [{"seed": seed + i, **r.to_json()} for i, r in enumerate(reports)],
-        "summary": {"count": len(reports), "failures": len(failures)},
+        "summary": {"count": len(reports), "failures": failures},
         "all_verdicts_true": not failures,
     }
-    _emit(report, args.out)
-    return EXIT_OK if not failures else EXIT_CONTRACT
 
 
-def cmd_invariant_state(args) -> int:
-    seed, tol, group, state_path = int(args.seed), float(args.tol), args.group, args.state
-    count, generators = int(args.count), int(args.generators)
-
-    rep = resolve_rep(group, args.dim)
-    if state_path:
+def cmd_invariant_state(config: dict) -> tuple[int, dict]:
+    seed, state_path = config["seed"], config["state"]
+    rep = resolve_rep(config["group"], config["dim"])
+    config["dim"] = rep.dim
+    if state_path is not None:
         seed_state = DensityState.from_json(json.loads(Path(state_path).read_text()))
         if seed_state.d != rep.dim:
             raise ValueError(f"seed state dim {seed_state.d} != representation dim {rep.dim}")
@@ -207,43 +226,28 @@ def cmd_invariant_state(args) -> int:
         seed_state = random_density(rep.dim, G.philox_stream(seed, 17))
 
     try:
-        result = haar_average(rep, seed_state, method=args.method, seed=seed, count=count,
-                              generators=generators, probes=50, probe_seed=seed + 1)
+        result = haar_average(rep, seed_state, method=config["method"], seed=seed,
+                              count=config["count"], generators=config["generators"],
+                              probes=50, probe_seed=seed + 1)
     except NoConvergence as exc:
-        _emit({"error": str(exc), "residual": exc.residual}, args.out)
-        return EXIT_CONTRACT
+        return EXIT_CONTRACT, {"error": str(exc), "residual": exc.residual}
+    config["method"] = result.method
 
-    state = result.state
-    residual = result.residual
-    sep = is_separating(state)
-    resolved = {
-        "schema_version": 1,
-        "seed": seed,
-        "tol": tol,
-        "group": group,
-        "dim": rep.dim,
-        "method": result.method,
-        "state": state_path,
-    }
-    report = {
-        "config": resolved,
-        "state": state.to_json(),
-        "invariance_residual": residual,
+    sep = is_separating(result.state)
+    return EXIT_OK if result.residual <= config["tol"] else EXIT_CONTRACT, {
+        "state": result.state.to_json(),
+        "invariance_residual": result.residual,
         "separating": {"separating": sep.separating, "min_eigenvalue": sep.min_eigenvalue},
     }
-    _emit(report, args.out)
-    return EXIT_OK if residual <= tol else EXIT_CONTRACT
 
 
-def cmd_crossed(args) -> int:
-    group, dim, action, factors = args.group, args.dim, args.action, args.tensor_factors
-    cap = int(args.ambient_cap)
-
-    rep = resolve_rep(group, int(dim) if dim else None)
-    if action == "trivial":
-        rep = G.trivial_rep(rep.group, int(dim) if dim else rep.dim)
-    elif action != "rep":
-        raise ValueError(f"unknown action {action!r} (expected rep or trivial)")
+def cmd_crossed(config: dict) -> tuple[int, dict]:
+    dim, factors, cap = config["dim"], config["tensor_factors"], config["ambient_cap"]
+    if config["action"] == "trivial":
+        # dim is the trivial rep's, so the group's own rep keeps its default dim
+        rep = G.trivial_rep(resolve_rep(config["group"], None).group, dim)
+    else:
+        rep = resolve_rep(config["group"], dim)
     model = CrossedProductModel(rep)
     if model.ambient_dim > cap:
         raise ValueError(f"ambient dimension {model.ambient_dim} exceeds cap {cap}")
@@ -251,61 +255,36 @@ def cmd_crossed(args) -> int:
     residual = covariance_check(model)
     dim_value = crossed_dimension(model)
     tensor = None
-    if factors:
-        tensor = tensor_iso_check([model] * int(factors), ambient_cap=cap).to_json()
+    if factors is not None:
+        tensor = tensor_iso_check([model] * factors, ambient_cap=cap).to_json()
 
-    resolved = {
-        "schema_version": 1,
-        "group": group,
-        "dim": int(dim) if dim else rep.dim,
-        "action": action,
-        "tensor_factors": factors,
-        "ambient_cap": cap,
-    }
-    report = {
-        "config": resolved,
+    ok = residual <= 1e-12 and (tensor is None or tensor["equal"])
+    return EXIT_OK if ok else EXIT_CONTRACT, {
         "ambient_dim": model.ambient_dim,
         "covariance_residual": residual,
         "crossed_dimension": dim_value,
         "tensor_check": tensor,
     }
-    _emit(report, args.out)
-    ok = residual <= 1e-12 and (tensor is None or tensor["equal"])
-    return EXIT_OK if ok else EXIT_CONTRACT
 
 
-def cmd_entropy(args) -> int:
-    max_n, fmt = int(args.max_n), args.format
-    if max_n < 1:
-        raise ValueError("--max-n must be >= 1")
-
-    rows = [(n, partition_entropy(PartitionWeights.uniform(n))) for n in range(1, max_n + 1)]
+def cmd_entropy(config: dict) -> tuple[int, dict | str]:
+    rows = [(n, partition_entropy(PartitionWeights.uniform(n)))
+            for n in range(1, config["max_n"] + 1)]
     violation = max(abs(h - math.log(n)) for n, h in rows)
-
-    if fmt == "csv":
-        text = "n,entropy\n" + "".join(f"{n},{h:.17g}\n" for n, h in rows)
-        _emit({}, args.out, text=text)
-    elif fmt == "json":
-        report = {
-            "config": {"schema_version": 1, "max_n": max_n},
-            "rows": [[n, h] for n, h in rows],
-        }
-        _emit(report, args.out)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return EXIT_OK if violation <= 1e-12 else EXIT_CONTRACT
+    code = EXIT_OK if violation <= 1e-12 else EXIT_CONTRACT
+    if config["format"] == "csv":
+        return code, "n,entropy\n" + "".join(f"{n},{h:.17g}\n" for n, h in rows)
+    return code, {"rows": [[n, h] for n, h in rows]}
 
 
-def cmd_bundle(args) -> int:
-    seed = int(args.seed)
-    spec_doc = {"points": args.points}
-    spec = bundle_spec_from_json(spec_doc)
+def cmd_bundle(config: dict) -> tuple[int, dict]:
+    seed = config["seed"]
+    spec = bundle_spec_from_json({"points": config["points"]})
 
     try:
         field = assign_invariant_field(spec, seed=seed)
     except FieldAssignmentError as exc:
-        _emit({"error": str(exc), "label": exc.label}, args.out)
-        return EXIT_CONTRACT
+        return EXIT_CONTRACT, {"error": str(exc), "label": exc.label}
 
     residuals = {}
     separating = {}
@@ -314,14 +293,11 @@ def cmd_bundle(args) -> int:
         residuals[label] = invariance_residual(rep, field.states[label], probes=50, seed=seed + idx)
         separating[label] = is_separating(field.states[label]).separating
 
-    report = {
-        "config": {"schema_version": 1, "seed": seed, **spec_doc},
+    return EXIT_OK, {
         "field": field.to_json(),
         "invariance_residuals": residuals,
         "separating": separating,
     }
-    _emit(report, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         for key in SETTINGS[name]:
             if key in _FLAGS:
-                p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+                kwargs = {k: v for k, v in _FLAGS[key].items() if k != "min"}
+                p.add_argument("--" + key.replace("_", "-"), **kwargs)
         p.set_defaults(fn=fn)
     return parser
 
@@ -356,8 +333,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_CONFIG
     try:
-        _resolve(args)
-        return args.fn(args)
+        config = _resolve(args)
+        code, body = args.fn(config)
+        _emit(config, body, args.out)
+        return code
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"wignerlab: {exc}\n")
         return EXIT_CONFIG

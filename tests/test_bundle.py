@@ -21,7 +21,6 @@ from wignerlab import (
     trivial_rep,
     u1_rep,
 )
-from wignerlab.bundle import bundle_spec_to_json
 
 
 def test_single_point_su2_gives_maximally_mixed():
@@ -131,8 +130,6 @@ def test_bundle_spec_json_and_field_roundtrip():
     spec = bundle_spec_from_json(doc)
     assert spec.points == ("x0", "x1")
     assert spec.dim("x1") == 3
-    back = bundle_spec_to_json(spec)
-    assert back["points"] == doc["points"]
 
     field = assign_invariant_field(spec, seed=4)
     reloaded = FieldState.from_json(field.to_json())

@@ -344,6 +344,60 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, confi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("wigner-verify", "--count", "0"), None),
+    (("wigner-verify", "--count", "-3"), None),
+    (("invariant-state", "--count", "0"), None),
+    (("invariant-state", "--count", "-3"), None),
+    (("wigner-verify", "--dim", "0"), None),
+    (("invariant-state", "--dim", "0"), None),
+    (("crossed", "--dim", "0"), None),
+    (("wigner-verify", "--tol", "0"), None),
+    (("wigner-verify", "--tol", "-1"), None),
+    (("wigner-verify", "--tol", "nan"), None),
+    (("invariant-state", "--tol", "0"), None),
+    (("invariant-state", "--tol", "-1"), None),
+    (("invariant-state", "--tol", "nan"), None),
+    (("crossed", "--tensor-factors", "0"), None),
+    (("crossed", "--tensor-factors", "1"), None),
+    (("entropy", "--max-n", "0"), None),
+    (("wigner-verify",), {"group": 5}),
+    (("invariant-state",), {"group": 5}),
+    (("invariant-state",), {"state": 7}),
+    (("invariant-state",), {"tol": float("inf")}),
+    (("entropy",), {"format": "xml"}),
+    (("crossed",), {"action": "x"}),
+    (("wigner-verify", "--group", "file:q8.json", "--dim", "4", "--count", "2"), None),
+    (("invariant-state", "--group", "file:q8.json", "--dim", "4"), None),
+    (("crossed", "--group", "file:q8.json", "--dim", "4"), None),
+])
+def test_rejected_input_exits_1_before_writing(tmp_path, capsys, monkeypatch, argv, config):
+    rep = quaternion_rep()
+    (tmp_path / "q8.json").write_text(json.dumps(finite_group_to_json(rep.group, rep)))
+    monkeypatch.chdir(tmp_path)
+    extra = ()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        extra = ("--config", "cfg.json")
+    assert run_cli(*argv, *extra, "--out", "out.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wignerlab: ") and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_crossed_trivial_action_takes_its_dim_from_dim(tmp_path):
+    rep = quaternion_rep()
+    path = tmp_path / "q8.json"
+    path.write_text(json.dumps(finite_group_to_json(rep.group, rep)))
+    out = tmp_path / "crossed.json"
+    code = run_cli("crossed", "--group", f"file:{path}", "--dim", "3", "--action", "trivial",
+                   "--out", str(out))
+    assert code == 0
+    report = load_report(out)
+    assert report["config"]["dim"] == 3
+    assert report["ambient_dim"] == 8 * 3
+
+
 def test_config_null_counts_as_absent(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema_version": 1, "max_n": None, "format": None}))

@@ -21,7 +21,6 @@ from wignerlab.matrixcore import (
     _GENERIC_SEED,
     matrix_from_json,
     matrix_to_json,
-    null_spaces,
     pairwise_mean,
     principal_angle_residual,
     trace_norm,
@@ -126,49 +125,49 @@ def test_null_space_requires_positive_tol():
 
 
 def _reference_null_basis(M, tol=1e-10):
-    """One SVD of one matrix and the rank rule, as null_space had it before
-    null spaces were taken from stacks."""
+    """One SVD of one matrix and the rank rule."""
     if not M.any():
         return np.eye(M.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(M)
     return vh[int(np.sum(s > tol * s[0])):].conj().T
 
 
-def test_null_spaces_of_a_stack_are_bitwise_the_per_matrix_null_spaces(rng):
+def test_null_space_is_bitwise_one_svd_and_the_rank_rule(rng):
     # full rank, rank deficient, the zero matrix, and 2I - 2I
     a = rng.standard_normal((5, 9, 9)) + 1j * rng.standard_normal((5, 9, 9))
     a[1] = a[1] @ np.diag([1.0] * 6 + [0.0] * 3) @ a[2]
     a[3] = 0.0
     a[4] = 2 * np.eye(9) - 2 * np.eye(9)
-    got = null_spaces(a)
+    got = [null_space(M) for M in a]
     assert [s.dim for s in got] == [0, 3, 0, 9, 9]
     for M, sub in zip(a, got):
-        assert sub.basis.tobytes() == null_space(M).basis.tobytes()
         assert sub.basis.tobytes() == _reference_null_basis(M).tobytes()
-    # tall and wide stacks
-    for shape in ((3, 12, 5), (3, 4, 7)):
-        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for M, sub in zip(b, null_spaces(b)):
-            assert sub.basis.tobytes() == _reference_null_basis(M).tobytes()
-    assert [s.dim for s in null_spaces(np.zeros((2, 0, 3)))] == [3, 3]
+    # tall and wide matrices
+    for shape in ((12, 5), (4, 7)):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert null_space(M).basis.tobytes() == _reference_null_basis(M).tobytes()
 
 
-def test_null_spaces_raise_like_null_space():
-    stack = np.stack([np.eye(3, dtype=complex)] * 3)
-    stack[1, 1, 2] = np.nan
+def test_null_space_rejects_bad_input():
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        null_space(stack[1])
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        null_spaces(stack)
-    stack[1, 1, 2] = np.inf
+        null_space(M)
+    M[1, 2] = np.inf
     with pytest.raises(ValueError, match="NaN or Inf"):
-        null_space(stack[1])
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        null_spaces(stack)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        null_spaces(np.eye(2)[None], tol=0.0)
-    with pytest.raises(ValueError, match="3-d stack"):
-        null_spaces(np.eye(2))
+        null_space(M)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            null_space(np.eye(2), tol=tol)
+    for bad in (np.eye(2)[None], np.ones(3)):
+        with pytest.raises(ValueError, match="2-d array"):
+            null_space(bad)
+
+
+def test_null_space_of_no_rows_is_everything():
+    sub = null_space(np.zeros((0, 3)))
+    assert sub.dim == 3
+    assert np.array_equal(sub.basis, np.eye(3))
 
 
 def test_null_space_orthonormality(rng):

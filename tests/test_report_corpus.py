@@ -10,7 +10,10 @@ regenerates the corpus with
 
     PYTHONPATH=src python tests/test_report_corpus.py
 
-and lists every changed value.  The inputs the commands read (the Q8 group
+which prints, per case, every JSON path whose value it changes (old -> new);
+the change lists them.  Each case that writes a report is also replayed
+from the report's own "config" alone and must give the same exit code,
+stderr and report.  The inputs the commands read (the Q8 group
 file, the bundle specs) live in ``tests/report_corpus/inputs/`` and are copied
 into the working directory each command runs in, so paths in the reports are
 relative.
@@ -78,6 +81,22 @@ def canonical(case: dict) -> str:
     return json.dumps(case, indent=1, sort_keys=True) + "\n"
 
 
+ABSENT = "<absent>"
+
+
+def changed_paths(old, new, path="$"):
+    """(path, old, new) for every JSON value that differs between old and
+    new, descending into objects and into arrays of the same length."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from changed_paths(old.get(key, ABSENT), new.get(key, ABSENT), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from changed_paths(a, b, f"{path}[{i}]")
+    elif canonical(old) != canonical(new):
+        yield path, old, new
+
+
 def test_corpus_holds_exactly_the_cases():
     assert sorted(p.stem for p in CORPUS.glob("*.json")) == sorted(CASES)
 
@@ -89,9 +108,28 @@ def test_report_matches_corpus(name, tmp_path):
     assert canonical(run_case(CASES[name], tmp_path)) == canonical(expected)
 
 
+@pytest.mark.parametrize("name", sorted(set(CASES) - NO_REPORT))
+def test_report_config_replays_the_case(name, tmp_path):
+    expected = json.loads((CORPUS / f"{name}.json").read_text())
+    (tmp_path / "replay.json").write_text(json.dumps(expected["report"]["config"]))
+    replay = run_case([CASES[name][0], "--config", "replay.json"], tmp_path)
+    assert canonical(replay) == canonical(expected)
+
+
+def test_changed_paths_names_each_changed_value():
+    old = {"a": 1, "b": [1.0, 2.0], "c": {"d": None}, "e": [1]}
+    new = {"a": 1, "b": [1.0, 2.5], "c": {"d": None, "f": "x"}, "e": [1, 2]}
+    assert list(changed_paths(old, new)) == [
+        ("$.b[1]", 2.0, 2.5), ("$.c.f", ABSENT, "x"), ("$.e", [1], [1, 2])]
+
+
 if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             case = run_case(argv, Path(tmp))
-        (CORPUS / f"{name}.json").write_text(canonical(case))
+        path = CORPUS / f"{name}.json"
+        old = json.loads(path.read_text()) if path.exists() else ABSENT
+        path.write_text(canonical(case))
         print(f"{name}: exit {case['exit']}")
+        for where, a, b in changed_paths(old, case):
+            print(f"  {where}: {json.dumps(a)} -> {json.dumps(b)}")
