@@ -164,8 +164,11 @@ def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
     if group == "u1":
         return G.rep_from_config({"kind": "u1", "weights": list(range(2 if dim is None else dim))})
     if group.startswith("zn:"):
-        n = int(group[3:])
-        return G.rep_from_config({"kind": "zn", "n": n, "dim": n if dim is None else dim})
+        try:
+            n = int(group[3:])
+            return G.rep_from_config({"kind": "zn", "n": n, "dim": n if dim is None else dim})
+        except ValueError as exc:
+            raise ValueError(f"group {group!r}: {exc}") from exc
     raise ValueError(f"unknown group {group!r} (expected su2, su3, u1, q8, zn:<n>, file:<path>)")
 
 

@@ -17,7 +17,8 @@ Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
 in phi and psi, Gauss-Legendre in cos(theta), O(J^3) nodes in all.
 U^dag rho U for a d-dimensional representation has spin at most d-1, so
-order 2d-1 averages it exactly with O(d^3) nodes.
+order 2d-1 averages it exactly with O(d^3) nodes.  The rule is one node
+table, ``su2_quadrature_nodes``, summed in node order by ``weighted_mean``.
 
 Haar sampling is Ginibre + QR with diagonal-phase correction, then division
 by the principal n-th root of the determinant for the special groups
@@ -368,24 +369,10 @@ def _su3_rep(dim: int, stack_fn: Callable[[np.ndarray], np.ndarray], name: str) 
     return _validate_rep(rep)
 
 
-def _rep_matrix(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    check_membership(rep.group, g)
-    U = np.asarray(rep.matrix_fn(g), dtype=complex)
-    if U.shape != (rep.dim, rep.dim):
-        raise DimensionMismatch(
-            f"representation produced shape {U.shape}, expected ({rep.dim}, {rep.dim})"
-        )
-    return U
-
-
 def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    """The representing unitary U(g), validated to 1e-10."""
-    U = _rep_matrix(rep, g)
-    if frobenius(U.conj().T @ U - np.eye(rep.dim)) > 1e-10:
-        raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
-    if rep.group.kind in ("su2", "su3") and abs(np.linalg.det(U) - 1.0) > 1e-10:
-        raise ValueError(f"representation {rep.name!r} lost the unit determinant")
-    return U
+    """The representing unitary U(g), validated to 1e-10: ``element_unitaries``
+    of one element."""
+    return element_unitaries(rep, [g])[0]
 
 
 # matrices per stacked LAPACK call or validation pass: large enough to
@@ -395,11 +382,11 @@ BATCH = 256
 
 
 def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
-    """The (N, d, d) stack of U(g) for g in elements, equal to stacking
-    ``element_unitary`` bitwise and validated the same way.  Per chunk of
-    ``BATCH`` elements: membership of each element; the matrices from one
-    ``rep.stack_fn`` call, or, for reps without one, one ``matrix_fn`` call
-    and shape check per element; unitarity and unit determinant."""
+    """The (N, d, d) stack of U(g) for g in elements, validated to 1e-10.
+    Per chunk of ``BATCH`` elements: membership of each element; the
+    matrices from one ``rep.stack_fn`` call, or, for reps without one, one
+    ``matrix_fn`` call and shape check per element; unitarity and unit
+    determinant."""
     d = rep.dim
     special = rep.group.kind in ("su2", "su3")
     out = np.empty((len(elements), d, d), dtype=complex)
@@ -408,7 +395,12 @@ def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.n
         batch = elements[start : start + BATCH]
         if rep.stack_fn is None:
             for U, g in zip(chunk, batch):
-                U[...] = _rep_matrix(rep, g)
+                check_membership(rep.group, g)
+                M = np.asarray(rep.matrix_fn(g), dtype=complex)
+                if M.shape != (d, d):
+                    raise DimensionMismatch(
+                        f"representation produced shape {M.shape}, expected ({d}, {d})")
+                U[...] = M
         else:
             for g in batch:
                 check_membership(rep.group, g)
@@ -446,12 +438,11 @@ def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
                     f"({rep.group.labels[g]}, {rep.group.labels[h]})"
                 )
     else:
-        samples = haar_sample(rep, rng_seed=0x5EED, count=4)
-        for g, h in zip(samples[:2], samples[2:]):
-            lhs = element_unitary(rep, g) @ element_unitary(rep, h)
-            rhs = element_unitary(rep, compose(rep.group, g, h))
-            if frobenius(lhs - rhs) > 1e-9:
-                raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
+        # U(g) U(h) - U(gh) for the sample pairs (0, 2) and (1, 3)
+        s = haar_sample(rep, rng_seed=0x5EED, count=4)
+        U = element_unitaries(rep, s + [compose(rep.group, g, h) for g, h in zip(s[:2], s[2:])])
+        if np.any(np.linalg.norm(U[:2] @ U[2:4] - U[4:], axis=(1, 2)) > 1e-9):
+            raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
     return rep
 
 
@@ -781,47 +772,50 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
     return _su3_elements(stack)
 
 
-def _wrap_psi(psi: float) -> float:
+def su2_quadrature_nodes(order: int) -> tuple[list[SU2Element], np.ndarray]:
+    """The elements of the SU(2) product rule of this order in (phi, theta,
+    psi) order, psi fastest, and their weights w_phi * w_theta * w_psi.  For
+    J = (order-1)/2: trapezoid in phi on [0, 2pi) with floor(J)+1 nodes,
+    Gauss-Legendre in cos(theta) with ceil((floor(J)+1)/2) nodes, trapezoid
+    in psi on [0, 4pi) (the double cover) with 2J+1 nodes."""
+    if order < 4:
+        raise ValueError("order must be >= 4")
+    n_phi, n_psi = (order + 1) // 2, order
+    x, w_theta = leggauss((n_phi + 1) // 2)
+    psis = 2.0 * TWO_PI * np.arange(n_psi) / n_psi
     # e^{i psi/2} has period 4pi; fold [0, 4pi) into [-2pi, 2pi]
-    return psi - 2.0 * TWO_PI if psi > TWO_PI else psi
+    psis = np.where(psis > TWO_PI, psis - 2.0 * TWO_PI, psis)
+    elements = [SU2Element(phi, theta, psi) for phi in TWO_PI * np.arange(n_phi) / n_phi
+                for theta in np.arccos(x) for psi in psis]
+    w = TWO_PI / n_phi * w_theta * (2.0 * TWO_PI / n_psi)
+    return elements, np.tile(np.repeat(w, n_psi), n_phi)
+
+
+def weighted_mean(values: Callable, elements: list, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i v_i / sum_i w_i, with ``values`` mapping each chunk of
+    ``BATCH`` elements to a new (n, ...) array of their v_i.  Both sums run
+    in node order (``np.add.reduce`` is pairwise for one-entry values), so
+    no bit depends on the chunking."""
+    acc = None
+    for start in range(0, len(elements), BATCH):
+        chunk = values(elements[start : start + BATCH])
+        chunk *= weights[start : start + BATCH].reshape((-1,) + (1,) * (chunk.ndim - 1))
+        if acc is not None:
+            chunk[0] += acc
+        acc = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
+    return acc / np.cumsum(weights)[-1]
 
 
 def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int) -> np.ndarray:
-    """Integrate a matrix-valued function over SU(2) Haar measure.
-
-    Product rule in Euler coordinates, exact for every matrix coefficient of
-    spin J <= (order-1)/2: trapezoid in phi on [0, 2pi) with floor(J)+1
-    nodes, Gauss-Legendre in x = cos(theta) with ceil((floor(J)+1)/2) nodes,
-    trapezoid in psi on [0, 4pi) (the full double-cover range) with 2J+1
-    nodes; O(J^3) nodes in all.  Spin-J coefficients are
-    e^{i m phi} d^J_{mm'}(theta) e^{i m' psi}: the psi sum removes m' != 0,
-    the phi sum then m != 0, and d^J_{00}(theta) = P_J(cos theta) is a
-    polynomial of degree J that the Gauss-Legendre rule integrates exactly.
-    Deterministic.
-    """
-    if order < 4:
-        raise ValueError("order must be >= 4")
-    two_j = order - 1
-    n_phi = two_j // 2 + 1
-    n_psi = two_j + 1
-    phis = TWO_PI * np.arange(n_phi) / n_phi
-    x, w_theta = leggauss((n_phi + 1) // 2)
-    thetas = np.arccos(x)
-    psis = 2.0 * TWO_PI * np.arange(n_psi) / n_psi
-    w_phi = TWO_PI / n_phi
-    w_psi = 2.0 * TWO_PI / n_psi
-
-    acc = None
-    mass = 0.0
-    for phi in phis:
-        for j, theta in enumerate(thetas):
-            for psi in psis:
-                weight = w_phi * w_theta[j] * w_psi
-                el = SU2Element(phi, theta, _wrap_psi(psi))
-                val = np.asarray(f(el), dtype=complex)
-                acc = weight * val if acc is None else acc + weight * val
-                mass += weight
-    return acc / mass
+    """Integrate a matrix-valued function over SU(2) Haar measure: the
+    ``weighted_mean`` of f over ``su2_quadrature_nodes(order)``, exact for
+    every matrix coefficient of spin J <= (order-1)/2.  Spin-J coefficients
+    are e^{i m phi} d^J_{mm'}(theta) e^{i m' psi}: the psi sum removes
+    m' != 0, the phi sum then m != 0, and d^J_{00}(theta) = P_J(cos theta)
+    is a polynomial of degree J that the Gauss-Legendre rule integrates
+    exactly.  Deterministic."""
+    return weighted_mean(lambda chunk: np.array([f(el) for el in chunk], dtype=complex),
+                         *su2_quadrature_nodes(order))
 
 
 def rep_from_config(doc: dict) -> UnitaryRep:
@@ -853,6 +847,8 @@ def rep_from_config(doc: dict) -> UnitaryRep:
             rep = u1_rep([int_from_json(w, "weight") for w in doc["weights"]])
         elif kind == "zn":
             n = int_from_json(doc["n"], "n")
+            if n < 1:
+                raise ValueError(f"n must be >= 1, got {n}")
             rep = cyclic_rep(n, dim=checked_dim(n))
         elif kind == "q8":
             rep = quaternion_rep(checked_dim(2))

@@ -344,6 +344,14 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, confi
     assert not (tmp_path / "out").exists()
 
 
+# the message names the value the user gave, not a default derived from it
+_REJECTED_MESSAGES = {
+    ("wigner-verify", "--group", "zn:0"): "group 'zn:0': n must be >= 1, got 0\n",
+    ("wigner-verify", "--group", "zn:-2"): "group 'zn:-2': n must be >= 1, got -2\n",
+    ("invariant-state", "--group", "zn:abc"): "group 'zn:abc': invalid literal for int()",
+}
+
+
 @pytest.mark.parametrize("argv, config", [
     (("wigner-verify", "--count", "0"), None),
     (("wigner-verify", "--count", "-3"), None),
@@ -370,6 +378,9 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, confi
     (("wigner-verify", "--group", "file:q8.json", "--dim", "4", "--count", "2"), None),
     (("invariant-state", "--group", "file:q8.json", "--dim", "4"), None),
     (("crossed", "--group", "file:q8.json", "--dim", "4"), None),
+    (("wigner-verify", "--group", "zn:0"), None),
+    (("wigner-verify", "--group", "zn:-2"), None),
+    (("invariant-state", "--group", "zn:abc"), None),
 ])
 def test_rejected_input_exits_1_before_writing(tmp_path, capsys, monkeypatch, argv, config):
     rep = quaternion_rep()
@@ -382,6 +393,7 @@ def test_rejected_input_exits_1_before_writing(tmp_path, capsys, monkeypatch, ar
     assert run_cli(*argv, *extra, "--out", "out.json") == 1
     err = capsys.readouterr().err
     assert err.startswith("wignerlab: ") and "Traceback" not in err
+    assert _REJECTED_MESSAGES.get(argv, "") in err
     assert not (tmp_path / "out.json").exists()
 
 

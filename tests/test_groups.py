@@ -51,6 +51,7 @@ from wignerlab.groups import (
     product_group,
     product_rep,
     su2_matrix,
+    su2_quadrature_nodes,
 )
 
 from conftest import reference_haar_sample, random_hermitian
@@ -602,6 +603,22 @@ def test_quadrature_conjugation_schur(rng):
 
     out = haar_quadrature_su2(f, order=16)
     assert np.abs(out - np.eye(2) / 2).max() <= 1e-10
+
+
+@pytest.mark.parametrize("f", [
+    lambda el: np.array([[abs(su2_matrix(el.phi, el.theta, el.psi)[0, 0]) ** 2]]),
+    lambda el: su2_matrix(el.phi, el.theta, el.psi) @ np.diag([1.0, 2.0j]),
+], ids=["1x1", "2x2"])
+def test_quadrature_sums_node_by_node(f):
+    # order 24 has 1728 nodes, seven chunks; a pairwise sum differs from
+    # the running sum in the last bits, for 1x1 values too
+    elements, weights = su2_quadrature_nodes(24)
+    acc, mass = None, 0.0
+    for el, w in zip(elements, weights):
+        val = np.asarray(f(el), dtype=complex)
+        acc = w * val if acc is None else acc + w * val
+        mass += w
+    assert haar_quadrature_su2(f, order=24).tobytes() == (acc / mass).tobytes()
 
 
 def test_quadrature_rejects_low_order():

@@ -3,6 +3,7 @@
 when the benchmark runs with ``--trace 1``."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,3 +22,12 @@ def test_every_traced_function_resolves_in_wignerlab(monkeypatch):
     missing = [f"{t.module}.{t.attr}" for t in targets
                if not callable(getattr(importlib.import_module(t.module), t.attr, None))]
     assert not missing
+
+
+def test_traced_arguments_keep_their_positions():
+    # perfbench's on_call hooks read these by position: haar_quadrature_su2's
+    # args[0] is wrapped as the per-element f, haar_sample's args[2] is count
+    from wignerlab import groups
+
+    assert list(inspect.signature(groups.haar_quadrature_su2).parameters) == ["f", "order"]
+    assert list(inspect.signature(groups.haar_sample).parameters)[2] == "count"

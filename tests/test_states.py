@@ -94,22 +94,25 @@ def test_haar_average_su2_irreps_exact(rng):
 
 def test_haar_average_su2_quadrature_nodes(rng, monkeypatch):
     # order max(4, 2d-1): (floor(J)+1) * ceil((floor(J)+1)/2) * (2J+1) nodes
-    quadrature = groups.haar_quadrature_su2
-    calls = []
+    table = groups.su2_quadrature_nodes
+    built = []
 
-    def counted(f, order):
-        def integrand(el):
-            calls.append(order)
-            return f(el)
-        return quadrature(integrand, order=order)
+    def recorded(order):
+        built.append(table(order))
+        return built[-1]
 
-    monkeypatch.setattr(groups, "haar_quadrature_su2", counted)
+    monkeypatch.setattr(groups, "su2_quadrature_nodes", recorded)
     nodes = []
     for d in range(2, 9):
-        calls.clear()
+        built.clear()
         haar_average(su2_irrep(d), random_density(d, rng), method="quadrature")
-        assert set(calls) == {max(4, 2 * d - 1)}
-        nodes.append(len(calls))
+        (elements, weights), = built
+        assert len(weights) == len(elements)
+        nodes.append(len(elements))
+        seen = []
+        groups.haar_quadrature_su2(lambda el: seen.append(el) or np.eye(1), max(4, 2 * d - 1))
+        assert seen == elements
+        assert built[1][1].tobytes() == weights.tobytes()
     assert nodes == [8, 30, 56, 135, 198, 364, 480]
 
 
@@ -367,6 +370,26 @@ def test_haar_average_residual_uses_callers_probes(rng):
             assert result.residual == invariance_residual(rep, result.state, probes=50, seed=s)
 
 
+def _reference_su2_quadrature(rep, rho):
+    """The SU(2) product rule of order max(4, 2d-1) as one triple loop over
+    (phi, theta, psi) nodes, one ``element_unitary`` and one term per node."""
+    two_j = max(4, 2 * rep.dim - 1) - 1
+    n_phi, n_psi = two_j // 2 + 1, two_j + 1
+    x, w_theta = np.polynomial.legendre.leggauss((n_phi + 1) // 2)
+    w_phi, w_psi = 2 * math.pi / n_phi, 4 * math.pi / n_psi
+    acc, mass = None, 0.0
+    for phi in 2 * math.pi * np.arange(n_phi) / n_phi:
+        for j, theta in enumerate(np.arccos(x)):
+            for psi in 4 * math.pi * np.arange(n_psi) / n_psi:
+                w = w_phi * w_theta[j] * w_psi
+                U = element_unitary(rep, SU2Element(
+                    phi, theta, psi - 4 * math.pi if psi > 2 * math.pi else psi))
+                val = U.conj().T @ rho.rho @ U
+                acc = w * val if acc is None else acc + w * val
+                mass += w
+    return acc / mass
+
+
 def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probes=20):
     """haar_average computed one element at a time, on reference samples."""
     from wignerlab import cesaro_fixed_point, WignerProblem
@@ -378,16 +401,19 @@ def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probe
         problem = WignerProblem(rep, tuple(reference_haar_sample(rep, seed, generators)))
         state = cesaro_fixed_point(problem, rho, tol=1e-11)
     else:
-        if method == "finite_exact":
-            elements = finite
-        elif method == "quadrature" and kind == "u1":
-            n = max(2 * (max(rep.meta["weights"]) - min(rep.meta["weights"])) + 1, 8)
-            elements = [groups.U1Element(2.0 * math.pi * k / n) for k in range(n)]
+        if method == "quadrature" and kind == "su2":
+            avg = _reference_su2_quadrature(rep, rho)
         else:
-            elements = reference_haar_sample(rep, seed, count)
-        avg = pairwise_mean(np.stack([
-            U.conj().T @ rho.rho @ U for U in (element_unitary(rep, g) for g in elements)
-        ]))
+            if method == "finite_exact":
+                elements = finite
+            elif method == "quadrature":
+                n = max(2 * (max(rep.meta["weights"]) - min(rep.meta["weights"])) + 1, 8)
+                elements = [groups.U1Element(2.0 * math.pi * k / n) for k in range(n)]
+            else:
+                elements = reference_haar_sample(rep, seed, count)
+            avg = pairwise_mean(np.stack([
+                U.conj().T @ rho.rho @ U for U in (element_unitary(rep, g) for g in elements)
+            ]))
         state = DensityState(rho.d, repair_psd(avg)[0])
     probe_elements = finite or reference_haar_sample(rep, 0, probes)
     residual = max(trace_distance(pullback(rep, g, state), state) for g in probe_elements)
@@ -404,6 +430,9 @@ def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probe
         (groups.cyclic_rep(5), "finite_exact"),
         (groups.quaternion_rep(5), "finite_exact"),
         (u1_rep([0, 2, -1, 1]), "quadrature"),
+        (su2_irrep(2), "quadrature"),
+        (su2_irrep(5), "quadrature"),
+        (su2_irrep(8), "quadrature"),
         (groups.su3_rep(3), "auto"),
     ],
     ids=lambda x: x if isinstance(x, str) else x.name,
