@@ -17,8 +17,8 @@ Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
 in phi and psi, Gauss-Legendre in cos(theta), O(J^3) nodes in all.
 U^dag rho U for a d-dimensional representation has spin at most d-1, so
-order 2d-1 averages it exactly with O(d^3) nodes.  The rule is one node
-table, ``su2_quadrature_nodes``, summed in node order by ``weighted_mean``.
+order 2d-1 averages it exactly with O(d^3) nodes, built once as the table
+``su2_quadrature_nodes`` and summed in node order (``weighted_mean``).
 
 Haar sampling is Ginibre + QR with diagonal-phase correction, then division
 by the principal n-th root of the determinant for the special groups
@@ -49,7 +49,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .matrixcore import (DimensionMismatch, as_matrix, frobenius, int_from_json, kron,
-                         matrix_from_json, matrix_to_json)
+                         matrix_from_json, matrix_to_json, weighted_mean)
 
 TWO_PI = 2.0 * math.pi
 
@@ -369,10 +369,24 @@ def _su3_rep(dim: int, stack_fn: Callable[[np.ndarray], np.ndarray], name: str) 
     return _validate_rep(rep)
 
 
+def _rep_matrix(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
+    check_membership(rep.group, g)
+    U = np.asarray(rep.matrix_fn(g), dtype=complex)
+    if U.shape != (rep.dim, rep.dim):
+        raise DimensionMismatch(
+            f"representation produced shape {U.shape}, expected ({rep.dim}, {rep.dim})"
+        )
+    return U
+
+
 def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    """The representing unitary U(g), validated to 1e-10: ``element_unitaries``
-    of one element."""
-    return element_unitaries(rep, [g])[0]
+    """The representing unitary U(g), validated to 1e-10."""
+    U = _rep_matrix(rep, g)
+    if frobenius(U.conj().T @ U - np.eye(rep.dim)) > 1e-10:
+        raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
+    if rep.group.kind in ("su2", "su3") and abs(np.linalg.det(U) - 1.0) > 1e-10:
+        raise ValueError(f"representation {rep.name!r} lost the unit determinant")
+    return U
 
 
 # matrices per stacked LAPACK call or validation pass: large enough to
@@ -382,11 +396,11 @@ BATCH = 256
 
 
 def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
-    """The (N, d, d) stack of U(g) for g in elements, validated to 1e-10.
-    Per chunk of ``BATCH`` elements: membership of each element; the
-    matrices from one ``rep.stack_fn`` call, or, for reps without one, one
-    ``matrix_fn`` call and shape check per element; unitarity and unit
-    determinant."""
+    """The (N, d, d) stack of U(g) for g in elements, equal to stacking
+    ``element_unitary`` bitwise and validated the same way.  Per chunk of
+    ``BATCH`` elements: membership of each element; the matrices from one
+    ``rep.stack_fn`` call, or, for reps without one, one ``matrix_fn`` call
+    and shape check per element; unitarity and unit determinant."""
     d = rep.dim
     special = rep.group.kind in ("su2", "su3")
     out = np.empty((len(elements), d, d), dtype=complex)
@@ -395,12 +409,7 @@ def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.n
         batch = elements[start : start + BATCH]
         if rep.stack_fn is None:
             for U, g in zip(chunk, batch):
-                check_membership(rep.group, g)
-                M = np.asarray(rep.matrix_fn(g), dtype=complex)
-                if M.shape != (d, d):
-                    raise DimensionMismatch(
-                        f"representation produced shape {M.shape}, expected ({d}, {d})")
-                U[...] = M
+                U[...] = _rep_matrix(rep, g)
         else:
             for g in batch:
                 check_membership(rep.group, g)
@@ -438,11 +447,12 @@ def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
                     f"({rep.group.labels[g]}, {rep.group.labels[h]})"
                 )
     else:
-        # U(g) U(h) - U(gh) for the sample pairs (0, 2) and (1, 3)
-        s = haar_sample(rep, rng_seed=0x5EED, count=4)
-        U = element_unitaries(rep, s + [compose(rep.group, g, h) for g, h in zip(s[:2], s[2:])])
-        if np.any(np.linalg.norm(U[:2] @ U[2:4] - U[4:], axis=(1, 2)) > 1e-9):
-            raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
+        samples = haar_sample(rep, rng_seed=0x5EED, count=4)
+        for g, h in zip(samples[:2], samples[2:]):
+            lhs = element_unitary(rep, g) @ element_unitary(rep, h)
+            rhs = element_unitary(rep, compose(rep.group, g, h))
+            if frobenius(lhs - rhs) > 1e-9:
+                raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
     return rep
 
 
@@ -773,11 +783,10 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
 
 
 def su2_quadrature_nodes(order: int) -> tuple[list[SU2Element], np.ndarray]:
-    """The elements of the SU(2) product rule of this order in (phi, theta,
-    psi) order, psi fastest, and their weights w_phi * w_theta * w_psi.  For
-    J = (order-1)/2: trapezoid in phi on [0, 2pi) with floor(J)+1 nodes,
-    Gauss-Legendre in cos(theta) with ceil((floor(J)+1)/2) nodes, trapezoid
-    in psi on [0, 4pi) (the double cover) with 2J+1 nodes."""
+    """Elements and weights of the SU(2) product rule of this order, in
+    (phi, theta, psi) loop order with psi fastest; weight w_phi * w_theta *
+    w_psi.  J = (order-1)/2: trapezoid in phi on [0, 2pi), floor(J)+1 nodes;
+    Gauss-Legendre in cos(theta), ceil((floor(J)+1)/2); psi on [0, 4pi), 2J+1."""
     if order < 4:
         raise ValueError("order must be >= 4")
     n_phi, n_psi = (order + 1) // 2, order
@@ -791,31 +800,16 @@ def su2_quadrature_nodes(order: int) -> tuple[list[SU2Element], np.ndarray]:
     return elements, np.tile(np.repeat(w, n_psi), n_phi)
 
 
-def weighted_mean(values: Callable, elements: list, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i v_i / sum_i w_i, with ``values`` mapping each chunk of
-    ``BATCH`` elements to a new (n, ...) array of their v_i.  Both sums run
-    in node order (``np.add.reduce`` is pairwise for one-entry values), so
-    no bit depends on the chunking."""
-    acc = None
-    for start in range(0, len(elements), BATCH):
-        chunk = values(elements[start : start + BATCH])
-        chunk *= weights[start : start + BATCH].reshape((-1,) + (1,) * (chunk.ndim - 1))
-        if acc is not None:
-            chunk[0] += acc
-        acc = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
-    return acc / np.cumsum(weights)[-1]
-
-
 def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int) -> np.ndarray:
     """Integrate a matrix-valued function over SU(2) Haar measure: the
-    ``weighted_mean`` of f over ``su2_quadrature_nodes(order)``, exact for
-    every matrix coefficient of spin J <= (order-1)/2.  Spin-J coefficients
-    are e^{i m phi} d^J_{mm'}(theta) e^{i m' psi}: the psi sum removes
-    m' != 0, the phi sum then m != 0, and d^J_{00}(theta) = P_J(cos theta)
-    is a polynomial of degree J that the Gauss-Legendre rule integrates
-    exactly.  Deterministic."""
+    ``weighted_mean`` of f over ``su2_quadrature_nodes(order)`` in chunks of
+    ``BATCH`` nodes, exact for every matrix coefficient of spin
+    J <= (order-1)/2.  Spin-J coefficients are e^{i m phi} d^J_{mm'}(theta)
+    e^{i m' psi}: the psi sum removes m' != 0, the phi sum then m != 0, and
+    d^J_{00}(theta) = P_J(cos theta) is a polynomial of degree J that the
+    Gauss-Legendre rule integrates exactly.  Deterministic."""
     return weighted_mean(lambda chunk: np.array([f(el) for el in chunk], dtype=complex),
-                         *su2_quadrature_nodes(order))
+                         *su2_quadrature_nodes(order), BATCH)
 
 
 def rep_from_config(doc: dict) -> UnitaryRep:

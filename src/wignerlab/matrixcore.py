@@ -273,6 +273,20 @@ def pairwise_mean(stack: np.ndarray) -> np.ndarray:
     return acc[0] / n
 
 
+def weighted_mean(values, items, weights: np.ndarray, batch: int) -> np.ndarray:
+    """sum_i w_i v_i / sum_i w_i, ``values`` mapping each chunk of ``batch``
+    items to a new (n, ...) array of their v_i.  Both sums run in item order
+    (``np.add.reduce`` is pairwise for one-entry values), for every batch."""
+    acc = None
+    for start in range(0, len(items), batch):
+        chunk = values(items[start : start + batch])
+        chunk *= weights[start : start + batch].reshape((-1,) + (1,) * (chunk.ndim - 1))
+        if acc is not None:
+            chunk[0] += acc
+        acc = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
+    return acc / np.cumsum(weights)[-1]
+
+
 def matrix_to_json(M) -> list:
     """Nested-list encoding with [re, im] pairs for each entry."""
     A = np.asarray(M, dtype=complex)

@@ -29,6 +29,7 @@ from .matrixcore import (
     pairwise_mean,
     singular_values,
     trace_norm,
+    weighted_mean,
 )
 
 log = logging.getLogger(__name__)
@@ -191,10 +192,9 @@ def haar_average(
     Methods:
 
     * "finite_exact": uniform sum over a finite group;
-    * "quadrature": U(1) uniform grid; for SU(2), ``haar_quadrature_su2``'s
-      node table of order max(4, 2d-1), exact because U^dag rho U of a
-      d-dimensional representation has spin at most d-1, with O(d^3) nodes
-      (480 at d = 8);
+    * "quadrature": U(1) uniform grid; for SU(2), ``groups.su2_quadrature_nodes``
+      of order max(4, 2d-1), exact because U^dag rho U of a d-dimensional
+      representation has spin at most d-1, with O(d^3) nodes (480 at d = 8);
     * "montecarlo": ``count`` Haar samples drawn from ``seed``, fixed-order
       pairwise summation (Lie groups only);
     * "cesaro": ``wigner.cesaro_fixed_point`` to 1e-11 for the averaged map of
@@ -219,30 +219,28 @@ def haar_average(
         residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
         return HaarAverageResult(state, residual, method, None)
 
-    weights = None
-    if method == "finite_exact":
-        if kind != "finite":
-            raise MethodUnsupported("finite_exact needs a finite group")
-        elements = G.finite_elements(rep.group)
-    elif method == "quadrature" and kind == "su2":
-        elements, weights = G.su2_quadrature_nodes(max(4, 2 * rep.dim - 1))
-    elif method == "quadrature":
-        if kind != "u1":
-            raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
-        charges = rep.meta.get("weights")
-        n = max(2 * int(max(charges) - min(charges)) + 1, 8) if charges else 257
-        elements = [G.U1Element(2.0 * math.pi * k / n) for k in range(n)]
-    elif method == "montecarlo":
-        if kind == "finite":
-            raise MethodUnsupported("use finite_exact for finite groups")
-        elements = G.haar_sample(rep, seed, count)
+    if method == "quadrature" and kind == "su2":
+        nodes, weights = G.su2_quadrature_nodes(max(4, 2 * rep.dim - 1))
+        avg = weighted_mean(lambda chunk: _pull_back(G.element_unitaries(rep, chunk), rho.rho),
+                            nodes, weights, G.BATCH)
     else:
-        raise MethodUnsupported(f"unknown method {method!r}")
-    if weights is None:
+        if method == "finite_exact":
+            if kind != "finite":
+                raise MethodUnsupported("finite_exact needs a finite group")
+            elements = G.finite_elements(rep.group)
+        elif method == "quadrature":
+            if kind != "u1":
+                raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
+            charges = rep.meta.get("weights")
+            n = max(2 * int(max(charges) - min(charges)) + 1, 8) if charges else 257
+            elements = [G.U1Element(2.0 * math.pi * k / n) for k in range(n)]
+        elif method == "montecarlo":
+            if kind == "finite":
+                raise MethodUnsupported("use finite_exact for finite groups")
+            elements = G.haar_sample(rep, seed, count)
+        else:
+            raise MethodUnsupported(f"unknown method {method!r}")
         avg = pairwise_mean(_pull_back(G.element_unitaries(rep, elements), rho.rho))
-    else:
-        avg = G.weighted_mean(lambda chunk: _pull_back(G.element_unitaries(rep, chunk), rho.rho),
-                              elements, weights)
 
     repaired, magnitude = repair_psd(avg)
     state = DensityState(rho.d, repaired)
