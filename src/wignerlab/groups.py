@@ -32,11 +32,12 @@ results are bitwise those of ``haar_unitary(n, philox_stream(seed, i))``.
 SU(3) samples are checked special unitary once, as one (count, 3, 3)
 stack in chunks; each element keeps a read-only copy of its row.
 
-The built-in SU(3) representations define their matrices once, on stacks
-of element matrices (``UnitaryRep.stack_fn``).  ``element_unitaries``
-evaluates a chunk of elements in one call; ``matrix_fn(g)`` is the same
-function on a stack of one, so both give the same bits.  SU(2)
-representations are evaluated per element.
+The built-in SU(2) irreps of dim >= 3 and the SU(3) representations
+define their matrices once, on stacks of elements (``UnitaryRep.stack_fn``);
+``matrix_fn(g)`` is the same function on a stack of one, so both give the
+same bits.  ``element_unitaries`` is the one place where elements become
+validated unitaries, a chunk of elements per call; ``element_unitary`` is
+it on a stack of one.
 """
 
 from __future__ import annotations
@@ -345,48 +346,26 @@ def describe_element(g: GroupElement) -> dict:
 class UnitaryRep:
     """A concrete unitary representation: a group plus a matrix for each element.
 
-    The built-in SU(3) representations also carry ``stack_fn``, which only
-    ``_su3_rep`` sets: the (N, d, d) matrices of N elements from their
-    (N, 3, 3) matrices.  Their ``matrix_fn`` is ``stack_fn`` on a stack of
-    one, so the two cannot disagree."""
+    The built-in SU(2) irreps of dim >= 3 and SU(3) representations also
+    carry ``stack_fn``, which only ``_stacked_rep`` sets: the (N, d, d)
+    matrices of a batch of N elements.  Their ``matrix_fn`` is ``stack_fn``
+    on a batch of one, so the two cannot disagree."""
 
     group: GroupDescriptor
     dim: int
     matrix_fn: Callable[[GroupElement], np.ndarray]
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
-    stack_fn: Callable[[np.ndarray], np.ndarray] | None = field(
+    stack_fn: Callable[[Sequence[GroupElement]], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
 
-def _su3_rep(dim: int, stack_fn: Callable[[np.ndarray], np.ndarray], name: str) -> UnitaryRep:
-    def matrix_fn(g):
-        return stack_fn(g.matrix[None])[0]
-
-    rep = UnitaryRep(SU3, dim, matrix_fn, name)
+def _stacked_rep(group: GroupDescriptor, dim: int, stack_fn: Callable[[Sequence], np.ndarray],
+                 name: str) -> UnitaryRep:
+    rep = UnitaryRep(group, dim, lambda g: stack_fn((g,))[0], name)
     object.__setattr__(rep, "stack_fn", stack_fn)
     return _validate_rep(rep)
-
-
-def _rep_matrix(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    check_membership(rep.group, g)
-    U = np.asarray(rep.matrix_fn(g), dtype=complex)
-    if U.shape != (rep.dim, rep.dim):
-        raise DimensionMismatch(
-            f"representation produced shape {U.shape}, expected ({rep.dim}, {rep.dim})"
-        )
-    return U
-
-
-def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    """The representing unitary U(g), validated to 1e-10."""
-    U = _rep_matrix(rep, g)
-    if frobenius(U.conj().T @ U - np.eye(rep.dim)) > 1e-10:
-        raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
-    if rep.group.kind in ("su2", "su3") and abs(np.linalg.det(U) - 1.0) > 1e-10:
-        raise ValueError(f"representation {rep.name!r} lost the unit determinant")
-    return U
 
 
 # matrices per stacked LAPACK call or validation pass: large enough to
@@ -396,11 +375,11 @@ BATCH = 256
 
 
 def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
-    """The (N, d, d) stack of U(g) for g in elements, equal to stacking
-    ``element_unitary`` bitwise and validated the same way.  Per chunk of
-    ``BATCH`` elements: membership of each element; the matrices from one
-    ``rep.stack_fn`` call, or, for reps without one, one ``matrix_fn`` call
-    and shape check per element; unitarity and unit determinant."""
+    """The (N, d, d) stack of U(g) for g in elements, each validated to
+    1e-10.  Per chunk of ``BATCH`` elements: membership of each element; the
+    matrices from one ``rep.stack_fn`` call, or, for reps without one, one
+    ``matrix_fn`` call and shape check per element; unitarity and unit
+    determinant."""
     d = rep.dim
     special = rep.group.kind in ("su2", "su3")
     out = np.empty((len(elements), d, d), dtype=complex)
@@ -409,17 +388,27 @@ def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.n
         batch = elements[start : start + BATCH]
         if rep.stack_fn is None:
             for U, g in zip(chunk, batch):
-                U[...] = _rep_matrix(rep, g)
+                check_membership(rep.group, g)
+                M = np.asarray(rep.matrix_fn(g), dtype=complex)
+                if M.shape != (d, d):
+                    raise DimensionMismatch(f"representation produced shape {M.shape}, "
+                                            f"expected ({d}, {d})")
+                U[...] = M
         else:
             for g in batch:
                 check_membership(rep.group, g)
-            chunk[...] = rep.stack_fn(np.array([g.matrix for g in batch]))
+            chunk[...] = rep.stack_fn(batch)
         gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
         if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
             raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
         if special and np.any(np.abs(np.linalg.det(chunk) - 1.0) > 1e-10):
             raise ValueError(f"representation {rep.name!r} lost the unit determinant")
     return out
+
+
+def element_unitary(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
+    """The representing unitary U(g): ``element_unitaries`` of one element."""
+    return element_unitaries(rep, (g,))[0]
 
 
 def act(rep: UnitaryRep, g: GroupElement, A) -> np.ndarray:
@@ -432,27 +421,31 @@ def act(rep: UnitaryRep, g: GroupElement, A) -> np.ndarray:
 
 
 def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
-    e = identity_element(rep.group)
-    if frobenius(element_unitary(rep, e) - np.eye(rep.dim)) > 1e-10:
+    """Check U(e) = I and the homomorphism on one stack of unitaries: the
+    whole Cayley table of a finite group; for a Lie group
+    U(g_i) U(h_i) = U(g_i h_i) on two seeded Haar pairs."""
+    group = rep.group
+    if isinstance(group, FiniteGroup):
+        e, elements = group.identity, finite_elements(group)
+    else:
+        g1, g2, h1, h2 = haar_sample(rep, rng_seed=0x5EED, count=4)
+        e, elements = 0, [identity_element(group), g1, g2, h1, h2,
+                          compose(group, g1, h1), compose(group, g2, h2)]
+    mats = element_unitaries(rep, elements)
+    if frobenius(mats[e] - np.eye(rep.dim)) > 1e-10:
         raise ValueError(f"representation {rep.name!r} does not map identity to identity")
-    if isinstance(rep.group, FiniteGroup):
-        mats = element_unitaries(rep, finite_elements(rep.group))
+    if isinstance(group, FiniteGroup):
         # row g of the table at once: U_g U_h - U_{gh} for every h
-        for g, row in enumerate(rep.group.table):
+        for g, row in enumerate(group.table):
             broken = np.linalg.norm(mats[g] @ mats - mats[row], axis=(1, 2)) > 1e-10
             if broken.any():
                 h = np.argmax(broken)
                 raise ValueError(
                     f"representation {rep.name!r} breaks the homomorphism at "
-                    f"({rep.group.labels[g]}, {rep.group.labels[h]})"
+                    f"({group.labels[g]}, {group.labels[h]})"
                 )
-    else:
-        samples = haar_sample(rep, rng_seed=0x5EED, count=4)
-        for g, h in zip(samples[:2], samples[2:]):
-            lhs = element_unitary(rep, g) @ element_unitary(rep, h)
-            rhs = element_unitary(rep, compose(rep.group, g, h))
-            if frobenius(lhs - rhs) > 1e-9:
-                raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
+    elif np.any(np.linalg.norm(mats[1:3] @ mats[3:5] - mats[5:], axis=(1, 2)) > 1e-9):
+        raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
     return rep
 
 
@@ -473,6 +466,7 @@ def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
 
 
 def su2_fundamental() -> UnitaryRep:
+    # per element: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
     rep = UnitaryRep(SU2, 2, lambda g: su2_matrix(g.phi, g.theta, g.psi), "su2-fund")
     return _validate_rep(rep)
 
@@ -502,16 +496,19 @@ def su2_irrep(dim: int) -> UnitaryRep:
     # the spectrum of J_y is exactly j, ..., -j
     w = np.round(2.0 * w) / 2.0
     m = (dim - 1) / 2.0 - np.arange(dim)
+    Vh = V.conj().T
 
-    def fn(g, _w=w, _V=V, _m=m):
-        ry = (_V * np.exp(-1j * g.theta * _w)) @ _V.conj().T
-        return np.exp(1j * g.phi * _m)[:, None] * ry * np.exp(1j * g.psi * _m)[None, :]
+    def fn(batch):
+        # each angle as an (N, 1) column
+        phi, theta, psi = np.array([(g.phi, g.theta, g.psi) for g in batch]).T[:, :, None]
+        ry = (V * np.exp(-1j * theta * w)[:, None, :]) @ Vh
+        return np.exp(1j * phi * m)[:, :, None] * ry * np.exp(1j * psi * m)[:, None, :]
 
-    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}"))
+    return _stacked_rep(SU2, dim, fn, f"su2-sym{dim - 1}")
 
 
 def su3_fundamental() -> UnitaryRep:
-    return _su3_rep(3, lambda M: M, "su3-fund")
+    return _stacked_rep(SU3, 3, lambda batch: np.array([g.matrix for g in batch]), "su3-fund")
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -536,22 +533,24 @@ def su3_rep(dim: int) -> UnitaryRep:
     if dim == 3:
         return su3_fundamental()
     if dim in (4, 5):
-        def fn(M):
+        def fn(batch):
+            M = np.array([g.matrix for g in batch])
             U = np.zeros((len(M), dim, dim), dtype=complex)
             U[:, :3, :3] = M
             U[:, 3:, 3:] = np.eye(dim - 3)
             return U
 
-        return _su3_rep(dim, fn, f"su3-fund+{dim - 3}")
+        return _stacked_rep(SU3, dim, fn, f"su3-fund+{dim - 3}")
     if dim == 6:
         S = _symmetric_isometry_pairs(3)
 
-        def fn6(M):
+        def fn6(batch):
+            M = np.array([g.matrix for g in batch])
             # M kron M for each matrix of the stack, first factor slowest
             K = (M[:, :, None, :, None] * M[:, None, :, None, :]).reshape(len(M), 9, 9)
             return S.T @ K @ S
 
-        return _su3_rep(6, fn6, "su3-sym2")
+        return _stacked_rep(SU3, 6, fn6, "su3-sym2")
     raise ValueError(f"no built-in SU(3) representation of dimension {dim}")
 
 

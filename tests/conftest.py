@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from wignerlab import FiniteElement, FiniteGroup, SU3Element, U1Element, finite_rep
-from wignerlab.groups import TWO_PI, euler_from_su2, haar_unitary, philox_stream
+from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU3Element, U1Element,
+                       finite_rep)
+from wignerlab.groups import (TWO_PI, check_membership, euler_from_su2, haar_unitary,
+                              philox_stream)
+from wignerlab.matrixcore import frobenius
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -43,6 +46,23 @@ def matrix_group(generators):
             table[i, j] = matches[0]
     group = FiniteGroup(tuple(f"g{i}" for i in range(order)), table, 0)
     return group, finite_rep(group, mats, "matrix-group")
+
+
+def reference_unitary(rep, g):
+    """Per-element reference for ``element_unitaries``: membership, one
+    ``matrix_fn`` call, shape, then unitarity and the unit determinant
+    checked on the 2-D matrix alone."""
+    check_membership(rep.group, g)
+    U = np.asarray(rep.matrix_fn(g), dtype=complex)
+    if U.shape != (rep.dim, rep.dim):
+        raise DimensionMismatch(
+            f"representation produced shape {U.shape}, expected ({rep.dim}, {rep.dim})"
+        )
+    if frobenius(U.conj().T @ U - np.eye(rep.dim)) > 1e-10:
+        raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
+    if rep.group.kind in ("su2", "su3") and abs(np.linalg.det(U) - 1.0) > 1e-10:
+        raise ValueError(f"representation {rep.name!r} lost the unit determinant")
+    return U
 
 
 def element_index(rep, matrix):

@@ -52,9 +52,10 @@ from wignerlab.groups import (
     product_rep,
     su2_matrix,
     su2_quadrature_nodes,
+    _validate_rep,
 )
 
-from conftest import reference_haar_sample, random_hermitian
+from conftest import reference_haar_sample, reference_unitary, random_hermitian
 
 
 def test_finite_group_rejects_bad_table():
@@ -203,7 +204,7 @@ def _reference_homomorphism_error(rep):
     """The pairwise homomorphism check over the whole table: the message for
     the first (g, h) with ||U_g U_h - U_gh||_F > 1e-10, or None."""
     els = finite_elements(rep.group)
-    mats = [element_unitary(rep, g) for g in els]
+    mats = [reference_unitary(rep, g) for g in els]
     for g in els:
         for h in els:
             gh = compose(rep.group, g, h)
@@ -366,7 +367,7 @@ def test_element_unitaries_stack_element_unitary_bitwise(rep):
         # more than one validation chunk
         elements = haar_sample(rep, 77, 300)
     stack = element_unitaries(rep, elements)
-    reference = np.stack([element_unitary(rep, g) for g in elements])
+    reference = np.stack([reference_unitary(rep, g) for g in elements])
     assert stack.shape == reference.shape
     assert stack.tobytes() == reference.tobytes()
 
@@ -396,15 +397,31 @@ def _raised(fn):
     ids=["wrong-group", "finite-index", "shape", "non-unitary", "det"],
 )
 def test_element_unitaries_raise_like_element_unitary(rep, elements):
-    single = _raised(lambda: [element_unitary(rep, g) for g in elements])
-    batch = _raised(lambda: element_unitaries(rep, elements))
-    assert type(batch) is type(single)
-    assert str(batch) == str(single)
+    single = _raised(lambda: [reference_unitary(rep, g) for g in elements])
+    for raised in (_raised(lambda: element_unitaries(rep, elements)),
+                   _raised(lambda: [element_unitary(rep, g) for g in elements])):
+        assert type(raised) is type(single)
+        assert str(raised) == str(single)
+
+
+@pytest.mark.parametrize("rep, message", [
+    (UnitaryRep(SU2, 2, lambda g: su2_matrix(g.phi, g.theta, g.psi).T, "su2-T"),
+     "representation 'su2-T' breaks the homomorphism"),
+    (UnitaryRep(SU3, 3, lambda g: g.matrix.T, "su3-T"),
+     "representation 'su3-T' breaks the homomorphism"),
+    (UnitaryRep(SU2, 2, lambda g: -su2_matrix(g.phi, g.theta, g.psi), "su2-neg"),
+     "representation 'su2-neg' does not map identity to identity"),
+], ids=["su2-transpose", "su3-transpose", "su2-negated"])
+def test_lie_rep_validation_rejects(rep, message):
+    with pytest.raises(ValueError) as info:
+        _validate_rep(rep)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 # Per-element formulas of the built-in Lie representations, kept here as
-# independent references for the library's forms: stacked for SU(3), per
-# element for SU(2).
+# independent references for the library's forms: stacked for the SU(2)
+# irreps of dim >= 3 and for SU(3), per element for the SU(2) fundamental.
 
 
 def _ref_su2_matrix(phi, theta, psi):
@@ -469,7 +486,7 @@ def test_stacked_lie_reps_are_bitwise_the_per_element_formulas(rep, reference):
     elements = haar_sample(rep, 2024, 300)
     expected = np.stack([reference(g) for g in elements]).astype(complex).tobytes()
     assert element_unitaries(rep, elements).tobytes() == expected
-    assert np.stack([element_unitary(rep, g) for g in elements]).tobytes() == expected
+    assert np.stack([reference_unitary(rep, g) for g in elements]).tobytes() == expected
     if rep.name == "su2-fund":
         direct = np.stack([su2_matrix(g.phi, g.theta, g.psi) for g in elements])
         assert direct.tobytes() == expected
@@ -526,8 +543,11 @@ def test_su3_element_rejects_like_before(matrix, error, message):
 def test_stack_fn_is_set_only_by_the_built_in_reps():
     with pytest.raises(TypeError):
         UnitaryRep(SU3, 3, lambda g: g.matrix, stack_fn=lambda M: M)
-    assert su3_rep(6).stack_fn is not None
-    assert su2_irrep(3).stack_fn is None
+    stacked = [su2_irrep(d) for d in (3, 4, 8)] + [su3_rep(d) for d in (3, 4, 5, 6)]
+    assert all(rep.stack_fn is not None for rep in stacked)
+    per_element = [su2_fundamental(), su2_irrep(2), cyclic_rep(3), quaternion_rep(4),
+                   u1_rep([0, 1])]
+    assert all(rep.stack_fn is None for rep in per_element)
 
 
 def test_haar_sample_su3_elements_are_read_only():

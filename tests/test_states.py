@@ -29,7 +29,7 @@ from wignerlab import (
 from wignerlab import groups
 from wignerlab.states import repair_psd
 
-from conftest import reference_haar_sample, random_hermitian
+from conftest import reference_haar_sample, reference_unitary, random_hermitian
 
 
 def test_density_state_validation():
@@ -372,7 +372,7 @@ def test_haar_average_residual_uses_callers_probes(rng):
 
 def _reference_su2_quadrature(rep, rho):
     """The SU(2) product rule of order max(4, 2d-1) as one triple loop over
-    (phi, theta, psi) nodes, one ``element_unitary`` and one term per node."""
+    (phi, theta, psi) nodes, one ``reference_unitary`` and one term per node."""
     two_j = max(4, 2 * rep.dim - 1) - 1
     n_phi, n_psi = two_j // 2 + 1, two_j + 1
     x, w_theta = np.polynomial.legendre.leggauss((n_phi + 1) // 2)
@@ -382,7 +382,7 @@ def _reference_su2_quadrature(rep, rho):
         for j, theta in enumerate(np.arccos(x)):
             for psi in 4 * math.pi * np.arange(n_psi) / n_psi:
                 w = w_phi * w_theta[j] * w_psi
-                U = element_unitary(rep, SU2Element(
+                U = reference_unitary(rep, SU2Element(
                     phi, theta, psi - 4 * math.pi if psi > 2 * math.pi else psi))
                 val = U.conj().T @ rho.rho @ U
                 acc = w * val if acc is None else acc + w * val
@@ -412,7 +412,7 @@ def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probe
             else:
                 elements = reference_haar_sample(rep, seed, count)
             avg = pairwise_mean(np.stack([
-                U.conj().T @ rho.rho @ U for U in (element_unitary(rep, g) for g in elements)
+                U.conj().T @ rho.rho @ U for U in (reference_unitary(rep, g) for g in elements)
             ]))
         state = DensityState(rho.d, repair_psd(avg)[0])
     probe_elements = finite or reference_haar_sample(rep, 0, probes)
