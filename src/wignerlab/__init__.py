@@ -50,13 +50,11 @@ from .states import (
     DensityState,
     HaarAverageResult,
     MethodUnsupported,
-    OrbitHull,
     SeparatingResult,
     haar_average,
     invariance_residual,
     is_separating,
     maximally_mixed,
-    orbit_hull,
     pair,
     pullback,
     pure_state,
@@ -84,7 +82,6 @@ from .crossed import (
     embed,
     regular_unitary,
     tensor_iso_check,
-    tensor_product_model,
 )
 from .entropy import NotOrthonormal, PartitionWeights, no_hair_state, partition_entropy, vn_entropy
 from .bundle import (

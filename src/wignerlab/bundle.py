@@ -136,7 +136,7 @@ def assign_invariant_field(spec: BundleSpec, seed: int = 0) -> FieldState:
         seed_state = _blend_seed_state(rep.dim, 0.5, G.philox_stream(seed, idx))
         state = _average_one(rep, seed_state, _point_seed(seed, idx, 1))
         residual = invariance_residual(rep, state, probes=50, seed=_point_seed(seed, idx, 2))
-        sep = is_separating(state, 1e-10)
+        sep = is_separating(state)
         if residual > 1e-7 or not sep.separating:
             raise FieldAssignmentError(
                 label,

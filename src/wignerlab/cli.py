@@ -125,9 +125,9 @@ def _resolve(args) -> dict:
             raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
-        version = config.get("schema_version", 1)
+        version = int_from_json(config.get("schema_version", 1), "schema_version")
         if version != 1:
-            raise ValueError(f"unsupported schema_version {version}")
+            raise ValueError(f"unsupported schema_version {version!r}")
     unknown = sorted(set(config) - set(defaults) - {"schema_version"})
     if unknown:
         raise ValueError(

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as G
-from .matrixcore import DimensionMismatch, Subspace, as_matrix, double_commutant, kron, vec
+from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, as_matrix, double_commutant,
+                         kron, vec)
 
 
 class NonConvergent(RuntimeError):
@@ -57,9 +58,6 @@ class CrossedProductModel:
     @property
     def ambient_dim(self) -> int:
         return self.d * self.order
-
-    def to_json(self) -> dict:
-        return G.finite_group_to_json(self.group, self.rep)
 
 
 def regular_unitary(model: CrossedProductModel, h: G.GroupElement) -> np.ndarray:
@@ -110,15 +108,15 @@ def covariance_check(model: CrossedProductModel) -> float:
     return worst
 
 
-def _orthonormal_columns(X: np.ndarray, tol: float) -> np.ndarray:
+def _orthonormal_columns(X: np.ndarray) -> np.ndarray:
     if X.size == 0:
         return np.zeros((X.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(X, full_matrices=False)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
+    cutoff = DEFAULT_TOL * max(1.0, s[0] if s.size else 0.0)
     return u[:, s > cutoff]
 
 
-def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> Subspace:
+def algebra_closure(generators, matrix_dim: int) -> Subspace:
     """Close the span of the generators under products and adjoints.
 
     The closure is the span of the identity and all words in the letters,
@@ -127,8 +125,9 @@ def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> Subspace
     the left by every letter, in one stacked einsum, so words grow one
     letter a round.  The products are projected twice against the running
     orthonormal basis (classical Gram-Schmidt with one reorthogonalisation)
-    and rank-cut at ``tol``.  The result is a subspace of vectorized
-    matrix_dim x matrix_dim matrices.
+    and rank-cut at ``DEFAULT_TOL`` (1e-10) times max(1, their largest
+    singular value).  The result is a subspace of vectorized matrix_dim x
+    matrix_dim matrices.
     """
     gens = [as_matrix(M) for M in generators]
     letters = gens + [M.conj().T for M in gens if not np.array_equal(M.conj().T, M)]
@@ -136,7 +135,7 @@ def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> Subspace
     n = d * d
     stack = np.array(letters, dtype=complex).reshape(len(letters), d, d)
     seed = np.column_stack([vec(np.eye(d, dtype=complex))] + [vec(M) for M in letters])
-    basis = _orthonormal_columns(seed, tol)
+    basis = _orthonormal_columns(seed)
     fresh = basis
     rounds = 0
     while fresh.shape[1] > 0:
@@ -149,7 +148,7 @@ def algebra_closure(generators, matrix_dim: int, tol: float = 1e-10) -> Subspace
         ).reshape(n, -1, order="F")
         for _ in range(2):
             X = X - basis @ (basis.conj().T @ X)
-        fresh = _orthonormal_columns(X, tol)
+        fresh = _orthonormal_columns(X)
         if fresh.shape[1]:
             basis = np.column_stack([basis, fresh])
     return Subspace(n, basis)
@@ -184,12 +183,12 @@ def spanning_generators(model: CrossedProductModel) -> list[np.ndarray]:
     return gens
 
 
-def crossed_dimension(model: CrossedProductModel, tol: float = 1e-10) -> int:
+def crossed_dimension(model: CrossedProductModel) -> int:
     """Dimension of the generated algebra: the product closure, the double
     commutant and the closed form d^2 |G| must all agree."""
     gens = spanning_generators(model)
-    span = algebra_closure(gens, model.ambient_dim, tol)
-    dc = double_commutant(gens, model.ambient_dim, tol)
+    span = algebra_closure(gens, model.ambient_dim)
+    dc = double_commutant(gens, model.ambient_dim)
     expected = model.d**2 * model.order
     if not span.dim == dc.dim == expected:
         raise RuntimeError(
@@ -197,11 +196,6 @@ def crossed_dimension(model: CrossedProductModel, tol: float = 1e-10) -> int:
             f"closed form d^2 |G| = {expected}"
         )
     return span.dim
-
-
-def tensor_product_model(a: CrossedProductModel, b: CrossedProductModel) -> CrossedProductModel:
-    """The model for (A1 tensor A2) x (G1 x G2) with the product action."""
-    return CrossedProductModel(G.product_rep(a.rep, b.rep))
 
 
 @dataclass(frozen=True)
@@ -225,13 +219,14 @@ class TensorIsoReport:
 def tensor_iso_check(models, ambient_cap: int = 64) -> TensorIsoReport:
     """Compare dim((A1 x G1) tensor ... tensor (An x Gn)), computed as the
     product of the factor dimensions, with the dimension of the product-group
-    model built on the tensor-product fibre."""
+    model built on the tensor-product fibre, (A1 tensor A2) x (G1 x G2) with
+    the product action."""
     models = list(models)
     if len(models) < 2:
         raise ValueError("need at least two factors")
     combined = models[0]
     for m in models[1:]:
-        combined = tensor_product_model(combined, m)
+        combined = CrossedProductModel(G.product_rep(combined.rep, m.rep))
         if combined.ambient_dim > ambient_cap:
             raise ResourceCapExceeded(
                 f"product model ambient dimension {combined.ambient_dim} exceeds cap {ambient_cap}"

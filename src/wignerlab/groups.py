@@ -701,16 +701,14 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary(n: int, rng: np.random.Generator, special: bool = True) -> np.ndarray:
-    """One Haar-distributed unitary: Ginibre matrix, QR, phase-normalized R
-    diagonal; for special=True divide by the principal n-th root of det."""
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed special unitary: Ginibre matrix, QR,
+    phase-normalized R diagonal, divided by the principal n-th root of det."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    if special:
-        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
-    return q
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
 
 
 def _philox_streams(seed: int, count: int):
@@ -818,8 +816,7 @@ def rep_from_config(doc: dict) -> UnitaryRep:
     {"kind": "u1", "weights": [...]}, {"kind": "zn", "n": n, "dim": d},
     {"kind": "q8", "dim": d}, and {"kind": "finite", "group": <Cayley doc
     with a rep block>}.  dim, n and weights must be JSON integers and dim at
-    least 1; anything else raises ValueError.  The config is kept on
-    rep.meta["config"].
+    least 1; anything else raises ValueError.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("rep config must be an object with a 'kind' field")
@@ -853,7 +850,6 @@ def rep_from_config(doc: dict) -> UnitaryRep:
             raise ValueError(f"unknown rep kind {kind!r}")
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed rep config: {exc}") from exc
-    rep.meta["config"] = dict(doc)
     return rep
 
 

@@ -8,11 +8,12 @@ fixed here and used by every other module:
   ``vec(A M B) = (B.T kron A) vec(M)`` and conjugation ``M -> U M U^dag``
   vectorizes to ``kron(conj(U), U)``.
 * Kronecker products index the first factor slowest (numpy's ``kron``).
-* Rank decisions cut singular values at tol, default 1e-10, times a scale:
-  ``null_space`` scales by the matrix's largest singular value, while
-  ``commutant`` and the Wigner sets in ``wigner`` use a fixed scale of 1.
+* Rank decisions cut singular values at a tolerance times a scale:
+  ``null_space`` cuts at its ``tol`` (default ``DEFAULT_TOL`` = 1e-10) times
+  the matrix's largest singular value; ``commutant`` cuts at ``DEFAULT_TOL``
+  on a fixed scale of 1, as do the Wigner sets in ``wigner`` at their tol.
 * ``commutant`` cuts a generic Hermitian element's spectrum into
-  eigenvalue clusters only at gaps above sqrt(tol) times its norm.
+  eigenvalue clusters only at gaps above sqrt(DEFAULT_TOL) times its norm.
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
   ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
   NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs
@@ -86,18 +87,18 @@ def unvec(v, d: int | None = None) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def eig_hermitian(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
-    Raises NotHermitian when ||M - M^dag||_F > tol * ||M||_F.
+    Raises NotHermitian when ||M - M^dag||_F > DEFAULT_TOL * ||M||_F.
     """
     M = as_matrix(M)
     scale = frobenius(M)
-    if frobenius(M - M.conj().T) > tol * max(scale, 1e-300):
+    if frobenius(M - M.conj().T) > DEFAULT_TOL * max(scale, 1e-300):
         raise NotHermitian(
             f"matrix deviates from Hermitian by {frobenius(M - M.conj().T):.3e} "
-            f"(allowed {tol * scale:.3e})"
+            f"(allowed {DEFAULT_TOL * scale:.3e})"
         )
     vals, vecs = np.linalg.eigh(M)
     return vals, vecs
@@ -191,7 +192,7 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
 _GENERIC_SEED = 0x434F4D4D
 
 
-def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
+def commutant(S, d: int) -> Subspace:
     """Basis of {M : MA = AM for all A in S} as a subspace of vectorized M_d.
 
     Contract: each A in S is normal or has its adjoint in span(S), so that S'
@@ -200,6 +201,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     with everything (scalars) yield the full space rather than a noise-rank
     artifact.
     """
+    tol = DEFAULT_TOL
     mats = [as_matrix(A) for A in S]
     if any(A.shape[0] != d for A in mats):
         raise DimensionMismatch(f"expected {d}x{d} matrices")
@@ -229,10 +231,10 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(d * d, B)
 
 
-def double_commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
+def double_commutant(S, d: int) -> Subspace:
     """Commutant applied twice; in finite dimension this is the generated
     unital *-algebra of S."""
-    return commutant(commutant(S, d, tol).matrices(), d, tol)
+    return commutant(commutant(S, d).matrices(), d)
 
 
 def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:
@@ -298,6 +300,8 @@ def matrix_from_json(data, name: str = "matrix") -> np.ndarray:
         A = np.asarray([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {name} encoding: {exc}") from exc
+    if any(isinstance(x, bool) for row in data for z in row for x in z):
+        raise ValueError(f"malformed {name} encoding: true and false are not numbers")
     return as_matrix(A, name)
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import groups as G
 from .matrixcore import (
+    DEFAULT_TOL,
     DimensionMismatch,
     as_matrix,
     eig_hermitian,
@@ -98,11 +98,11 @@ def random_density(d: int, rng: np.random.Generator) -> DensityState:
     return DensityState(d, rho / np.trace(rho).real)
 
 
-def repair_psd(rho: np.ndarray, max_repair: float = 1e-10) -> tuple[np.ndarray, float]:
+def repair_psd(rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Clip eigenvalues below -1e-12 to zero and renormalize the trace.
 
     Returns (repaired matrix, trace-norm repair magnitude); magnitudes above
-    ``max_repair`` indicate a real contract violation and raise.
+    1e-10 indicate a real contract violation and raise.
     """
     herm = (rho + rho.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
@@ -113,8 +113,8 @@ def repair_psd(rho: np.ndarray, max_repair: float = 1e-10) -> tuple[np.ndarray, 
     out = (vecs * clipped) @ vecs.conj().T
     out = out / np.trace(out).real
     magnitude = float(trace_norm(out - rho))
-    if magnitude > max_repair:
-        raise ValueError(f"PSD repair of magnitude {magnitude:.3e} exceeds {max_repair:.1e}")
+    if magnitude > 1e-10:
+        raise ValueError(f"PSD repair of magnitude {magnitude:.3e} exceeds 1.0e-10")
     log.debug("PSD repair applied, magnitude %.3e", magnitude)
     return out, magnitude
 
@@ -170,8 +170,6 @@ class HaarAverageResult:
     state: DensityState
     residual: float
     method: str
-    # None for "cesaro", whose PSD repair happens inside cesaro_fixed_point
-    repair_magnitude: float | None
 
 
 _AUTO_METHOD = {"finite": "finite_exact", "u1": "quadrature", "su2": "quadrature", "su3": "cesaro"}
@@ -217,7 +215,7 @@ def haar_average(
         problem = WignerProblem(rep, tuple(G.haar_sample(rep, seed, generators)))
         state = cesaro_fixed_point(problem, rho, tol=1e-11)
         residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
-        return HaarAverageResult(state, residual, method, None)
+        return HaarAverageResult(state, residual, method)
 
     if method == "quadrature" and kind == "su2":
         nodes, weights = G.su2_quadrature_nodes(max(4, 2 * rep.dim - 1))
@@ -242,49 +240,9 @@ def haar_average(
             raise MethodUnsupported(f"unknown method {method!r}")
         avg = pairwise_mean(_pull_back(G.element_unitaries(rep, elements), rho.rho))
 
-    repaired, magnitude = repair_psd(avg)
-    state = DensityState(rho.d, repaired)
+    state = DensityState(rho.d, repair_psd(avg)[0])
     residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
-    return HaarAverageResult(state, residual, method, magnitude)
-
-
-@dataclass(frozen=True)
-class OrbitHull:
-    """Finite sample of the orbit {f . alpha_g} of a seed state, closed under
-    convex combination."""
-
-    rep: G.UnitaryRep
-    seed_state: DensityState
-    elements: tuple
-    samples: tuple
-
-    def barycenter(self) -> DensityState:
-        stack = np.stack([s.rho for s in self.samples])
-        repaired, _ = repair_psd(pairwise_mean(stack))
-        return DensityState(self.seed_state.d, repaired)
-
-    def combine(self, weights: Sequence[float]) -> DensityState:
-        w = np.asarray(list(weights), dtype=float)
-        if w.size != len(self.samples):
-            raise ValueError(f"need {len(self.samples)} weights, got {w.size}")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        mix = sum(wi * s.rho for wi, s in zip(w, self.samples))
-        repaired, _ = repair_psd(mix)
-        return DensityState(self.seed_state.d, repaired)
-
-
-def orbit_hull(rep: G.UnitaryRep, rho: DensityState, n_samples: int, seed: int) -> OrbitHull:
-    """Sample the orbit of rho: Haar draws for Lie groups, the full group for
-    finite groups."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if isinstance(rep.group, G.FiniteGroup):
-        elements = tuple(G.finite_elements(rep.group))
-    else:
-        elements = tuple(G.haar_sample(rep, seed, n_samples))
-    samples = tuple(pullback(rep, g, rho) for g in elements)
-    return OrbitHull(rep, rho, elements, samples)
+    return HaarAverageResult(state, residual, method)
 
 
 @dataclass(frozen=True)
@@ -295,17 +253,15 @@ class SeparatingResult:
     witness_pairing: float | None
 
 
-def is_separating(rho: DensityState, tol: float = 1e-10) -> SeparatingResult:
+def is_separating(rho: DensityState) -> SeparatingResult:
     """Full-rank test: f(A^dag A) = 0 forces A = 0 iff rho has no kernel.
 
-    ``tol`` is relative to the largest eigenvalue.  When the state fails, the
-    witness is the projection onto the (numerical) null eigenspace: a nonzero
-    A with tr(rho A^dag A) <= tol.
+    Eigenvalues at or below ``DEFAULT_TOL`` times the largest count as zero.
+    When the state fails, the witness is the projection onto the (numerical)
+    null eigenspace: a nonzero A with tr(rho A^dag A) <= DEFAULT_TOL.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     vals, vecs = eig_hermitian((rho.rho + rho.rho.conj().T) / 2.0)
-    threshold = tol * max(vals[-1], 1e-300)
+    threshold = DEFAULT_TOL * max(vals[-1], 1e-300)
     if vals[0] > threshold:
         return SeparatingResult(True, float(vals[0]), None, None)
     null_cols = vecs[:, vals <= threshold]

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import groups as G
 from .matrixcore import (
+    DEFAULT_TOL,
     Subspace,
     frobenius,
     null_space,
@@ -45,8 +46,6 @@ from .matrixcore import (
     vec,
 )
 from .states import DensityState, random_density, repair_psd
-
-DEFAULT_TOL = 1e-10
 
 # a rank decision stands only when no singular value lies in (tol, MARGIN tol]
 MARGIN = 1e2
@@ -118,16 +117,16 @@ def _fixed_space(M: np.ndarray, tol: float, what: str) -> Subspace:
     return Subspace(M.shape[1], vh[_rank(s, tol, what) :].conj().T)
 
 
-def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement, tol: float = DEFAULT_TOL) -> Subspace:
+def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement) -> Subspace:
     """Orthonormal basis of {M : U(g)^dag M U(g) = M} (the commutant of U(g))."""
     T = _pullback_superops(G.element_unitaries(rep, (g,)))[0]
-    return _fixed_space(T - np.eye(T.shape[0]), tol, "Wigner set")
+    return _fixed_space(T - np.eye(T.shape[0]), DEFAULT_TOL, "Wigner set")
 
 
-def averaged_fixed_subspace(problem: WignerProblem, tol: float = DEFAULT_TOL) -> Subspace:
+def averaged_fixed_subspace(problem: WignerProblem) -> Subspace:
     """Fixed subspace of the averaged map (1/n) sum_j U(g_j)^dag . U(g_j)."""
     S = averaged_superop(problem)
-    return _fixed_space(S - np.eye(S.shape[0]), tol, "averaged map")
+    return _fixed_space(S - np.eye(S.shape[0]), DEFAULT_TOL, "averaged map")
 
 
 # Two intersection algorithms for subspaces given by bases.  Verify

@@ -174,7 +174,7 @@ def test_criterion_7_bundle_fields():
             state = restrict(field, label)
             for g in haar_sample(rep, 808 + idx, 50):
                 assert trace_distance(pullback(rep, g, state), state) <= 1e-6, (name, label)
-            sep = is_separating(state, tol=1e-10)
+            sep = is_separating(state)
             assert sep.separating and sep.min_eigenvalue > 1e-10, (name, label)
     print("criterion 7 (5-point bundles: invariant separating restrictions): PASS")
 

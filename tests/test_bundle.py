@@ -99,7 +99,7 @@ def test_broken_averager_raises_instead_of_falling_back(monkeypatch):
     # an averager that returns its input leaves a non-invariant seed state;
     # that must surface, not be replaced by I/d
     monkeypatch.setattr(
-        bundle, "haar_average", lambda rep, rho, **kw: HaarAverageResult(rho, 0.0, "none", 0.0)
+        bundle, "haar_average", lambda rep, rho, **kw: HaarAverageResult(rho, 0.0, "none")
     )
     with pytest.raises(FieldAssignmentError) as err:
         assign_invariant_field(spec, seed=6)

@@ -126,6 +126,20 @@ def test_invariant_state_trivial_group_echoes_seed(tmp_path):
     assert np.abs(got.rho - seed_state.rho).max() <= 1e-12
 
 
+def test_invariant_state_boolean_state_entries_exit_1(tmp_path, capsys):
+    # [[true, false]] would read as the valid d = 1 state 1+0j
+    state_file = tmp_path / "seed.json"
+    state_file.write_text(json.dumps({"d": 1, "rho": [[[True, False]]]}))
+    out = tmp_path / "state.json"
+    code = run_cli(
+        "invariant-state", "--group", "zn:1", "--dim", "1",
+        "--state", str(state_file), "--out", str(out),
+    )
+    assert code == 1
+    assert not out.exists()
+    assert "true and false are not numbers" in capsys.readouterr().err
+
+
 def test_invariant_state_u1_dephases(tmp_path):
     out = tmp_path / "state.json"
     code = run_cli("invariant-state", "--group", "u1", "--dim", "3", "--seed", "2", "--out", str(out))
@@ -420,8 +434,18 @@ def test_config_null_counts_as_absent(tmp_path):
 
 def test_bad_schema_version_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 99}))
-    assert run_cli("entropy", "--config", str(cfg)) == 1
+    out = tmp_path / "sweep.csv"
+    # true and 1.0 equal 1 in Python, and "1" is a string: none is the integer 1
+    for version, message in [
+        (99, "unsupported schema_version 99"),
+        (True, "schema_version must be an integer, got bool"),
+        (1.0, "schema_version must be an integer, got float"),
+        ("1", "schema_version must be an integer, got str"),
+    ]:
+        cfg.write_text(json.dumps({"schema_version": version}))
+        assert run_cli("entropy", "--config", str(cfg), "--out", str(out)) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

@@ -337,3 +337,10 @@ def test_matrix_json_roundtrip(rng):
     assert np.array_equal(back, M)
     with pytest.raises(ValueError):
         matrix_from_json([[1, 2], [3]])
+
+
+def test_matrix_json_rejects_booleans():
+    # complex(True, False) is 1+0j: a boolean entry must not pass as a number
+    for data in ([[[True, False]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, True]]]):
+        with pytest.raises(ValueError, match="true and false are not numbers"):
+            matrix_from_json(data)

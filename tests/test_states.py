@@ -15,7 +15,6 @@ from wignerlab import (
     invariance_residual,
     is_separating,
     maximally_mixed,
-    orbit_hull,
     pair,
     pullback,
     pure_state,
@@ -58,6 +57,21 @@ def test_pullback_identity_and_spectrum(rng):
     g = haar_sample(rep, 2, 1)[0]
     moved = pullback(rep, g, rho)
     assert np.abs(moved.eigenvalues() - rho.eigenvalues()).max() <= 1e-10
+
+
+def test_orbit_samples_inherit_separating_seed(rng):
+    rep = su2_fundamental()
+    seed = random_density(2, rng)  # full rank almost surely
+    assert is_separating(seed).separating
+    samples = [pullback(rep, g, seed) for g in haar_sample(rep, 21, 6)]
+    for s in samples:
+        # pullbacks are isospectral with the seed, hence separating
+        assert np.abs(s.eigenvalues() - seed.eigenvalues()).max() <= 1e-10
+        assert is_separating(s).separating
+    w = rng.random(6)
+    w /= w.sum()
+    mix = DensityState(2, sum(wi * s.rho for wi, s in zip(w, samples)))
+    assert is_separating(mix).separating
 
 
 def test_pullback_flips_basis_state():
@@ -201,55 +215,6 @@ def test_haar_average_montecarlo_within_standard_errors(rng):
     assert trace_distance(res.state, exact) <= 5 * math.sqrt(2) * se
 
 
-def test_orbit_hull_trivial_action(rng):
-    rep = trivial_rep(cyclic_group(3), 2)
-    rho = random_density(2, rng)
-    hull = orbit_hull(rep, rho, 5, seed=1)
-    for s in hull.samples:
-        assert trace_distance(s, rho) <= 1e-14
-
-
-def test_orbit_hull_barycenter_matches_exact_average(rng):
-    rep = u1_rep([1, -1])
-    rho = random_density(2, rng)
-    # finite-group version: barycenter over the full orbit equals the exact sum
-    from wignerlab import cyclic_rep
-
-    frep = cyclic_rep(4, dim=2)
-    frho = random_density(2, rng)
-    hull = orbit_hull(frep, frho, 1, seed=0)
-    assert len(hull.samples) == frep.group.order
-    exact = haar_average(frep, frho, method="finite_exact").state
-    assert trace_distance(hull.barycenter(), exact) <= 1e-14
-    del rep, rho
-
-
-def test_orbit_hull_combine_stays_valid(rng):
-    rep = su2_fundamental()
-    rho = random_density(2, rng)
-    hull = orbit_hull(rep, rho, 4, seed=9)
-    w = rng.random(4)
-    w /= w.sum()
-    mix = hull.combine(w)
-    assert mix.eigenvalues().min() >= -1e-10
-    with pytest.raises(ValueError):
-        hull.combine([0.5, 0.5])
-
-
-def test_orbit_samples_inherit_separating_seed(rng):
-    rep = su2_fundamental()
-    seed = random_density(2, rng)  # full rank almost surely
-    assert is_separating(seed).separating
-    hull = orbit_hull(rep, seed, 6, seed=21)
-    for s in hull.samples:
-        # pullbacks are isospectral with the seed, hence separating
-        assert np.abs(s.eigenvalues() - seed.eigenvalues()).max() <= 1e-10
-        assert is_separating(s).separating
-    w = rng.random(6)
-    w /= w.sum()
-    assert is_separating(hull.combine(w)).separating
-
-
 def test_montecarlo_average_deterministic(rng):
     rep = su2_fundamental()
     rho = random_density(2, rng)
@@ -263,12 +228,10 @@ def test_orbit_barycenter_error_decays_like_sqrt_n(rng):
     rho = random_density(2, rng)
     exact = haar_average(rep, rho, method="quadrature").state
 
+    # the Monte Carlo mean of n pullbacks is the barycenter of n orbit points
     def mean_err(n):
-        errs = []
-        for seed in range(8):
-            hull = orbit_hull(rep, rho, n, seed=seed)
-            errs.append(trace_distance(hull.barycenter(), exact))
-        return np.mean(errs)
+        runs = [haar_average(rep, rho, method="montecarlo", seed=seed, count=n) for seed in range(8)]
+        return np.mean([trace_distance(run.state, exact) for run in runs])
 
     # quadrupling the sample count should roughly halve the error
     ratio = mean_err(256) / mean_err(16)
