@@ -65,7 +65,6 @@ from .wigner import (
     NoConvergence,
     WignerProblem,
     WignerReport,
-    averaged_fixed_subspace,
     cesaro_fixed_point,
     standard_problem_batch,
     verify_wigner_identity,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as G
-from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, as_matrix, double_commutant,
-                         kron, vec)
+from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _rank, as_matrix,
+                         double_commutant, kron, vec)
 
 
 class NonConvergent(RuntimeError):
@@ -112,8 +112,7 @@ def _orthonormal_columns(X: np.ndarray) -> np.ndarray:
     if X.size == 0:
         return np.zeros((X.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(X, full_matrices=False)
-    cutoff = DEFAULT_TOL * max(1.0, s[0] if s.size else 0.0)
-    return u[:, s > cutoff]
+    return u[:, : _rank(s, DEFAULT_TOL * max(1.0, s[0]), "product closure")]
 
 
 def algebra_closure(generators, matrix_dim: int) -> Subspace:
@@ -126,8 +125,9 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
     letter a round.  The products are projected twice against the running
     orthonormal basis (classical Gram-Schmidt with one reorthogonalisation)
     and rank-cut at ``DEFAULT_TOL`` (1e-10) times max(1, their largest
-    singular value).  The result is a subspace of vectorized matrix_dim x
-    matrix_dim matrices.
+    singular value), by ``matrixcore``'s rank rule: a singular value in
+    (cut, 100 cut] raises ``RuntimeError``.  The result is a subspace of
+    vectorized matrix_dim x matrix_dim matrices.
     """
     gens = [as_matrix(M) for M in generators]
     letters = gens + [M.conj().T for M in gens if not np.array_equal(M.conj().T, M)]

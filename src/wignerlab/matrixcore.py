@@ -8,10 +8,16 @@ fixed here and used by every other module:
   ``vec(A M B) = (B.T kron A) vec(M)`` and conjugation ``M -> U M U^dag``
   vectorizes to ``kron(conj(U), U)``.
 * Kronecker products index the first factor slowest (numpy's ``kron``).
-* Rank decisions cut singular values at a tolerance times a scale:
-  ``null_space`` cuts at its ``tol`` (default ``DEFAULT_TOL`` = 1e-10) times
-  the matrix's largest singular value; ``commutant`` cuts at ``DEFAULT_TOL``
-  on a fixed scale of 1, as do the Wigner sets in ``wigner`` at their tol.
+* One rank rule, ``_rank``, decides every cut of singular values into a
+  subspace: the cut is tol times the caller's scale, the rank counts the
+  values above it, and a value in (cut, 100 cut] is too close to the cut to
+  decide, so ``_rank`` raises ``RuntimeError`` naming the rank cutoff
+  instead.  ``null_space`` takes its ``tol`` (default ``DEFAULT_TOL`` =
+  1e-10) times the matrix's largest singular value; ``commutant`` cuts each
+  commutator at ``DEFAULT_TOL`` on a scale of 1; ``crossed.algebra_closure``
+  at ``DEFAULT_TOL`` times max(1, the largest singular value); ``wigner``'s
+  Wigner sets, their intersection and the averaged map at their tol on a
+  scale of 1 (each map there is T - I with ||T|| <= 1).
 * ``commutant`` cuts a generic Hermitian element's spectrum into
   eigenvalue clusters only at gaps above sqrt(DEFAULT_TOL) times its norm.
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
@@ -163,22 +169,37 @@ class Subspace:
         return [unvec(self.basis[:, k]) for k in range(self.dim)]
 
 
+def _rank(s: np.ndarray, cut: float, what: str):
+    """Number of singular values above ``cut`` along the last axis of s.
+    ValueError when cut <= 0; RuntimeError when a value lies in
+    (cut, 100 cut], too close to the cutoff for the decision to stand."""
+    if cut <= 0:
+        raise ValueError("tol must be positive")
+    near = (s > cut) & (s <= 100 * cut)
+    if near.any():
+        raise RuntimeError(
+            f"{what}: singular value {s[near].max():.3e} lies within 100x of the "
+            f"rank cutoff {cut:.1e}"
+        )
+    return np.sum(s > cut, axis=-1)
+
+
 def _null_basis(M: np.ndarray, tol: float, scale: float | None = None,
-                thin: bool = False) -> np.ndarray:
+                thin: bool = False, what: str = "null space") -> np.ndarray:
     """Orthonormal basis of {v : ||Mv|| <= tol * scale} for the 2-d M, from
-    one SVD; scale defaults to M's largest singular value.  ``thin`` skips
-    the left factor's complement, which loses no right vector when M is
-    tall."""
+    one SVD and ``_rank``; scale defaults to M's largest singular value.
+    ``thin`` skips the left factor's complement, which loses no right vector
+    when M is tall."""
     _, s, vh = np.linalg.svd(M, full_matrices=not (thin and M.shape[0] >= M.shape[1]))
-    rank = int(np.sum(s > tol * (s[:1] if scale is None else scale)))
-    return vh[rank:].conj().T
+    return vh[_rank(s, tol * (s[0] if scale is None else scale), what):].conj().T
 
 
 def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
     """Numerical null space of the 2-d M: all of C^n if M is all zero (or
     has no rows), else the right-singular vectors whose singular values are
     <= tol * (its largest).  A NaN entry raises ``LinAlgError`` (from the
-    SVD), an Inf entry ``ValueError``."""
+    SVD), an Inf entry ``ValueError``; a singular value in (cut, 100 cut]
+    raises ``RuntimeError`` (the rank rule above)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     M = np.asarray(M, dtype=complex)
@@ -199,7 +220,9 @@ def commutant(S, d: int) -> Subspace:
     is the commutant of the *-algebra S generates; otherwise ``ValueError``.
     The zero-decision scale for each A is ||A||_F, so matrices that commute
     with everything (scalars) yield the full space rather than a noise-rank
-    artifact.
+    artifact.  A commutator singular value in (DEFAULT_TOL, 100 DEFAULT_TOL]
+    raises ``RuntimeError`` (the rank rule above), here and in
+    ``double_commutant``.
     """
     tol = DEFAULT_TOL
     mats = [as_matrix(A) for A in S]
@@ -227,7 +250,7 @@ def commutant(S, d: int) -> Subspace:
         L = (Mt @ A.T - A.T @ Mt).reshape(-1, d * d).T
         # ||L||_F bounds every singular value: at or below tol, all of B stays
         if np.linalg.norm(L) > tol:
-            B = B @ _null_basis(L, tol, 1.0, thin=True)
+            B = B @ _null_basis(L, tol, 1.0, thin=True, what="commutant")
     return Subspace(d * d, B)
 
 
@@ -240,19 +263,20 @@ def double_commutant(S, d: int) -> Subspace:
 def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:
     """(largest principal angle, smallest cross-Gram singular value).
 
-    The angle is computed as asin of the spectral norm of the projector
-    difference, which stays accurate for angles far below what
-    arccos(singular value) can resolve.  Dimensions must match for the angle
-    to mean subspace equality; callers gate on dim equality separately.
+    For equal dims the angle is asin ||A - B B^dag A||_2 of the orthonormal
+    bases A and B, the sine of the largest angle, which stays accurate for
+    angles far below what arccos(singular value) can resolve.  Unequal dims
+    give pi/2: some vector of the larger subspace is orthogonal to the
+    smaller one.
     """
-    if a.dim == 0 and b.dim == 0:
-        return 0.0, 1.0
     if a.dim == 0 or b.dim == 0:
-        return float(np.pi / 2), 0.0
-    gap = op_norm(a.projector() - b.projector())
-    angle = float(np.arcsin(min(1.0, gap)))
-    sigma = singular_values(a.basis.conj().T @ b.basis)
-    return angle, float(sigma.min())
+        return (0.0, 1.0) if a.dim == b.dim else (float(np.pi / 2), 0.0)
+    cross = a.basis.conj().T @ b.basis
+    sigma = float(singular_values(cross).min())
+    if a.dim != b.dim:
+        return float(np.pi / 2), sigma
+    gap = op_norm(a.basis - b.basis @ cross.conj().T)
+    return float(np.arcsin(min(1.0, gap))), sigma
 
 
 def pairwise_mean(stack: np.ndarray) -> np.ndarray:

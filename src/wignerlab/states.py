@@ -160,9 +160,15 @@ def invariance_residual(
         elements = G.haar_sample(rep, seed, probes)
     if state.d != rep.dim:
         raise DimensionMismatch(f"state dim {state.d} != representation dim {rep.dim}")
-    defects = _pull_back(G.element_unitaries(rep, elements), state.rho)
-    defects -= state.rho
-    return float(np.max(np.sum(singular_values(defects), axis=1)))
+    return _max_defect(G.element_unitaries(rep, elements), state.rho)
+
+
+def _max_defect(stack: np.ndarray, rho: np.ndarray) -> float:
+    """max_j ||U_j^dag rho U_j - rho||_tr over the (n, d, d) stack of U_j,
+    which it overwrites."""
+    defects = _pull_back(stack, rho)
+    defects -= rho
+    return float(singular_values(defects).sum(axis=1).max())
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ Each call builds its problem's n pullback superoperators T_j once, as one
 takes the intersection of the per-element fixed subspaces as the null space
 of the stacked [T_j - I] (one thin SVD), the per-element dims from one
 values-only stacked SVD, and the averaged side from the SVD of S - I, S the
-stack's mean: O(n d^6) in all.  Rank decisions use a fixed scale of 1 and
-refuse to decide (RuntimeError) when a singular value lies in
-(tol, MARGIN tol]; the per-element dims are also checked against the
-eigenvalues of U(g_j).  Cesaro takes the stack's mean alone.
+stack's mean: O(n d^6) in all.  Rank decisions follow ``matrixcore``'s rank
+rule on a fixed scale of 1, refusing to decide (RuntimeError) when a
+singular value lies in (tol, 100 tol]; the per-element dims are also checked
+against the eigenvalues of U(g_j).  Cesaro takes the stack's mean alone.
 
 The Cesaro window sums sum_{k<w} S^k of the d^2 x d^2 averaged
 superoperator S are formed by binary powering, O(log w) products for the
@@ -38,17 +38,16 @@ from . import groups as G
 from .matrixcore import (
     DEFAULT_TOL,
     Subspace,
+    _null_basis,
+    _rank,
     frobenius,
     null_space,
     principal_angle_residual,
-    trace_norm,
+    trace_norm,  # noqa: F401  perfbench/layers.py traces wigner.trace_norm by name
     unvec,
     vec,
 )
-from .states import DensityState, random_density, repair_psd
-
-# a rank decision stands only when no singular value lies in (tol, MARGIN tol]
-MARGIN = 1e2
+from .states import DensityState, _max_defect, random_density, repair_psd
 
 # lcm(1..8): a Cesaro window of this length annihilates every peripheral
 # superoperator eigenvalue that is a root of unity of order <= 8 exactly
@@ -94,39 +93,11 @@ def averaged_superop(problem: WignerProblem) -> np.ndarray:
     return sum(ops) / len(ops)
 
 
-def _rank(s: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Number of singular values above tol along the last axis of s, at a
-    fixed scale of 1: each map T here is an average of Hilbert-Schmidt
-    isometries, so ||T - I||_2 <= 2.  RuntimeError when a singular value lies
-    in (tol, MARGIN tol], too close to the cutoff for its decision to stand."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    near = (s > tol) & (s <= MARGIN * tol)
-    if near.any():
-        raise RuntimeError(
-            f"{what}: singular value {s[near].max():.3e} lies within {MARGIN:g} tol "
-            f"of the rank cutoff tol = {tol:.1e}"
-        )
-    return np.sum(s > tol, axis=-1)
-
-
-def _fixed_space(M: np.ndarray, tol: float, what: str) -> Subspace:
-    """{v : Mv = 0} for an (m, d^2) matrix M of stacked T - I blocks: the
-    right-singular vectors of one thin SVD beyond ``_rank``."""
-    _, s, vh = np.linalg.svd(M, full_matrices=False)
-    return Subspace(M.shape[1], vh[_rank(s, tol, what) :].conj().T)
-
-
 def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement) -> Subspace:
     """Orthonormal basis of {M : U(g)^dag M U(g) = M} (the commutant of U(g))."""
     T = _pullback_superops(G.element_unitaries(rep, (g,)))[0]
-    return _fixed_space(T - np.eye(T.shape[0]), DEFAULT_TOL, "Wigner set")
-
-
-def averaged_fixed_subspace(problem: WignerProblem) -> Subspace:
-    """Fixed subspace of the averaged map (1/n) sum_j U(g_j)^dag . U(g_j)."""
-    S = averaged_superop(problem)
-    return _fixed_space(S - np.eye(S.shape[0]), DEFAULT_TOL, "averaged map")
+    return Subspace(T.shape[0], _null_basis(T - np.eye(T.shape[0]), DEFAULT_TOL, 1.0,
+                                            thin=True, what="Wigner set"))
 
 
 # Two intersection algorithms for subspaces given by bases.  Verify
@@ -212,7 +183,7 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     |lambda_a - lambda_b| over U's eigenvalues, so dim W_g is the number of
     pairs (a, b) with |lambda_a - lambda_b| <= tol.  Every rank decision uses
     a fixed scale of 1 and raises RuntimeError when a singular value lies in
-    (tol, MARGIN tol], or when a count disagrees with the spectrum.  Cost:
+    (tol, 100 tol], or when a count disagrees with the spectrum.  Cost:
     O(n d^6) for the SVDs, with one (n, d^2, d^2) stack in memory.
     """
     U = G.element_unitaries(problem.rep, problem.elements)
@@ -231,8 +202,9 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
             f"element {j}: Wigner set dim {element_dims[j]} from the SVD, but U(g) has "
             f"{pairs[j]} eigenvalue pairs within tol"
         )
-    inter = _fixed_space(blocks.reshape(n * d2, d2), tol, "intersection")
-    avg = _fixed_space(S - eye, tol, "averaged map")
+    inter = Subspace(d2, _null_basis(blocks.reshape(n * d2, d2), tol, 1.0, thin=True,
+                                     what="intersection"))
+    avg = Subspace(d2, _null_basis(S - eye, tol, 1.0, thin=True, what="averaged map"))
     B = inter.basis
     inclusion = float(np.linalg.norm(S @ B - B, axis=0).max(initial=0.0))
 
@@ -275,8 +247,11 @@ def cesaro_fixed_point(
 
     Averages the iterates of the averaged map T(rho) = (1/n) sum_j
     U(g_j)^dag rho U(g_j) over a window (Cesaro mean), restarting from the
-    window mean with doubled window length until ||T(rho*) - rho*||_tr <= tol.
-    max_iter caps the number of map applications the windows stand for.
+    window mean with doubled window length until every element leaves it
+    invariant to tol, max_j ||U(g_j)^dag rho* U(g_j) - rho*||_tr <= tol; the
+    mean ||T(rho*) - rho*||_tr can cancel the elements' defects and is not
+    checked.  max_iter caps the number of map applications the windows stand
+    for; ``NoConvergence.residual`` is the last per-element maximum.
     Every window mean is a convex combination of pullbacks of rho0, so the
     output stays in the orbit hull; plain iteration alone can oscillate on
     the peripheral spectrum, the window means cannot.
@@ -293,20 +268,21 @@ def cesaro_fixed_point(
     if rho0.d != problem.d:
         raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
     S = averaged_superop(problem)
+    U = G.element_unitaries(problem.rep, problem.elements)
     side = problem.d
 
-    def t_residual(v: np.ndarray) -> float:
-        return trace_norm(unvec(S @ v - v, side))
+    def max_defect(v: np.ndarray) -> float:
+        return _max_defect(U.copy(), unvec(v, side))
 
     sigma = vec(rho0.rho)
-    residual = t_residual(sigma)
+    residual = max_defect(sigma)
     iterations = 0
     window = _BASE_WINDOW
     power = None
     while residual > tol:
         if iterations >= max_iter:
             raise NoConvergence(
-                f"Cesaro iteration residual {residual:.3e} > tol {tol:.1e} "
+                f"Cesaro element invariance defect {residual:.3e} > tol {tol:.1e} "
                 f"after {iterations} iterations",
                 residual,
             )
@@ -319,7 +295,7 @@ def cesaro_fixed_point(
         sigma = total @ sigma / w
         iterations += w
         window *= 2
-        residual = t_residual(sigma)
+        residual = max_defect(sigma)
     repaired, _ = repair_psd(unvec(sigma, side))
     return DensityState(side, repaired)
 

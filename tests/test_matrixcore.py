@@ -15,7 +15,7 @@ from wignerlab import (
     quaternion_rep,
     trivial_rep,
 )
-from wignerlab.crossed import spanning_generators
+from wignerlab.crossed import algebra_closure, spanning_generators
 from wignerlab.groups import haar_unitary, philox_stream
 from wignerlab.matrixcore import (
     _GENERIC_SEED,
@@ -162,6 +162,24 @@ def test_null_space_rejects_bad_input():
     for bad in (np.eye(2)[None], np.ones(3)):
         with pytest.raises(ValueError, match="2-d array"):
             null_space(bad)
+
+
+# each call cuts a singular value of about x at a rank cutoff of 1e-10 to 2e-10:
+# (call, dim when x = 5e-11 is cut off, dim when x = 5e-7 is kept)
+_RANK_CUTS = {
+    "null_space": (lambda x: null_space(np.diag([1.0, x])).dim, 1, 0),
+    "commutant": (lambda x: commutant([np.diag([1.0, 1.0 + x])], 2).dim, 4, 2),
+    "algebra_closure": (lambda x: algebra_closure([np.diag([1.0, 1.0 + x])], 2).dim, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANK_CUTS))
+def test_rank_cuts_decide_outside_the_margin_and_refuse_inside(name):
+    call, cut_off, kept = _RANK_CUTS[name]
+    assert call(5e-11) == cut_off
+    assert call(5e-7) == kept
+    with pytest.raises(RuntimeError, match="rank cutoff"):
+        call(5e-9)
 
 
 def test_null_space_of_no_rows_is_everything():

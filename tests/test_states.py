@@ -230,12 +230,15 @@ def test_orbit_barycenter_error_decays_like_sqrt_n(rng):
 
     # the Monte Carlo mean of n pullbacks is the barycenter of n orbit points
     def mean_err(n):
-        runs = [haar_average(rep, rho, method="montecarlo", seed=seed, count=n) for seed in range(8)]
+        runs = [haar_average(rep, rho, method="montecarlo", seed=seed, count=n) for seed in range(32)]
         return np.mean([trace_distance(run.state, exact) for run in runs])
 
-    # quadrupling the sample count should roughly halve the error
+    # sixteen times the samples should quarter the error: 1/sqrt(n) gives 0.25
+    # and the run reads 0.23, where an error falling like n^-0.19 would read
+    # 0.59.  Over 32 seeds the ratio varies by about 0.02 (0.22 to 0.27 for
+    # seeds 0..255 in blocks of 32); over 8 it ranged 0.17 to 0.35
     ratio = mean_err(256) / mean_err(16)
-    assert ratio < 0.6
+    assert 0.1 < ratio < 0.35
 
 
 def test_is_separating_cases():
