@@ -17,8 +17,9 @@ Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
 in phi and psi, Gauss-Legendre in cos(theta), O(J^3) nodes in all.
 U^dag rho U for a d-dimensional representation has spin at most d-1, so
-order 2d-1 averages it exactly with O(d^3) nodes, built once as the table
-``su2_quadrature_nodes`` and summed in node order (``weighted_mean``).
+order 2d-1 averages it exactly with O(d^3) nodes: the table
+``su2_quadrature_nodes``, built once per order and cached (read-only), and
+summed in node order (``weighted_mean``).
 
 Haar sampling is Ginibre + QR with diagonal-phase correction, then division
 by the principal n-th root of the determinant for the special groups
@@ -27,10 +28,13 @@ counter streams keyed by (seed, stream index): sample i of
 ``haar_sample(rep, seed, count)`` is drawn from stream (seed, i) alone, so
 sampling is reproducible, order-independent and prefix-stable.  A batch
 re-keys one Philox in place per sample instead of building a generator per
-stream, and runs QR and determinant on stacks of ``BATCH`` matrices; the
-results are bitwise those of ``haar_unitary(n, philox_stream(seed, i))``.
-SU(3) samples are checked special unitary once, as one (count, 3, 3)
-stack in chunks; each element keeps a read-only copy of its row.
+stream; each sample's one call is its draw, and QR, determinant and both
+phase corrections run on stacks of ``BATCH`` matrices, bitwise
+``haar_unitary(n, philox_stream(seed, i))``.  SU(2) samples become Euler
+angles in one stacked step, except the moduli and theta, which stay scalar
+to keep their bits; SU(3) samples are checked special unitary once, as one
+(count, 3, 3) stack in chunks; each element keeps a read-only copy of its
+row.
 
 The built-in SU(2) irreps of dim >= 3 and the SU(3) representations
 define their matrices once, on stacks of elements (``UnitaryRep.stack_fn``);
@@ -42,6 +46,7 @@ it on a stack of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -194,7 +199,8 @@ class U1Element:
             raise BadElement(f"U(1) angle must lie in [0, 2pi), got {self.theta}")
 
 
-@dataclass(frozen=True)
+# slotted: node tables and sample lists hold thousands of them
+@dataclass(frozen=True, slots=True)
 class SU2Element:
     phi: float
     theta: float
@@ -257,6 +263,33 @@ def _su3_elements(stack: np.ndarray) -> list[SU3Element]:
     return elements
 
 
+# SU2Element's ranges as bounds on the rows phi, theta, psi: |phi| and
+# |psi| <= 2pi + 1e-12, theta in [-1e-12, pi + 1e-12]
+_SU2_LOW = np.array([[-(TWO_PI + 1e-12)], [-1e-12], [-(TWO_PI + 1e-12)]])
+_SU2_HIGH = np.array([[TWO_PI + 1e-12], [math.pi + 1e-12], [TWO_PI + 1e-12]])
+
+
+def _su2_elements(phi: list, theta: list, psi: list) -> list[SU2Element]:
+    """``SU2Element(phi[i], theta[i], psi[i])`` for each i of three lists of
+    floats, with the range checks run once over their (3, N) stack (NaN and
+    Inf fail them too); the first element that fails raises ``SU2Element``'s
+    own ``BadElement``.  The elements hold the lists' float objects, so a
+    value repeated by reference is stored once."""
+    angles = np.array((phi, theta, psi))
+    ok = (angles >= _SU2_LOW) & (angles <= _SU2_HIGH)
+    if not ok.all():
+        i = int(np.argmin(ok.all(axis=0)))
+        SU2Element(phi[i], theta[i], psi[i])
+    elements = []
+    for a, b, c in zip(phi, theta, psi):
+        g = object.__new__(SU2Element)
+        object.__setattr__(g, "phi", a)
+        object.__setattr__(g, "theta", b)
+        object.__setattr__(g, "psi", c)
+        elements.append(g)
+    return elements
+
+
 GroupElement = FiniteElement | U1Element | SU2Element | SU3Element
 
 _ELEMENT_KIND = {FiniteElement: "finite", U1Element: "u1", SU2Element: "su2", SU3Element: "su3"}
@@ -268,6 +301,20 @@ def check_membership(group: GroupDescriptor, g: GroupElement) -> None:
         raise BadElement(f"element {g!r} does not belong to a {group.kind} group")
     if isinstance(g, FiniteElement) and g.index >= group.order:
         raise BadElement(f"index {g.index} out of range for group of order {group.order}")
+
+
+def _check_members(group: GroupDescriptor, elements: Sequence[GroupElement]) -> None:
+    """``check_membership`` of every element, in one pass over their types
+    (and, for a finite group, their indices); the per-element check runs only
+    to raise its message."""
+    kinds = {_ELEMENT_KIND.get(t) for t in set(map(type, elements))}
+    if kinds <= {group.kind} and not (
+        isinstance(group, FiniteGroup)
+        and max((g.index for g in elements), default=-1) >= group.order
+    ):
+        return
+    for g in elements:
+        check_membership(group, g)
 
 
 def identity_element(group: GroupDescriptor) -> GroupElement:
@@ -288,13 +335,30 @@ def su2_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
     return (zl[:, None] * ry) * zr[None, :]
 
 
+_TWO_SIGNS = np.array([2.0, -2.0])
+
+
+def _euler_angles(U: np.ndarray) -> tuple[list, list, list]:
+    """The lists phi, theta, psi of the Euler angles of the (N, 2, 2) stack
+    of special unitaries U (exact reconstruction).  With a = U[0, 0]
+    and b = U[1, 0]: theta = 2 atan2(|b|, |a|) clamped to [0, pi],
+    s = 2 arg a (0 if |a| <= 1e-14), r = -2 arg b (0 if |b| <= 1e-14),
+    phi = (s + r)/2, psi = (s - r)/2.  The moduli and theta stay scalar
+    (builtin ``abs``, ``math.atan2``), since numpy's array abs and arctan2
+    are not bitwise their scalar forms; the array ``np.angle`` is."""
+    column = U[:, :, 0]
+    moduli = [(abs(a), abs(b)) for a, b in column.tolist()]
+    theta = [min(max(2.0 * math.atan2(b, a), 0.0), math.pi) for a, b in moduli]
+    s, r = np.where(np.array(moduli) > 1e-14, np.angle(column) * _TWO_SIGNS, 0.0).T
+    return ((s + r) / 2.0).tolist(), theta, ((s - r) / 2.0).tolist()
+
+
 def euler_from_su2(U) -> SU2Element:
-    """Euler angles of a 2x2 special-unitary matrix (exact reconstruction)."""
+    """Euler angles of a 2x2 special-unitary matrix: ``_euler_angles`` of one."""
     U = as_matrix(U, "SU(2) matrix")
-    theta = 2.0 * math.atan2(abs(U[1, 0]), abs(U[0, 0]))
-    s = 2.0 * np.angle(U[0, 0]) if abs(U[0, 0]) > 1e-14 else 0.0
-    r = -2.0 * np.angle(U[1, 0]) if abs(U[1, 0]) > 1e-14 else 0.0
-    return SU2Element((s + r) / 2.0, min(max(theta, 0.0), math.pi), (s - r) / 2.0)
+    if U.shape != (2, 2):
+        raise DimensionMismatch(f"SU(2) matrix must be 2x2, got shape {U.shape}")
+    return _su2_elements(*_euler_angles(U[None]))[0]
 
 
 def compose(group: GroupDescriptor, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -376,7 +440,7 @@ BATCH = 256
 
 def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
     """The (N, d, d) stack of U(g) for g in elements, each validated to
-    1e-10.  Per chunk of ``BATCH`` elements: membership of each element; the
+    1e-10.  Per chunk of ``BATCH`` elements: membership, in one pass; the
     matrices from one ``rep.stack_fn`` call, or, for reps without one, one
     ``matrix_fn`` call and shape check per element; unitarity and unit
     determinant."""
@@ -386,17 +450,15 @@ def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.n
     for start in range(0, len(elements), BATCH):
         chunk = out[start : start + BATCH]
         batch = elements[start : start + BATCH]
+        _check_members(rep.group, batch)
         if rep.stack_fn is None:
             for U, g in zip(chunk, batch):
-                check_membership(rep.group, g)
                 M = np.asarray(rep.matrix_fn(g), dtype=complex)
                 if M.shape != (d, d):
                     raise DimensionMismatch(f"representation produced shape {M.shape}, "
                                             f"expected ({d}, {d})")
                 U[...] = M
         else:
-            for g in batch:
-                check_membership(rep.group, g)
             chunk[...] = rep.stack_fn(batch)
         gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
         if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
@@ -711,46 +773,65 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
 
 
+# Generators that _philox_streams re-keys, kept between calls (a new Philox
+# costs more than a small batch's Euler step); a list, so nested or
+# concurrent stream users each take their own
+_SPARE_RNGS: list[np.random.Generator] = []
+
+
 def _philox_streams(seed: int, count: int):
     """Yield a Generator in the state of ``philox_stream(seed, i)`` for
     i = 0..count-1: one Philox re-keyed in place, counter and buffers reset,
-    instead of a new generator per stream.  Each yield invalidates the last."""
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    zero = np.zeros(4, dtype=np.uint64)
-    seed %= 2**64
-    for i in range(count):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zero, "key": np.array([seed, i % 2**64], dtype=np.uint64)},
-            "buffer": zero,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    instead of a new generator per stream.  Each yield invalidates the last.
+    The state is one dict of plain ints, only its key's stream word changing,
+    which the setter reads three times faster than uint64 arrays."""
+    try:
+        rng = _SPARE_RNGS.pop()
+    except IndexError:
+        rng = np.random.Generator(np.random.Philox(0))
+    key = [seed % 2**64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    try:
+        for i in range(count):
+            key[1] = i % 2**64
+            rng.bit_generator.state = state
+            yield rng
+    finally:
+        _SPARE_RNGS.append(rng)
 
 
 def _haar_special_unitaries(n: int, seed: int, count: int) -> np.ndarray:
     """The (count, n, n) stack of ``haar_unitary(n, philox_stream(seed, i))``,
-    bitwise, filled in place.  Per batch of ``BATCH`` samples the Ginibre
-    draws go into the stack and QR, phase fix and det run stacked (LAPACK
-    factors each matrix on its own); the det phase is divided out per sample
-    with the scalar expression, since a broadcast exp/angle is not bitwise
-    the scalar one."""
+    bitwise, filled in place.  Per batch of ``BATCH`` samples, the one call
+    per sample is its draw: each stream fills its real and imaginary Ginibre
+    parts in order with one ``standard_normal`` into a real buffer.  The rest
+    runs stacked: QR and det (LAPACK factors each matrix on its own), the
+    R-diagonal phase fix, and the det phase, with array ``np.angle``, the
+    scalar expression -1j a / n per sample, one ``np.exp`` and one broadcast
+    multiply, each bitwise its per-sample form."""
     out = np.empty((count, n, n), dtype=complex)
+    normals = np.empty((min(count, BATCH), 2, n, n))
     streams = _philox_streams(seed, count)
     for start in range(0, count, BATCH):
         z = out[start : start + BATCH]
-        for zi, rng in zip(z, streams):
-            zi.real = rng.standard_normal((n, n))
-            zi.imag = rng.standard_normal((n, n))
+        ginibre = normals[: len(z)]
+        for draw, rng in zip(ginibre, streams):
+            rng.standard_normal(out=draw)
+        z.real = ginibre[:, 0]
+        z.imag = ginibre[:, 1]
         z /= math.sqrt(2.0)
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=1, axis2=2)
         q *= np.where(np.abs(d) > 0, d / np.abs(d), 1.0)[:, None, :]
-        for zi, qi, di in zip(z, q, np.linalg.det(q)):
-            np.multiply(qi, np.exp(-1j * np.angle(di) / n), out=zi)
+        phase = np.exp([-1j * a / n for a in np.angle(np.linalg.det(q)).tolist()])
+        np.multiply(q, phase[:, None, None], out=z)
     return out
 
 
@@ -759,8 +840,11 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
 
     Sample i is drawn from ``philox_stream(rng_seed, i)`` alone, so
     ``haar_sample(rep, s, n)[:k] == haar_sample(rep, s, k)``; SU(2) and SU(3)
-    samples are bitwise ``haar_unitary`` of that stream, computed in stacks.
-    SU(3) samples are checked once, in chunks of ``BATCH`` of one stack.
+    samples are bitwise ``haar_unitary`` of that stream, computed in stacks
+    by ``_haar_special_unitaries``.  SU(2) samples become elements in one
+    stacked Euler step (``_euler_angles``, ``_su2_elements``), bitwise
+    ``euler_from_su2`` of each; SU(3) samples are checked once, in chunks of
+    ``BATCH`` of one stack.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -772,29 +856,41 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement
         return [U1Element(float(rng.uniform(0.0, TWO_PI)))
                 for rng in _philox_streams(rng_seed, count)]
     if group.kind == "su2":
-        return [euler_from_su2(U) for U in _haar_special_unitaries(2, rng_seed, count)]
+        # in chunks, so the Euler step's Python floats stay few at a time
+        stack = _haar_special_unitaries(2, rng_seed, count)
+        return [g for start in range(0, count, BATCH)
+                for g in _su2_elements(*_euler_angles(stack[start : start + BATCH]))]
     stack = _haar_special_unitaries(3, rng_seed, count)
     for start in range(0, count, BATCH):
         _check_su3(stack[start : start + BATCH])
     return _su3_elements(stack)
 
 
-def su2_quadrature_nodes(order: int) -> tuple[list[SU2Element], np.ndarray]:
-    """Elements and weights of the SU(2) product rule of this order, in
-    (phi, theta, psi) loop order with psi fastest; weight w_phi * w_theta *
-    w_psi.  J = (order-1)/2: trapezoid in phi on [0, 2pi), floor(J)+1 nodes;
-    Gauss-Legendre in cos(theta), ceil((floor(J)+1)/2); psi on [0, 4pi), 2J+1."""
+@functools.lru_cache(maxsize=16)
+def su2_quadrature_nodes(order: int) -> tuple[tuple[SU2Element, ...], np.ndarray]:
+    """Elements and read-only weights of the SU(2) product rule of this
+    order, in (phi, theta, psi) loop order with psi fastest; weight w_phi *
+    w_theta * w_psi.  J = (order-1)/2: trapezoid in phi on [0, 2pi),
+    floor(J)+1 nodes; Gauss-Legendre in cos(theta), ceil((floor(J)+1)/2);
+    psi on [0, 4pi), 2J+1.  Built once per order by ``_su2_elements`` and
+    cached for the 16 orders last used (O(order^3) nodes each)."""
     if order < 4:
         raise ValueError("order must be >= 4")
     n_phi, n_psi = (order + 1) // 2, order
     x, w_theta = leggauss((n_phi + 1) // 2)
     psis = 2.0 * TWO_PI * np.arange(n_psi) / n_psi
     # e^{i psi/2} has period 4pi; fold [0, 4pi) into [-2pi, 2pi]
-    psis = np.where(psis > TWO_PI, psis - 2.0 * TWO_PI, psis)
-    elements = [SU2Element(phi, theta, psi) for phi in TWO_PI * np.arange(n_phi) / n_phi
-                for theta in np.arccos(x) for psi in psis]
+    psis = np.where(psis > TWO_PI, psis - 2.0 * TWO_PI, psis).tolist()
+    phis, thetas = (TWO_PI * np.arange(n_phi) / n_phi).tolist(), np.arccos(x).tolist()
+    n_theta = len(thetas)
+    # the grid by reference, so each distinct angle is one float object
+    elements = tuple(_su2_elements([phi for phi in phis for _ in range(n_theta * n_psi)],
+                                   [theta for _ in phis for theta in thetas for _ in psis],
+                                   psis * (n_phi * n_theta)))
     w = TWO_PI / n_phi * w_theta * (2.0 * TWO_PI / n_psi)
-    return elements, np.tile(np.repeat(w, n_psi), n_phi)
+    weights = np.tile(np.repeat(w, n_psi), n_phi)
+    weights.setflags(write=False)
+    return elements, weights
 
 
 def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int) -> np.ndarray:

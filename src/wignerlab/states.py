@@ -163,11 +163,14 @@ def invariance_residual(
     return _max_defect(G.element_unitaries(rep, elements), state.rho)
 
 
-def _max_defect(stack: np.ndarray, rho: np.ndarray) -> float:
+def _max_defect(stack: np.ndarray, rho: np.ndarray, skip_above: float = math.inf) -> float:
     """max_j ||U_j^dag rho U_j - rho||_tr over the (n, d, d) stack of U_j,
-    which it overwrites."""
+    which it overwrites; inf, without the SVDs, when some defect's Frobenius
+    norm (a lower bound of its trace norm) exceeds skip_above."""
     defects = _pull_back(stack, rho)
     defects -= rho
+    if skip_above < math.inf and np.linalg.norm(defects, axis=(1, 2)).max() > skip_above:
+        return math.inf
     return float(singular_values(defects).sum(axis=1).max())
 
 

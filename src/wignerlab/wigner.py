@@ -30,6 +30,7 @@ five d^2 x d^2 matrices in memory (S, the sum, the power, two new products).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,12 @@ def _pullback_superops(U: np.ndarray) -> np.ndarray:
     return (A[:, :, None, :, None] * A.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
 
 
-def averaged_superop(problem: WignerProblem) -> np.ndarray:
-    ops = _pullback_superops(G.element_unitaries(problem.rep, problem.elements))
+def averaged_superop(problem: WignerProblem, unitaries: np.ndarray | None = None) -> np.ndarray:
+    """Mean of the problem's pullback superoperators, from the (n, d, d)
+    stack of its elements' unitaries when the caller has built it."""
+    if unitaries is None:
+        unitaries = G.element_unitaries(problem.rep, problem.elements)
+    ops = _pullback_superops(unitaries)
     return sum(ops) / len(ops)
 
 
@@ -204,7 +209,9 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
         )
     inter = Subspace(d2, _null_basis(blocks.reshape(n * d2, d2), tol, 1.0, thin=True,
                                      what="intersection"))
-    avg = Subspace(d2, _null_basis(S - eye, tol, 1.0, thin=True, what="averaged map"))
+    # one element: S - I is bitwise the T_1 - I just cut, so its null space too
+    avg = inter if n == 1 else Subspace(d2, _null_basis(S - eye, tol, 1.0, thin=True,
+                                                         what="averaged map"))
     B = inter.basis
     inclusion = float(np.linalg.norm(S @ B - B, axis=0).max(initial=0.0))
 
@@ -267,20 +274,23 @@ def cesaro_fixed_point(
         raise ValueError("tol must be positive")
     if rho0.d != problem.d:
         raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
-    S = averaged_superop(problem)
     U = G.element_unitaries(problem.rep, problem.elements)
+    S = averaged_superop(problem, U)
     side = problem.d
 
-    def max_defect(v: np.ndarray) -> float:
-        return _max_defect(U.copy(), unvec(v, side))
+    def max_defect(v: np.ndarray, skip_above: float = math.inf) -> float:
+        return _max_defect(U.copy(), unvec(v, side), skip_above)
 
+    # a defect whose Frobenius norm exceeds 2 tol has a trace norm above
+    # tol, so such a window cannot stop and skips the SVD
     sigma = vec(rho0.rho)
-    residual = max_defect(sigma)
+    residual = max_defect(sigma, 2.0 * tol)
     iterations = 0
     window = _BASE_WINDOW
     power = None
     while residual > tol:
         if iterations >= max_iter:
+            residual = max_defect(sigma)
             raise NoConvergence(
                 f"Cesaro element invariance defect {residual:.3e} > tol {tol:.1e} "
                 f"after {iterations} iterations",
@@ -295,7 +305,7 @@ def cesaro_fixed_point(
         sigma = total @ sigma / w
         iterations += w
         window *= 2
-        residual = max_defect(sigma)
+        residual = max_defect(sigma, 2.0 * tol)
     repaired, _ = repair_psd(unvec(sigma, side))
     return DensityState(side, repaired)
 

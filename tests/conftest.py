@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU3Element, U1Element,
-                       finite_rep)
-from wignerlab.groups import (TWO_PI, check_membership, euler_from_su2, haar_unitary,
-                              philox_stream)
+from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU2Element, SU3Element,
+                       U1Element, finite_rep)
+from wignerlab.groups import TWO_PI, check_membership, haar_unitary, philox_stream
 from wignerlab.matrixcore import frobenius
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,6 +77,16 @@ def element_index(rep, matrix):
     raise AssertionError("matrix not found in the represented group")
 
 
+def reference_euler(U):
+    """Per-matrix reference for the stacked Euler step: the scalar formula,
+    numpy-scalar moduli and phases, one SU2Element at a time."""
+    U = np.asarray(U, dtype=complex)
+    theta = 2.0 * math.atan2(abs(U[1, 0]), abs(U[0, 0]))
+    s = 2.0 * np.angle(U[0, 0]) if abs(U[0, 0]) > 1e-14 else 0.0
+    r = -2.0 * np.angle(U[1, 0]) if abs(U[1, 0]) > 1e-14 else 0.0
+    return SU2Element((s + r) / 2.0, min(max(theta, 0.0), math.pi), (s - r) / 2.0)
+
+
 def reference_haar_sample(rep, seed, count):
     """Per-sample reference for ``haar_sample``: sample i is drawn from its
     own ``philox_stream(seed, i)``, one generator and one QR at a time."""
@@ -88,7 +99,7 @@ def reference_haar_sample(rep, seed, count):
         elif group.kind == "u1":
             out.append(U1Element(float(rng.uniform(0.0, TWO_PI))))
         elif group.kind == "su2":
-            out.append(euler_from_su2(haar_unitary(2, rng)))
+            out.append(reference_euler(haar_unitary(2, rng)))
         else:
             out.append(SU3Element(haar_unitary(3, rng)))
     return out

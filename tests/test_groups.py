@@ -40,8 +40,10 @@ from wignerlab import (
     UnitaryRep,
 )
 from wignerlab.groups import (
+    _euler_angles,
     _generating_indices,
     _q8_matrices,
+    _su2_elements,
     compose,
     euler_from_su2,
     finite_elements,
@@ -55,7 +57,7 @@ from wignerlab.groups import (
     _validate_rep,
 )
 
-from conftest import reference_haar_sample, reference_unitary, random_hermitian
+from conftest import reference_euler, reference_haar_sample, reference_unitary, random_hermitian
 
 
 def test_finite_group_rejects_bad_table():
@@ -575,6 +577,70 @@ def test_euler_roundtrip_on_samples():
         U = haar_unitary(2, rng)
         el = euler_from_su2(U)
         assert np.linalg.norm(su2_matrix(el.phi, el.theta, el.psi) - U) <= 1e-12
+
+
+def _theta_edge_matrices():
+    # theta = 0: U[1, 0] = 0; theta = pi: U[0, 0] = 0; and moduli on either
+    # side of the 1e-14 cut, so both branches of each phase are taken
+    out = []
+    for alpha in (0.0, 0.3, -2.9, math.pi):
+        z = np.exp(1j * alpha)
+        out.append(np.diag([z, z.conjugate()]))
+        out.append(np.array([[0.0, -z.conjugate()], [z, 0.0]]))
+    for eps in (1e-15, 1e-14, 3e-14):
+        c = math.sqrt(1.0 - eps * eps)
+        out.append(np.array([[c, -eps], [eps, c]], dtype=complex))
+        out.append(np.array([[eps * 1j, -c], [c, -eps * 1j]]))
+    return np.array(out)
+
+
+def test_euler_at_theta_zero_and_pi_is_the_scalar_formula():
+    stack = _theta_edge_matrices()
+    reference = [reference_euler(U) for U in stack]
+    assert _exact(_su2_elements(*_euler_angles(stack))) == _exact(reference)
+    assert _exact([euler_from_su2(U) for U in stack]) == _exact(reference)
+    assert [g.theta for g in reference[:8]] == [0.0, math.pi] * 4
+    for U, g in zip(stack, reference):
+        assert np.linalg.norm(su2_matrix(g.phi, g.theta, g.psi) - U) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [
+    (math.nan, 0.5, 0.1), (0.1, math.nan, 0.1), (0.1, 0.5, math.inf),
+    (7.0, 0.5, 0.1), (0.1, 4.0, 0.1), (0.1, -1e-6, 0.1), (0.1, 0.5, -6.3),
+], ids=["nan-phi", "nan-theta", "inf-psi", "phi", "theta-high", "theta-low", "psi"])
+def test_su2_elements_raise_the_element_message(bad):
+    with pytest.raises(BadElement) as expected:
+        SU2Element(*bad)
+    # the first failing column is the one named, after good ones
+    angles = np.array([(0.0, 0.0, 0.0), (1.0, 2.0, -3.0), bad, (9.0, 9.0, 9.0)]).T
+    with pytest.raises(BadElement) as raised:
+        _su2_elements(*angles.tolist())
+    assert str(raised.value) == str(expected.value)
+
+
+def test_su2_quadrature_nodes_cached_read_only_and_bitwise():
+    order = 9
+    n_phi, n_psi = (order + 1) // 2, order
+    x, w_theta = np.polynomial.legendre.leggauss((n_phi + 1) // 2)
+    psis = 2.0 * math.tau * np.arange(n_psi) / n_psi
+    psis = np.where(psis > math.tau, psis - 2.0 * math.tau, psis)
+    reference = [SU2Element(phi, theta, psi) for phi in math.tau * np.arange(n_phi) / n_phi
+                 for theta in np.arccos(x) for psi in psis]
+    w = math.tau / n_phi * w_theta * (2.0 * math.tau / n_psi)
+    reference_weights = np.tile(np.repeat(w, n_psi), n_phi).tobytes()
+    su2_quadrature_nodes.cache_clear()
+    first = su2_quadrature_nodes(order)
+    cached = su2_quadrature_nodes(order)
+    assert su2_quadrature_nodes.cache_info().hits == 1
+    assert su2_quadrature_nodes.cache_info().maxsize is not None
+    for elements, weights in (first, cached):
+        assert _exact(elements) == _exact(reference)
+        assert weights.tobytes() == reference_weights
+        assert isinstance(elements, tuple)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        with pytest.raises(AttributeError):
+            elements[0].phi = 0.0
 
 
 def test_haar_first_moment_mc():

@@ -250,7 +250,9 @@ def _reference_superop(rep, g):
     return np.kron(U.T, U.conj().T)
 
 
-def _reference_averaged_superop(problem):
+def _reference_averaged_superop(problem, unitaries=None):
+    # builds its own per-element np.kron superoperators; ``unitaries`` only
+    # matches the signature that cesaro_fixed_point calls
     ops = [_reference_superop(problem.rep, g) for g in problem.elements]
     return sum(ops) / len(ops)
 
