@@ -36,25 +36,27 @@ to keep their bits; SU(3) samples are checked special unitary once, as one
 (count, 3, 3) stack in chunks; each element keeps a read-only copy of its
 row.
 
-The built-in SU(2) irreps of dim >= 3 and the SU(3) representations
-define their matrices once, on stacks of elements (``UnitaryRep.stack_fn``);
-``matrix_fn(g)`` is the same function on a stack of one, so both give the
-same bits.  ``element_unitaries`` is the one place where elements become
-validated unitaries, a chunk of elements per call; ``element_unitary`` is
-it on a stack of one.
+Every representation has one matrix function, ``UnitaryRep.stack_fn``,
+from a batch of N elements to their (N, d, d) matrices; ``matrix_fn(g)``
+is it on a batch of one, so both give the same bits.  A finite-group
+representation is one read-only (|G|, d, d) table indexed by element.
+``element_unitaries`` is the one place where elements become validated
+unitaries, a chunk of elements per call; ``element_unitary`` is it on a
+stack of one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .matrixcore import (DimensionMismatch, as_matrix, frobenius, int_from_json, kron,
+from .matrixcore import (DimensionMismatch, as_matrix, frobenius, int_from_json,
                          matrix_from_json, matrix_to_json, weighted_mean)
 
 TWO_PI = 2.0 * math.pi
@@ -408,28 +410,19 @@ def describe_element(g: GroupElement) -> dict:
 
 @dataclass(frozen=True)
 class UnitaryRep:
-    """A concrete unitary representation: a group plus a matrix for each element.
-
-    The built-in SU(2) irreps of dim >= 3 and SU(3) representations also
-    carry ``stack_fn``, which only ``_stacked_rep`` sets: the (N, d, d)
-    matrices of a batch of N elements.  Their ``matrix_fn`` is ``stack_fn``
-    on a batch of one, so the two cannot disagree."""
+    """A concrete unitary representation: a group plus its one matrix
+    function, ``stack_fn``, from a batch of N elements to their (N, d, d)
+    matrices.  ``matrix_fn(g)`` is ``stack_fn`` on a batch of one, so the
+    two cannot disagree."""
 
     group: GroupDescriptor
     dim: int
-    matrix_fn: Callable[[GroupElement], np.ndarray]
+    stack_fn: Callable[[Sequence[GroupElement]], np.ndarray]
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
-    stack_fn: Callable[[Sequence[GroupElement]], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-
-def _stacked_rep(group: GroupDescriptor, dim: int, stack_fn: Callable[[Sequence], np.ndarray],
-                 name: str) -> UnitaryRep:
-    rep = UnitaryRep(group, dim, lambda g: stack_fn((g,))[0], name)
-    object.__setattr__(rep, "stack_fn", stack_fn)
-    return _validate_rep(rep)
+    def matrix_fn(self, g: GroupElement) -> np.ndarray:
+        return self.stack_fn((g,))[0]
 
 
 # matrices per stacked LAPACK call or validation pass: large enough to
@@ -441,9 +434,9 @@ BATCH = 256
 def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
     """The (N, d, d) stack of U(g) for g in elements, each validated to
     1e-10.  Per chunk of ``BATCH`` elements: membership, in one pass; the
-    matrices from one ``rep.stack_fn`` call, or, for reps without one, one
-    ``matrix_fn`` call and shape check per element; unitarity and unit
-    determinant."""
+    matrices from one ``rep.stack_fn`` call, whose shape must be the
+    chunk's (a wrong matrix shape is named, else the wrong count); unitarity
+    and unit determinant."""
     d = rep.dim
     special = rep.group.kind in ("su2", "su3")
     out = np.empty((len(elements), d, d), dtype=complex)
@@ -451,15 +444,12 @@ def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.n
         chunk = out[start : start + BATCH]
         batch = elements[start : start + BATCH]
         _check_members(rep.group, batch)
-        if rep.stack_fn is None:
-            for U, g in zip(chunk, batch):
-                M = np.asarray(rep.matrix_fn(g), dtype=complex)
-                if M.shape != (d, d):
-                    raise DimensionMismatch(f"representation produced shape {M.shape}, "
-                                            f"expected ({d}, {d})")
-                U[...] = M
-        else:
-            chunk[...] = rep.stack_fn(batch)
+        mats = np.asarray(rep.stack_fn(batch))
+        if mats.shape != chunk.shape:
+            got, expected = ((mats.shape[1:], chunk.shape[1:])
+                             if mats.shape[:1] == chunk.shape[:1] else (mats.shape, chunk.shape))
+            raise DimensionMismatch(f"representation produced shape {got}, expected {expected}")
+        chunk[...] = mats
         gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
         if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
             raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
@@ -511,26 +501,47 @@ def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
     return rep
 
 
+def _positive_dim(dim: int) -> int:
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return dim
+
+
+def _integer_weights(weights: Sequence[int]) -> tuple[int, ...]:
+    """The weights as ints: at least one, each an integer and not a bool."""
+    weights = tuple(weights)
+    if not weights:
+        raise ValueError("need at least one weight")
+    for w in weights:
+        if isinstance(w, bool) or not isinstance(w, numbers.Integral):
+            raise ValueError(f"weights must be integers, got {w!r}")
+    return tuple(int(w) for w in weights)
+
+
+def _diagonal_stack(diagonals: np.ndarray) -> np.ndarray:
+    """The (N, d, d) stack of diagonal matrices whose diagonals are the rows."""
+    n, d = diagonals.shape
+    out = np.zeros((n, d, d), dtype=complex)
+    out[:, np.arange(d), np.arange(d)] = diagonals
+    return out
+
+
 def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
     """Diagonal U(1) representation with integer weights: theta -> diag(e^{i w theta})."""
-    w = np.asarray(list(weights), dtype=float)
-    if w.size < 1:
-        raise ValueError("need at least one weight")
-    win = tuple(int(x) for x in w)
-    rep = UnitaryRep(
-        U1,
-        int(w.size),
-        lambda g: np.diag(np.exp(1j * w * g.theta)),
-        name or f"u1{win}",
-        meta={"weights": win},
-    )
-    return _validate_rep(rep)
+    win = _integer_weights(weights)
+    iw = 1j * np.asarray(win, dtype=float)
+
+    def fn(batch):
+        return _diagonal_stack(np.exp(iw * np.array([g.theta for g in batch])[:, None]))
+
+    return _validate_rep(UnitaryRep(U1, len(win), fn, name or f"u1{win}", meta={"weights": win}))
 
 
 def su2_fundamental() -> UnitaryRep:
-    # per element: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
-    rep = UnitaryRep(SU2, 2, lambda g: su2_matrix(g.phi, g.theta, g.psi), "su2-fund")
-    return _validate_rep(rep)
+    # su2_matrix per element: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
+    return _validate_rep(UnitaryRep(
+        SU2, 2, lambda batch: np.array([su2_matrix(g.phi, g.theta, g.psi) for g in batch]),
+        "su2-fund"))
 
 
 def _spin_jy(dim: int) -> np.ndarray:
@@ -566,11 +577,12 @@ def su2_irrep(dim: int) -> UnitaryRep:
         ry = (V * np.exp(-1j * theta * w)[:, None, :]) @ Vh
         return np.exp(1j * phi * m)[:, :, None] * ry * np.exp(1j * psi * m)[:, None, :]
 
-    return _stacked_rep(SU2, dim, fn, f"su2-sym{dim - 1}")
+    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}"))
 
 
 def su3_fundamental() -> UnitaryRep:
-    return _stacked_rep(SU3, 3, lambda batch: np.array([g.matrix for g in batch]), "su3-fund")
+    return _validate_rep(
+        UnitaryRep(SU3, 3, lambda batch: np.array([g.matrix for g in batch]), "su3-fund"))
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -602,7 +614,7 @@ def su3_rep(dim: int) -> UnitaryRep:
             U[:, 3:, 3:] = np.eye(dim - 3)
             return U
 
-        return _stacked_rep(SU3, dim, fn, f"su3-fund+{dim - 3}")
+        return _validate_rep(UnitaryRep(SU3, dim, fn, f"su3-fund+{dim - 3}"))
     if dim == 6:
         S = _symmetric_isometry_pairs(3)
 
@@ -612,31 +624,30 @@ def su3_rep(dim: int) -> UnitaryRep:
             K = (M[:, :, None, :, None] * M[:, None, :, None, :]).reshape(len(M), 9, 9)
             return S.T @ K @ S
 
-        return _stacked_rep(SU3, 6, fn6, "su3-sym2")
+        return _validate_rep(UnitaryRep(SU3, 6, fn6, "su3-sym2"))
     raise ValueError(f"no built-in SU(3) representation of dimension {dim}")
 
 
 def trivial_rep(group: GroupDescriptor, dim: int, name: str = "") -> UnitaryRep:
-    eye = np.eye(dim, dtype=complex)
-    return UnitaryRep(group, dim, lambda g: eye, name or f"trivial{dim}")
+    eye = np.eye(_positive_dim(dim), dtype=complex)
+    return UnitaryRep(group, dim, lambda batch: np.broadcast_to(eye, (len(batch), dim, dim)),
+                      name or f"trivial{dim}")
 
 
 def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> UnitaryRep:
-    """Representation of a finite group from one matrix per element."""
-    mats = [as_matrix(M, f"matrix for {group.labels[i]}") for i, M in enumerate(matrices)]
-    if len(mats) != group.order:
-        raise ValueError(f"expected {group.order} matrices, got {len(mats)}")
+    """Representation of a finite group from one matrix per element, kept as
+    one read-only (|G|, d, d) table indexed by element."""
+    matrices = list(matrices)
+    if len(matrices) != group.order:
+        raise ValueError(f"expected {group.order} matrices, got {len(matrices)}")
+    mats = [as_matrix(M, f"matrix for {label}") for label, M in zip(group.labels, matrices)]
     d = mats[0].shape[0]
-    for M in mats:
-        if M.shape[0] != d:
-            raise ValueError("representation matrices have mixed dimensions")
-    frozen = []
-    for M in mats:
-        M = M.copy()
-        M.setflags(write=False)
-        frozen.append(M)
-    rep = UnitaryRep(group, d, lambda g, _m=frozen: _m[g.index], name or "finite-rep")
-    return _validate_rep(rep)
+    if any(M.shape[0] != d for M in mats):
+        raise ValueError("representation matrices have mixed dimensions")
+    table = np.array(mats)
+    table.setflags(write=False)
+    return _validate_rep(UnitaryRep(group, d, lambda batch: table[[g.index for g in batch]],
+                                    name or "finite-rep"))
 
 
 def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
@@ -648,11 +659,11 @@ def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
         raise ValueError("direct sum requires a common group")
     total = sum(r.dim for r in reps)
 
-    def fn(g):
-        U = np.zeros((total, total), dtype=complex)
+    def fn(batch):
+        U = np.zeros((len(batch), total, total), dtype=complex)
         at = 0
         for r in reps:
-            U[at : at + r.dim, at : at + r.dim] = r.matrix_fn(g)
+            U[:, at : at + r.dim, at : at + r.dim] = r.stack_fn(batch)
             at += r.dim
         return U
 
@@ -673,21 +684,16 @@ def cyclic_group(n: int) -> FiniteGroup:
 def cyclic_rep(n: int, dim: int | None = None, weights: Sequence[int] | None = None) -> UnitaryRep:
     """Diagonal representation of Z_n by n-th roots of unity.
 
-    Element j acts as diag(omega^{j w_1}, ..., omega^{j w_d}); the default
-    weights are (0, 1, ..., d-1).
+    Element j acts as diag(omega^{j w_1}, ..., omega^{j w_d}); the integer
+    weights default to (0, 1, ..., d-1), with d = dim (at least 1) or n.
     """
     group = cyclic_group(n)
     if weights is None:
-        if dim is None:
-            dim = n
-        weights = tuple(range(dim))
-    w = np.asarray(list(weights), dtype=int)
-
-    def fn(g, _w=w, _n=n):
-        phases = (g.index * _w) % _n
-        return np.diag(np.exp(2j * math.pi * phases / _n))
-
-    return _validate_rep(UnitaryRep(group, int(w.size), fn, f"z{n}-diag"))
+        weights = range(n if dim is None else _positive_dim(dim))
+    w = np.array(_integer_weights(weights))
+    # row j holds (j w_k) mod n
+    phases = (np.arange(n)[:, None] * w) % n
+    return finite_rep(group, _diagonal_stack(np.exp(2j * math.pi * phases / n)), f"z{n}-diag")
 
 
 _Q8_MATS = {
@@ -717,11 +723,11 @@ def quaternion_group() -> FiniteGroup:
 def quaternion_rep(total_dim: int = 2) -> UnitaryRep:
     """The 2x2 representation of Q8 inside SU(2), optionally padded/summed to
     a larger dimension (copies of the 2x2 block plus trivial padding)."""
+    copies, pad = divmod(_positive_dim(total_dim), 2)
     group = quaternion_group()
     base = finite_rep(group, _q8_matrices(), "q8-2d")
     if total_dim == 2:
         return base
-    copies, pad = divmod(total_dim, 2)
     parts = [base] * copies + ([trivial_rep(group, pad)] if pad else [])
     return direct_sum_rep(*parts, name=f"q8-{total_dim}d")
 
@@ -740,16 +746,12 @@ def product_rep(ra: UnitaryRep, rb: UnitaryRep) -> UnitaryRep:
     product group, U(g1, g2) = U1(g1) kron U2(g2)."""
     if not (isinstance(ra.group, FiniteGroup) and isinstance(rb.group, FiniteGroup)):
         raise ValueError("product_rep is defined for finite groups")
-    group = product_group(ra.group, rb.group)
-    nb = rb.group.order
-
-    def fn(g, _nb=nb):
-        i, j = divmod(g.index, _nb)
-        return kron(ra.matrix_fn(FiniteElement(i)), rb.matrix_fn(FiniteElement(j)))
-
-    return _validate_rep(
-        UnitaryRep(group, ra.dim * rb.dim, fn, f"({ra.name})x({rb.name})")
-    )
+    A = element_unitaries(ra, finite_elements(ra.group))
+    B = element_unitaries(rb, finite_elements(rb.group))
+    # entry [i * |b| + j] is A_i kron B_j, first factor's index slowest
+    table = (A[:, None, :, None, :, None] * B[None, :, None, :, None, :]).reshape(
+        len(A) * len(B), ra.dim * rb.dim, ra.dim * rb.dim)
+    return finite_rep(product_group(ra.group, rb.group), table, f"({ra.name})x({rb.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -919,10 +921,7 @@ def rep_from_config(doc: dict) -> UnitaryRep:
     kind = doc["kind"]
 
     def checked_dim(default):
-        d = int_from_json(doc.get("dim", default), "dim")
-        if d < 1:
-            raise ValueError(f"dim must be >= 1, got {d}")
-        return d
+        return _positive_dim(int_from_json(doc.get("dim", default), "dim"))
 
     try:
         if kind == "su2":

@@ -231,23 +231,24 @@ def haar_average(
         avg = weighted_mean(lambda chunk: _pull_back(G.element_unitaries(rep, chunk), rho.rho),
                             nodes, weights, G.BATCH)
     else:
+        # no element list outlives its element_unitaries call (4096 for montecarlo)
         if method == "finite_exact":
             if kind != "finite":
                 raise MethodUnsupported("finite_exact needs a finite group")
-            elements = G.finite_elements(rep.group)
+            stack = G.element_unitaries(rep, G.finite_elements(rep.group))
         elif method == "quadrature":
             if kind != "u1":
                 raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
             charges = rep.meta.get("weights")
             n = max(2 * int(max(charges) - min(charges)) + 1, 8) if charges else 257
-            elements = [G.U1Element(2.0 * math.pi * k / n) for k in range(n)]
+            stack = G.element_unitaries(rep, [G.U1Element(2.0 * math.pi * k / n) for k in range(n)])
         elif method == "montecarlo":
             if kind == "finite":
                 raise MethodUnsupported("use finite_exact for finite groups")
-            elements = G.haar_sample(rep, seed, count)
+            stack = G.element_unitaries(rep, G.haar_sample(rep, seed, count))
         else:
             raise MethodUnsupported(f"unknown method {method!r}")
-        avg = pairwise_mean(_pull_back(G.element_unitaries(rep, elements), rho.rho))
+        avg = pairwise_mean(_pull_back(stack, rho.rho))
 
     state = DensityState(rho.d, repair_psd(avg)[0])
     residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)

@@ -45,6 +45,7 @@ from wignerlab.groups import (
     _q8_matrices,
     _su2_elements,
     compose,
+    direct_sum_rep,
     euler_from_su2,
     finite_elements,
     haar_unitary,
@@ -240,7 +241,8 @@ def test_finite_rep_homomorphism_error_is_the_pairwise_loops(base, index, factor
     mats = [element_unitary(base, g) for g in finite_elements(group)]
     mats[index] = mats[index] @ factor
     expected = _reference_homomorphism_error(
-        UnitaryRep(group, base.dim, lambda g: mats[g.index], "broken")
+        UnitaryRep(group, base.dim, lambda batch: np.array([mats[g.index] for g in batch]),
+                   "broken")
     )
     if expected is None:
         finite_rep(group, mats, "broken")
@@ -388,12 +390,15 @@ def _raised(fn):
         # an out-of-range finite index
         (cyclic_rep(3), [FiniteElement(1), FiniteElement(7)]),
         # a matrix of the wrong shape
-        (UnitaryRep(SU2, 3, lambda g: np.eye(2)), [SU2Element(0.1, 0.2, 0.3)]),
+        (UnitaryRep(SU2, 3, lambda batch: np.array([np.eye(2)] * len(batch))),
+         [SU2Element(0.1, 0.2, 0.3)]),
         # a non-unitary matrix, in the second validation chunk only
-        (UnitaryRep(U1, 2, lambda g: np.eye(2) * (2.0 if g.theta > 2.9 else 1.0)),
+        (UnitaryRep(U1, 2, lambda batch: np.array(
+            [np.eye(2) * (2.0 if g.theta > 2.9 else 1.0) for g in batch])),
          [U1Element(0.01 * k) for k in range(300)]),
         # a unitary matrix of det e^{i pi/3} for a special group
-        (UnitaryRep(SU3, 3, lambda g: np.diag([np.exp(1j * math.pi / 3), 1.0, 1.0])),
+        (UnitaryRep(SU3, 3, lambda batch: np.array(
+            [np.diag([np.exp(1j * math.pi / 3), 1.0, 1.0])] * len(batch))),
          [SU3Element(np.eye(3))]),
     ],
     ids=["wrong-group", "finite-index", "shape", "non-unitary", "det"],
@@ -406,12 +411,34 @@ def test_element_unitaries_raise_like_element_unitary(rep, elements):
         assert str(raised) == str(single)
 
 
+@pytest.mark.parametrize("count, elements, message", [
+    # one matrix too many, in the second validation chunk only
+    (lambda n: n + (n < 256), [U1Element(0.01 * k) for k in range(300)],
+     "representation produced shape (45, 2, 2), expected (44, 2, 2)"),
+    (lambda n: n - 1, [U1Element(1.0)],
+     "representation produced shape (0, 2, 2), expected (1, 2, 2)"),
+], ids=["one-more", "none"])
+def test_element_unitaries_reject_a_wrong_matrix_count(count, elements, message):
+    # a stack of the wrong length must not broadcast into the chunk
+    rep = UnitaryRep(U1, 2, lambda batch: np.tile(np.eye(2), (count(len(batch)), 1, 1)))
+    with pytest.raises(DimensionMismatch) as info:
+        element_unitaries(rep, elements)
+    assert str(info.value) == message
+    # a per-element function: one (d, d) matrix for the whole batch
+    per_element = UnitaryRep(U1, 2, lambda batch: np.eye(2))
+    with pytest.raises(DimensionMismatch) as info:
+        element_unitary(per_element, U1Element(1.0))
+    assert str(info.value) == "representation produced shape (2, 2), expected (1, 2, 2)"
+
+
 @pytest.mark.parametrize("rep, message", [
-    (UnitaryRep(SU2, 2, lambda g: su2_matrix(g.phi, g.theta, g.psi).T, "su2-T"),
+    (UnitaryRep(SU2, 2, lambda batch: np.array(
+        [su2_matrix(g.phi, g.theta, g.psi).T for g in batch]), "su2-T"),
      "representation 'su2-T' breaks the homomorphism"),
-    (UnitaryRep(SU3, 3, lambda g: g.matrix.T, "su3-T"),
+    (UnitaryRep(SU3, 3, lambda batch: np.array([g.matrix.T for g in batch]), "su3-T"),
      "representation 'su3-T' breaks the homomorphism"),
-    (UnitaryRep(SU2, 2, lambda g: -su2_matrix(g.phi, g.theta, g.psi), "su2-neg"),
+    (UnitaryRep(SU2, 2, lambda batch: -np.array(
+        [su2_matrix(g.phi, g.theta, g.psi) for g in batch]), "su2-neg"),
      "representation 'su2-neg' does not map identity to identity"),
 ], ids=["su2-transpose", "su3-transpose", "su2-negated"])
 def test_lie_rep_validation_rejects(rep, message):
@@ -422,8 +449,8 @@ def test_lie_rep_validation_rejects(rep, message):
 
 
 # Per-element formulas of the built-in Lie representations, kept here as
-# independent references for the library's forms: stacked for the SU(2)
-# irreps of dim >= 3 and for SU(3), per element for the SU(2) fundamental.
+# independent references for the library's stacked forms (the SU(2)
+# fundamental's stack calls su2_matrix once per element).
 
 
 def _ref_su2_matrix(phi, theta, psi):
@@ -494,6 +521,85 @@ def test_stacked_lie_reps_are_bitwise_the_per_element_formulas(rep, reference):
         assert direct.tobytes() == expected
 
 
+# Per-element formulas of the other built-in representations: U(1), the
+# finite-group tables, the trivial rep and a direct sum of Lie reps.
+
+
+def _ref_u1(weights):
+    w = np.asarray(weights, dtype=float)
+    return lambda g: np.diag(np.exp(1j * w * g.theta))
+
+
+def _ref_cyclic(n, weights):
+    w = np.asarray(weights)
+    return lambda g: np.diag(np.exp(2j * math.pi * ((g.index * w) % n) / n))
+
+
+def _ref_q8_blocks(dim):
+    def fn(g):
+        U = np.eye(dim, dtype=complex)
+        for at in range(0, dim - 1, 2):
+            U[at : at + 2, at : at + 2] = _q8_matrices()[g.index]
+        return U
+
+    return fn
+
+
+def _ref_product(ref_a, ref_b, nb):
+    def fn(g):
+        i, j = divmod(g.index, nb)
+        return np.kron(ref_a(FiniteElement(i)), ref_b(FiniteElement(j)))
+
+    return fn
+
+
+def _ref_direct_sum(*parts):
+    def fn(g):
+        blocks = [ref(g) for ref in parts]
+        U = np.zeros((sum(len(B) for B in blocks),) * 2, dtype=complex)
+        at = 0
+        for B in blocks:
+            U[at : at + len(B), at : at + len(B)] = B
+            at += len(B)
+        return U
+
+    return fn
+
+
+_Z3_PERM = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+
+
+def _other_references():
+    for weights in ([0, 1, -2, 3], [5], [0, 0, 1, -1, 2, 2, 2]):
+        yield u1_rep(weights), _ref_u1(weights)
+    yield cyclic_rep(5), _ref_cyclic(5, range(5))
+    yield cyclic_rep(6, dim=8), _ref_cyclic(6, range(8))
+    yield cyclic_rep(4, weights=[3, -1, 7]), _ref_cyclic(4, [3, -1, 7])
+    yield quaternion_rep(2), _ref_q8_blocks(2)
+    yield quaternion_rep(5), _ref_q8_blocks(5)
+    yield (product_rep(cyclic_rep(3, dim=2), quaternion_rep(2)),
+           _ref_product(_ref_cyclic(3, range(2)), _ref_q8_blocks(2), 8))
+    yield trivial_rep(cyclic_group(3), 4), lambda g: np.eye(4)
+    yield trivial_rep(SU2, 3), lambda g: np.eye(3)
+    yield (finite_rep(cyclic_group(3), [np.eye(3), _Z3_PERM, _Z3_PERM @ _Z3_PERM], "z3-perm"),
+           lambda g: np.linalg.matrix_power(_Z3_PERM, g.index))
+    yield (direct_sum_rep(su2_fundamental(), su2_irrep(3), trivial_rep(SU2, 1)),
+           _ref_direct_sum(lambda g: _ref_su2_matrix(g.phi, g.theta, g.psi),
+                           _ref_su2_irrep(3), lambda g: np.eye(1)))
+
+
+@pytest.mark.parametrize("rep, reference", list(_other_references()),
+                         ids=lambda r: getattr(r, "name", ""))
+def test_other_reps_are_bitwise_the_per_element_formulas(rep, reference):
+    if isinstance(rep.group, FiniteGroup):
+        elements = finite_elements(rep.group)
+    else:
+        elements = haar_sample(rep, 2024, 300)
+    expected = np.stack([reference(g) for g in elements]).astype(complex).tobytes()
+    assert element_unitaries(rep, elements).tobytes() == expected
+    assert np.stack([rep.matrix_fn(g) for g in elements]).astype(complex).tobytes() == expected
+
+
 SU3_MESSAGES = {
     "non-unitary": "SU(3) element is not unitary to 1e-10",
     "det": "SU(3) element determinant differs from 1 by more than 1e-10",
@@ -540,16 +646,6 @@ def test_su3_element_rejects_like_before(matrix, error, message):
         SU3Element(matrix)
     assert type(info.value) is error
     assert str(info.value) == message
-
-
-def test_stack_fn_is_set_only_by_the_built_in_reps():
-    with pytest.raises(TypeError):
-        UnitaryRep(SU3, 3, lambda g: g.matrix, stack_fn=lambda M: M)
-    stacked = [su2_irrep(d) for d in (3, 4, 8)] + [su3_rep(d) for d in (3, 4, 5, 6)]
-    assert all(rep.stack_fn is not None for rep in stacked)
-    per_element = [su2_fundamental(), su2_irrep(2), cyclic_rep(3), quaternion_rep(4),
-                   u1_rep([0, 1])]
-    assert all(rep.stack_fn is None for rep in per_element)
 
 
 def test_haar_sample_su3_elements_are_read_only():
@@ -801,6 +897,49 @@ def test_trivial_rep():
         assert np.array_equal(element_unitary(rep, g), np.eye(4))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: quaternion_rep(-1), "dim must be >= 1, got -1"),
+    (lambda: quaternion_rep(-3), "dim must be >= 1, got -3"),
+    (lambda: quaternion_rep(0), "dim must be >= 1, got 0"),
+    (lambda: cyclic_rep(3, dim=0), "dim must be >= 1, got 0"),
+    (lambda: cyclic_rep(3, dim=-2), "dim must be >= 1, got -2"),
+    (lambda: cyclic_rep(3, weights=[]), "need at least one weight"),
+    (lambda: trivial_rep(cyclic_group(3), 0), "dim must be >= 1, got 0"),
+    (lambda: trivial_rep(SU2, -1), "dim must be >= 1, got -1"),
+], ids=["q8-minus1", "q8-minus3", "q8-0", "zn-dim0", "zn-dim-2", "zn-no-weights",
+        "trivial-0", "trivial-minus1"])
+def test_rep_builders_reject_dims_below_one(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cyclic_rep(4, weights=[2.9]), "weights must be integers, got 2.9"),
+    (lambda: cyclic_rep(4, weights=[1, 2.0]), "weights must be integers, got 2.0"),
+    (lambda: cyclic_rep(4, weights=[True]), "weights must be integers, got True"),
+    (lambda: u1_rep([0.5]), "weights must be integers, got 0.5"),
+    (lambda: u1_rep([1, np.float64(-1.0)]), "weights must be integers, got np.float64(-1.0)"),
+    (lambda: u1_rep([False, 1]), "weights must be integers, got False"),
+    (lambda: u1_rep(["1"]), "weights must be integers, got '1'"),
+], ids=["zn-2.9", "zn-2.0", "zn-bool", "u1-0.5", "u1-np-float", "u1-bool", "u1-str"])
+def test_rep_builders_reject_non_integer_weights(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_rep_builders_take_numpy_integer_weights():
+    rep = u1_rep(np.array([2, -1]))
+    assert rep.meta["weights"] == (2, -1) and rep.name == "u1(2, -1)"
+    assert all(type(w) is int for w in rep.meta["weights"])
+    z4 = cyclic_rep(4, weights=np.array([3, 1]))
+    assert z4.dim == 2
+    # omega = i: element 1 acts as diag(i^3, i^1)
+    assert np.allclose(element_unitary(z4, FiniteElement(1)), np.diag([-1j, 1j]), atol=1e-15)
+
+
 def test_group_json_roundtrip():
     rep = quaternion_rep()
     doc = finite_group_to_json(rep.group, rep)
@@ -808,6 +947,14 @@ def test_group_json_roundtrip():
     assert group2 == rep.group
     for g in finite_elements(group2):
         assert np.allclose(element_unitary(rep2, g), element_unitary(rep, g), atol=1e-12)
+
+
+def test_group_json_rejects_more_rep_matrices_than_elements():
+    doc = {"labels": ["e", "a"], "table": [[0, 1], [1, 0]], "identity": 0,
+           "rep": {"dim": 1, "matrices": [[[[1, 0]]], [[[-1, 0]]], [[[1, 0]]]]}}
+    with pytest.raises(ValueError) as info:
+        finite_group_from_json(doc)
+    assert str(info.value) == "expected 2 matrices, got 3"
 
 
 def test_group_json_rejects_malformed():
