@@ -10,7 +10,7 @@ full rank; a fibre that fails either check raises ``FieldAssignmentError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,10 +71,13 @@ class BundleSpec:
 
 @dataclass(frozen=True)
 class FieldState:
-    """One density state per base point."""
+    """One density state per base point.  ``residuals`` holds, per base
+    point, the invariance residual ``assign_invariant_field`` checked; it is
+    not compared, not written to JSON and empty when read back."""
 
     points: tuple[str, ...]
     states: dict
+    residuals: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if set(self.states) != set(self.points):
@@ -108,8 +111,9 @@ def restrict(field: FieldState, x: str) -> DensityState:
         raise UnknownBasePoint(f"no base point {x!r} in this field") from None
 
 
-def _point_seed(seed: int, index: int, salt: int) -> int:
-    return (seed * 1_000_003 + index * 8191 + salt) % 2**63
+def _point_seed(seed: int, index: int) -> int:
+    """Seed of point index's averaging generators."""
+    return (seed * 1_000_003 + index * 8191 + 1) % 2**63
 
 
 def _blend_seed_state(d: int, blend: float, rng: np.random.Generator) -> DensityState:
@@ -125,17 +129,19 @@ def _average_one(rep: G.UnitaryRep, seed_state: DensityState, gen_seed: int) -> 
 
 def assign_invariant_field(spec: BundleSpec, seed: int = 0) -> FieldState:
     """Assign every base point an invariant, separating (full-rank) state:
-    invariance residual at most 1e-7 over 50 probes, separating to 1e-10.
+    invariance residual at most 1e-7 over 50 probes (point idx's probes
+    drawn from seed + idx, kept as ``FieldState.residuals``), separating to
+    1e-10.
 
     Deterministic for fixed (spec, seed): all randomness flows through
     counter streams keyed by the point index.
     """
-    states = {}
+    states, residuals = {}, {}
     for idx, label in enumerate(spec.points):
         rep = spec.reps[label]
         seed_state = _blend_seed_state(rep.dim, 0.5, G.philox_stream(seed, idx))
-        state = _average_one(rep, seed_state, _point_seed(seed, idx, 1))
-        residual = invariance_residual(rep, state, probes=50, seed=_point_seed(seed, idx, 2))
+        state = _average_one(rep, seed_state, _point_seed(seed, idx))
+        residual = invariance_residual(rep, state, probes=50, seed=seed + idx)
         sep = is_separating(state)
         if residual > 1e-7 or not sep.separating:
             raise FieldAssignmentError(
@@ -144,7 +150,8 @@ def assign_invariant_field(spec: BundleSpec, seed: int = 0) -> FieldState:
                 f"min eigenvalue {sep.min_eigenvalue:.3e}",
             )
         states[label] = state
-    return FieldState(spec.points, states)
+        residuals[label] = residual
+    return FieldState(spec.points, states, residuals)
 
 
 def bundle_spec_from_json(doc: dict) -> BundleSpec:

@@ -230,16 +230,16 @@ def cmd_invariant_state(config: dict) -> tuple[int, dict]:
 
     try:
         result = haar_average(rep, seed_state, method=config["method"], seed=seed,
-                              count=config["count"], generators=config["generators"],
-                              probes=50, probe_seed=seed + 1)
+                              count=config["count"], generators=config["generators"])
     except NoConvergence as exc:
         return EXIT_CONTRACT, {"error": str(exc), "residual": exc.residual}
     config["method"] = result.method
 
+    residual = invariance_residual(rep, result.state, probes=50, seed=seed + 1)
     sep = is_separating(result.state)
-    return EXIT_OK if result.residual <= config["tol"] else EXIT_CONTRACT, {
+    return EXIT_OK if residual <= config["tol"] else EXIT_CONTRACT, {
         "state": result.state.to_json(),
-        "invariance_residual": result.residual,
+        "invariance_residual": residual,
         "separating": {"separating": sep.separating, "min_eigenvalue": sep.min_eigenvalue},
     }
 
@@ -289,17 +289,11 @@ def cmd_bundle(config: dict) -> tuple[int, dict]:
     except FieldAssignmentError as exc:
         return EXIT_CONTRACT, {"error": str(exc), "label": exc.label}
 
-    residuals = {}
-    separating = {}
-    for idx, label in enumerate(spec.points):
-        rep = spec.reps[label]
-        residuals[label] = invariance_residual(rep, field.states[label], probes=50, seed=seed + idx)
-        separating[label] = is_separating(field.states[label]).separating
-
+    # assign_invariant_field raises unless every fibre is separating
     return EXIT_OK, {
         "field": field.to_json(),
-        "invariance_residuals": residuals,
-        "separating": separating,
+        "invariance_residuals": field.residuals,
+        "separating": dict.fromkeys(spec.points, True),
     }
 
 

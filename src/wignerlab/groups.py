@@ -607,14 +607,8 @@ def su3_rep(dim: int) -> UnitaryRep:
     if dim == 3:
         return su3_fundamental()
     if dim in (4, 5):
-        def fn(batch):
-            M = np.array([g.matrix for g in batch])
-            U = np.zeros((len(M), dim, dim), dtype=complex)
-            U[:, :3, :3] = M
-            U[:, 3:, 3:] = np.eye(dim - 3)
-            return U
-
-        return _validate_rep(UnitaryRep(SU3, dim, fn, f"su3-fund+{dim - 3}"))
+        return direct_sum_rep(su3_fundamental(), trivial_rep(SU3, dim - 3),
+                              name=f"su3-fund+{dim - 3}")
     if dim == 6:
         S = _symmetric_isometry_pairs(3)
 
@@ -651,13 +645,15 @@ def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> Unitar
 
 
 def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
-    """Block-diagonal direct sum of representations of one group."""
+    """Block-diagonal direct sum of representations of one group; over a
+    finite group, one ``finite_rep`` table of the summed blocks."""
     if not reps:
         raise ValueError("need at least one representation")
     group = reps[0].group
     if any(r.group != group for r in reps):
         raise ValueError("direct sum requires a common group")
     total = sum(r.dim for r in reps)
+    name = name or "+".join(r.name for r in reps)
 
     def fn(batch):
         U = np.zeros((len(batch), total, total), dtype=complex)
@@ -667,7 +663,9 @@ def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
             at += r.dim
         return U
 
-    return _validate_rep(UnitaryRep(group, total, fn, name or "+".join(r.name for r in reps)))
+    if isinstance(group, FiniteGroup):
+        return finite_rep(group, fn(finite_elements(group)), name)
+    return _validate_rep(UnitaryRep(group, total, fn, name))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ dimension.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -41,7 +42,8 @@ class MethodUnsupported(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Hermitian, positive semidefinite, trace-one matrix."""
+    """Hermitian, positive semidefinite, trace-one matrix; two states are
+    equal when their matrices are."""
 
     d: int
     rho: np.ndarray
@@ -60,6 +62,11 @@ class DensityState:
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityState):
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self.rho, other.rho)
 
     def eigenvalues(self) -> np.ndarray:
         vals, _ = eig_hermitian((self.rho + self.rho.conj().T) / 2.0)
@@ -176,9 +183,17 @@ def _max_defect(stack: np.ndarray, rho: np.ndarray, skip_above: float = math.inf
 
 @dataclass(frozen=True)
 class HaarAverageResult:
+    """The averaged state, the method that ran and the representation it
+    averaged over.  ``residual`` is the state's ``invariance_residual`` over
+    the default probe set (20 probes, seed 0), computed on first read."""
+
     state: DensityState
-    residual: float
     method: str
+    rep: G.UnitaryRep
+
+    @functools.cached_property
+    def residual(self) -> float:
+        return invariance_residual(self.rep, self.state)
 
 
 _AUTO_METHOD = {"finite": "finite_exact", "u1": "quadrature", "su2": "quadrature", "su3": "cesaro"}
@@ -191,8 +206,6 @@ def haar_average(
     seed: int = 0,
     count: int = 4096,
     generators: int = 3,
-    probes: int = 20,
-    probe_seed: int = 0,
 ) -> HaarAverageResult:
     """Group-average a state: rho_bar = integral of U(g)^dag rho U(g) dg.
 
@@ -209,7 +222,9 @@ def haar_average(
     * "auto": finite -> finite_exact, u1 and su2 -> quadrature,
       su3 -> cesaro.
 
-    ``residual`` is ``invariance_residual(rep, state, probes, probe_seed)``.
+    No invariance residual is computed here: the result's ``residual`` is
+    computed on first read, and a caller that wants another probe set calls
+    ``invariance_residual`` itself.
     """
     if rho.d != rep.dim:
         raise DimensionMismatch(f"state dim {rho.d} != representation dim {rep.dim}")
@@ -222,9 +237,7 @@ def haar_average(
         from .wigner import WignerProblem, cesaro_fixed_point
 
         problem = WignerProblem(rep, tuple(G.haar_sample(rep, seed, generators)))
-        state = cesaro_fixed_point(problem, rho, tol=1e-11)
-        residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
-        return HaarAverageResult(state, residual, method)
+        return HaarAverageResult(cesaro_fixed_point(problem, rho, tol=1e-11), method, rep)
 
     if method == "quadrature" and kind == "su2":
         nodes, weights = G.su2_quadrature_nodes(max(4, 2 * rep.dim - 1))
@@ -250,9 +263,7 @@ def haar_average(
             raise MethodUnsupported(f"unknown method {method!r}")
         avg = pairwise_mean(_pull_back(stack, rho.rho))
 
-    state = DensityState(rho.d, repair_psd(avg)[0])
-    residual = invariance_residual(rep, state, probes=probes, seed=probe_seed)
-    return HaarAverageResult(state, residual, method)
+    return HaarAverageResult(DensityState(rho.d, repair_psd(avg)[0]), method, rep)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ sides independently, reports their dimensions and principal angles, and
 extracts invariant density matrices by restarted Cesaro iteration of the
 averaged map.
 
-Each call builds its problem's n pullback superoperators T_j once, as one
-(n, d^2, d^2) stack (83 KB at n = 4, d = 6, freed on return).  Verify
+A problem builds the (n, d, d) stack of its elements' unitaries once, on
+first use, and keeps it read-only (``WignerProblem.unitaries``); verify,
+Cesaro and ``averaged_superop`` all read it.  Each call builds the n
+pullback superoperators T_j from it as one (n, d^2, d^2) stack (83 KB at
+n = 4, d = 6, freed on return).  Verify
 takes the intersection of the per-element fixed subspaces as the null space
 of the stacked [T_j - I] (one thin SVD), the per-element dims from one
 values-only stacked SVD, and the averaged side from the SVD of S - I, S the
@@ -30,6 +33,7 @@ five d^2 x d^2 matrices in memory (S, the sum, the power, two new products).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +83,14 @@ class WignerProblem:
     def d(self) -> int:
         return self.rep.dim
 
+    @functools.cached_property
+    def unitaries(self) -> np.ndarray:
+        """The read-only (n, d, d) stack of the elements' unitaries, built
+        once."""
+        stack = G.element_unitaries(self.rep, self.elements)
+        stack.setflags(write=False)
+        return stack
+
 
 def _pullback_superops(U: np.ndarray) -> np.ndarray:
     """Stack of U.T kron U^dag (vec(U^dag M U) in column-stacking), one per
@@ -89,12 +101,9 @@ def _pullback_superops(U: np.ndarray) -> np.ndarray:
     return (A[:, :, None, :, None] * A.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
 
 
-def averaged_superop(problem: WignerProblem, unitaries: np.ndarray | None = None) -> np.ndarray:
-    """Mean of the problem's pullback superoperators, from the (n, d, d)
-    stack of its elements' unitaries when the caller has built it."""
-    if unitaries is None:
-        unitaries = G.element_unitaries(problem.rep, problem.elements)
-    ops = _pullback_superops(unitaries)
+def averaged_superop(problem: WignerProblem) -> np.ndarray:
+    """Mean of the problem's pullback superoperators."""
+    ops = _pullback_superops(problem.unitaries)
     return sum(ops) / len(ops)
 
 
@@ -191,7 +200,7 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     (tol, 100 tol], or when a count disagrees with the spectrum.  Cost:
     O(n d^6) for the SVDs, with one (n, d^2, d^2) stack in memory.
     """
-    U = G.element_unitaries(problem.rep, problem.elements)
+    U = problem.unitaries
     blocks = _pullback_superops(U)
     n, d2 = blocks.shape[:2]
     eye = np.eye(d2)
@@ -274,8 +283,8 @@ def cesaro_fixed_point(
         raise ValueError("tol must be positive")
     if rho0.d != problem.d:
         raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
-    U = G.element_unitaries(problem.rep, problem.elements)
-    S = averaged_superop(problem, U)
+    U = problem.unitaries
+    S = averaged_superop(problem)
     side = problem.d
 
     def max_defect(v: np.ndarray, skip_above: float = math.inf) -> float:

@@ -99,7 +99,7 @@ def test_broken_averager_raises_instead_of_falling_back(monkeypatch):
     # an averager that returns its input leaves a non-invariant seed state;
     # that must surface, not be replaced by I/d
     monkeypatch.setattr(
-        bundle, "haar_average", lambda rep, rho, **kw: HaarAverageResult(rho, 0.0, "none")
+        bundle, "haar_average", lambda rep, rho, **kw: HaarAverageResult(rho, "none", rep)
     )
     with pytest.raises(FieldAssignmentError) as err:
         assign_invariant_field(spec, seed=6)
@@ -135,6 +135,17 @@ def test_bundle_spec_json_and_field_roundtrip():
     reloaded = FieldState.from_json(field.to_json())
     for label in spec.points:
         assert np.array_equal(reloaded.states[label].rho, field.states[label].rho)
+
+
+def test_field_read_back_from_json_equals_the_assigned_field():
+    # U(1) averaging keeps the seed's populations, so other seeds differ
+    spec = BundleSpec(("x", "y"), {"x": u1_rep([1, -1]), "y": u1_rep([0, 2, 1])})
+    field = assign_invariant_field(spec, seed=9)
+    reloaded = FieldState.from_json(field.to_json())
+    assert reloaded == field
+    assert reloaded.residuals == {} and list(field.residuals) == ["x", "y"]
+    other = assign_invariant_field(spec, seed=10)
+    assert other != field
 
 
 def test_bundle_spec_json_rejects_malformed():

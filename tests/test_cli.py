@@ -261,6 +261,23 @@ def test_bundle_from_config(tmp_path):
     assert all(report["separating"].values())
 
 
+def test_bundle_reports_the_residuals_its_check_used():
+    from wignerlab import invariance_residual
+    from wignerlab.cli import cmd_bundle
+
+    seed = 17
+    points = [{"label": label, "rep": {"kind": "su2", "dim": dim}}
+              for label, dim in (("a", 3), ("b", 2), ("c", 4))]
+    code, report = cmd_bundle({"seed": seed, "points": points})
+    assert code == 0
+    spec = bundle_spec_from_json({"points": points})
+    for idx, label in enumerate(spec.points):
+        state = DensityState.from_json(report["field"]["states"][label])
+        expected = invariance_residual(spec.reps[label], state, probes=50, seed=seed + idx)
+        assert report["invariance_residuals"][label].hex() == expected.hex()
+    assert report["separating"] == {"a": True, "b": True, "c": True}
+
+
 def test_readme_bundle_spec_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"Bundle specs.*?```json\n(.*?)```", readme, re.DOTALL).group(1)

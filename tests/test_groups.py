@@ -586,6 +586,12 @@ def _other_references():
     yield (direct_sum_rep(su2_fundamental(), su2_irrep(3), trivial_rep(SU2, 1)),
            _ref_direct_sum(lambda g: _ref_su2_matrix(g.phi, g.theta, g.psi),
                            _ref_su2_irrep(3), lambda g: np.eye(1)))
+    for pad in (1, 2):
+        yield su3_rep(3 + pad), _ref_direct_sum(lambda g: g.matrix, lambda g, pad=pad: np.eye(pad))
+    yield (direct_sum_rep(cyclic_rep(3, dim=2), trivial_rep(cyclic_group(3), 1),
+                          finite_rep(cyclic_group(3), [np.eye(3), _Z3_PERM, _Z3_PERM @ _Z3_PERM])),
+           _ref_direct_sum(_ref_cyclic(3, range(2)), lambda g: np.eye(1),
+                           lambda g: np.linalg.matrix_power(_Z3_PERM, g.index)))
 
 
 @pytest.mark.parametrize("rep, reference", list(_other_references()),
@@ -880,6 +886,17 @@ def test_su2_irreps_unitary_and_homomorphic():
         Ugh = element_unitary(rep, compose(rep.group, g, h))
         assert np.linalg.norm(Ug @ Uh - Ugh) <= 1e-9
         assert abs(np.linalg.det(Ug) - 1) <= 1e-10
+
+
+def test_finite_direct_sum_is_one_table():
+    # the parts' matrices are read once, when the sum is built
+    calls = []
+    base = cyclic_rep(4, dim=2)
+    part = UnitaryRep(base.group, 2, lambda batch: calls.append(batch) or base.stack_fn(batch))
+    rep = direct_sum_rep(part, trivial_rep(base.group, 1), name="z4-sum")
+    assert len(calls) == 1 and rep.name == "z4-sum"
+    element_unitaries(rep, finite_elements(rep.group) * 3)
+    assert len(calls) == 1
 
 
 def test_su3_reps_dimensions():

@@ -327,13 +327,25 @@ def test_state_json_roundtrip(rng):
         DensityState.from_json({"d": 2})
 
 
-def test_haar_average_residual_uses_callers_probes(rng):
+def test_haar_average_residual_is_computed_once_on_first_read(rng, monkeypatch):
+    from wignerlab import states
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return invariance_residual(*args, **kwargs)
+
+    monkeypatch.setattr(states, "invariance_residual", counted)
     rho = random_density(3, rng)
     for rep, method in ((su2_irrep(3), "auto"), (groups.su3_fundamental(), "cesaro"),
                         (su2_irrep(3), "montecarlo")):
-        for s in (0, 5):
-            result = haar_average(rep, rho, method=method, count=64, probes=50, probe_seed=s)
-            assert result.residual == invariance_residual(rep, result.state, probes=50, seed=s)
+        calls.clear()
+        result = haar_average(rep, rho, method=method, count=64)
+        assert calls == []
+        assert result.residual == invariance_residual(rep, result.state)
+        assert result.residual == invariance_residual(rep, result.state)
+        assert len(calls) == 1
 
 
 def _reference_su2_quadrature(rep, rho):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (
+    BadElement,
     DensityState,
     FiniteElement,
     NoConvergence,
@@ -250,9 +251,8 @@ def _reference_superop(rep, g):
     return np.kron(U.T, U.conj().T)
 
 
-def _reference_averaged_superop(problem, unitaries=None):
-    # builds its own per-element np.kron superoperators; ``unitaries`` only
-    # matches the signature that cesaro_fixed_point calls
+def _reference_averaged_superop(problem):
+    # builds its own per-element np.kron superoperators
     ops = [_reference_superop(problem.rep, g) for g in problem.elements]
     return sum(ops) / len(ops)
 
@@ -513,5 +513,23 @@ def test_standard_batch_builds_each_rep_config_once(monkeypatch):
 
 def test_problem_rejects_foreign_elements():
     rep = su2_fundamental()
-    with pytest.raises(Exception):
+    with pytest.raises(BadElement):
         WignerProblem(rep, (FiniteElement(0),))
+    with pytest.raises(BadElement):
+        WignerProblem(quaternion_rep(), (FiniteElement(8),))
+
+
+def test_problem_builds_its_unitary_stack_once(monkeypatch):
+    from wignerlab import groups
+
+    calls, build = [], groups.element_unitaries
+    monkeypatch.setattr(groups, "element_unitaries",
+                        lambda rep, elements: calls.append(elements) or build(rep, elements))
+    for seed, problem in enumerate(standard_problem_batch(8, 1001)):
+        calls.clear()
+        verify_wigner_identity(problem)
+        cesaro_fixed_point(problem, problem_seed_state(problem, seed))
+        assert len(calls) == 1
+        assert problem.unitaries.tobytes() == build(problem.rep, problem.elements).tobytes()
+        with pytest.raises(ValueError):
+            problem.unitaries[0, 0, 0] = 0.0
