@@ -76,7 +76,7 @@ _FLAGS = {
     "group": {"help": "group: su2, su3, u1, q8, zn:<n>, file:<path>"},
     "dim": {"type": int, "min": 1, "help": "representation dimension"},
     "method": {"choices": ("auto", "quadrature", "montecarlo", "finite_exact", "cesaro")},
-    "generators": {"type": int, "min": 1, "help": "Cesaro generator count"},
+    "generators": {"type": int, "min": 1, "help": "Cesaro Haar samples (Lie groups only)"},
     "state": {"help": "seed state JSON file"},
     "action": {"choices": ("rep", "trivial"), "help": "act through the group's rep or trivially"},
     "tensor_factors": {"type": int, "min": 2,

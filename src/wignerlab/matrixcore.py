@@ -14,12 +14,13 @@ fixed here and used by every other module:
   decide, so ``_rank`` raises ``RuntimeError`` naming the rank cutoff
   instead.  ``null_space`` takes its ``tol`` (default ``DEFAULT_TOL`` =
   1e-10) times the matrix's largest singular value; ``commutant`` cuts each
-  commutator at ``DEFAULT_TOL`` on a scale of 1; ``crossed.algebra_closure``
-  at ``DEFAULT_TOL`` times max(1, the largest singular value); ``wigner``'s
-  Wigner sets, their intersection and the averaged map at their tol on a
-  scale of 1 (each map there is T - I with ||T|| <= 1).
+  commutator with A / ||A||_F at its tol on a scale of 1 (verify's
+  intersection: tol sqrt(d) on ||U^dag M U - M||_F for a unit-norm M);
+  ``crossed.algebra_closure`` at ``DEFAULT_TOL`` times max(1, the largest
+  singular value); ``wigner``'s Wigner sets (U(g)'s eigenvalue gaps) and
+  averaged map S - I at their tol on a scale of 1.
 * ``commutant`` cuts a generic Hermitian element's spectrum into
-  eigenvalue clusters only at gaps above sqrt(DEFAULT_TOL) times its norm.
+  eigenvalue clusters only at gaps above sqrt(tol) times its norm.
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
   ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
   NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs
@@ -28,6 +29,7 @@ fixed here and used by every other module:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -185,12 +187,11 @@ def _rank(s: np.ndarray, cut: float, what: str):
 
 
 def _null_basis(M: np.ndarray, tol: float, scale: float | None = None,
-                thin: bool = False, what: str = "null space") -> np.ndarray:
+                what: str = "null space") -> np.ndarray:
     """Orthonormal basis of {v : ||Mv|| <= tol * scale} for the 2-d M, from
-    one SVD and ``_rank``; scale defaults to M's largest singular value.
-    ``thin`` skips the left factor's complement, which loses no right vector
-    when M is tall."""
-    _, s, vh = np.linalg.svd(M, full_matrices=not (thin and M.shape[0] >= M.shape[1]))
+    one SVD and ``_rank``; scale defaults to M's largest singular value.  A
+    tall M takes the thin SVD, which loses no right vector."""
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     return vh[_rank(s, tol * (s[0] if scale is None else scale), what):].conj().T
 
 
@@ -213,44 +214,60 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
 _GENERIC_SEED = 0x434F4D4D
 
 
-def commutant(S, d: int) -> Subspace:
+@functools.lru_cache(maxsize=64)
+def _generic_coefficients(n: int) -> np.ndarray:
+    """The generic element's coefficients a_k + i b_k, a read-only (1, n) row."""
+    a, b = np.random.Generator(np.random.Philox(key=_GENERIC_SEED)).standard_normal((2, n))
+    (c := (a + 1j * b).reshape(1, n)).setflags(write=False)
+    return c
+
+
+def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Basis of {M : MA = AM for all A in S} as a subspace of vectorized M_d.
 
-    Contract: each A in S is normal or has its adjoint in span(S), so that S'
-    is the commutant of the *-algebra S generates; otherwise ``ValueError``.
-    The zero-decision scale for each A is ||A||_F, so matrices that commute
+    S is a sequence of d x d matrices or an (n, d, d) array.  Contract: each
+    A in S is normal or has its adjoint in span(S), so that S' is the
+    commutant of the *-algebra S generates; otherwise ``ValueError``.  The
+    zero-decision scale for each A is ||A||_F, so matrices that commute
     with everything (scalars) yield the full space rather than a noise-rank
-    artifact.  A commutator singular value in (DEFAULT_TOL, 100 DEFAULT_TOL]
-    raises ``RuntimeError`` (the rank rule above), here and in
-    ``double_commutant``.
+    artifact.  A commutator singular value in (tol, 100 tol] raises
+    ``RuntimeError`` (the rank rule above), here and in ``double_commutant``.
     """
-    tol = DEFAULT_TOL
-    mats = [as_matrix(A) for A in S]
-    if any(A.shape[0] != d for A in mats):
-        raise DimensionMismatch(f"expected {d}x{d} matrices")
-    mats = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    try:
+        # the appended identity shapes an empty S as (0, d, d), a wrong one as ragged
+        mats = np.array([*S, np.eye(d)], dtype=complex)[:-1]
+    except ValueError as exc:
+        raise DimensionMismatch(f"expected {d}x{d} matrices") from exc
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix contains NaN or Inf entries")
     mats /= np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
     adjs = mats.conj().transpose(0, 2, 1)
-    span, adj = mats.reshape(-1, d * d).T, adjs.reshape(-1, d * d).T
-    outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj, rcond=None)[0], axis=0) > tol
-    if np.any(outside & (np.linalg.norm(mats @ adjs - adjs @ mats, axis=(1, 2)) > tol)):
-        raise ValueError("S has a matrix that is not normal and whose adjoint is not in span(S)")
+    nonnormal = np.linalg.norm(mats @ adjs - adjs @ mats, axis=(1, 2)) > tol
+    if nonnormal.any():
+        span, adj = mats.reshape(-1, d * d).T, adjs.reshape(-1, d * d).T
+        outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj, rcond=None)[0], axis=0) > tol
+        if np.any(outside & nonnormal):
+            raise ValueError("S has a matrix that is not normal and whose adjoint is not in span(S)")
     # X = sum a_k (A_k + A_k^dag) + b_k i (A_k - A_k^dag) is in S's *-algebra: S' lies in {X}'
-    coef = np.random.Generator(np.random.Philox(key=_GENERIC_SEED)).standard_normal((2, len(mats)))
-    Y = np.tensordot(coef[0] + 1j * coef[1], mats, axes=1)
+    Y = np.dot(_generic_coefficients(len(mats)), mats.reshape(len(mats), -1)).reshape(d, d)
     vals, V = np.linalg.eigh(Y + Y.conj().T)
     # {X}' is spanned by v_i v_j^dag, i and j in one eigenvalue cluster.  A cut
     # at gap g turns eigenvectors across it by about eps ||X|| / g, so cut only
     # at gaps above sqrt(tol) ||X||: that may merge eigenspaces, never split one
-    cuts = np.flatnonzero(np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()) + 1
-    B = np.column_stack([np.kron(Vc.conj(), Vc) for Vc in np.split(V, cuts, axis=1)])
+    cluster = np.cumsum(np.r_[0, np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()])
+    # each cluster's kron(Vc.conj(), Vc) in turn, in C order: B's layout picks
+    # the BLAS kernel of B @ N below, and with it the basis bits
+    i, j = np.nonzero(cluster[:, None] == cluster[None, :])
+    B = np.multiply(V.conj()[:, None, i], V[None, :, j], order="C").reshape(d * d, -1)
     for A in mats:
         # B's column j reshaped in C order is M_j^T, and (AM - MA)^T = M^T A^T - A^T M^T
         Mt = B.T.reshape(-1, d, d)
         L = (Mt @ A.T - A.T @ Mt).reshape(-1, d * d).T
         # ||L||_F bounds every singular value: at or below tol, all of B stays
         if np.linalg.norm(L) > tol:
-            B = B @ _null_basis(L, tol, 1.0, thin=True, what="commutant")
+            B = B @ _null_basis(L, tol, 1.0, what="commutant")
     return Subspace(d * d, B)
 
 

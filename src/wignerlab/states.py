@@ -218,7 +218,8 @@ def haar_average(
     * "montecarlo": ``count`` Haar samples drawn from ``seed``, fixed-order
       pairwise summation (Lie groups only);
     * "cesaro": ``wigner.cesaro_fixed_point`` to 1e-11 for the averaged map of
-      ``generators`` Haar samples drawn from ``seed`` (any group kind);
+      ``generators`` Haar samples drawn from ``seed``, or of a finite group's
+      ``groups.generating_set`` (the identity if the group is trivial);
     * "auto": finite -> finite_exact, u1 and su2 -> quadrature,
       su3 -> cesaro.
 
@@ -236,7 +237,9 @@ def haar_average(
         # wigner imports this module at load time
         from .wigner import WignerProblem, cesaro_fixed_point
 
-        problem = WignerProblem(rep, tuple(G.haar_sample(rep, seed, generators)))
+        elements = (G.generating_set(rep.group) or [G.identity_element(rep.group)]
+                    if kind == "finite" else G.haar_sample(rep, seed, generators))
+        problem = WignerProblem(rep, tuple(elements))
         return HaarAverageResult(cesaro_fixed_point(problem, rho, tol=1e-11), method, rep)
 
     if method == "quadrature" and kind == "su2":

@@ -11,24 +11,16 @@ averaged map.
 
 A problem builds the (n, d, d) stack of its elements' unitaries once, on
 first use, and keeps it read-only (``WignerProblem.unitaries``); verify,
-Cesaro and ``averaged_superop`` all read it.  Each call builds the n
-pullback superoperators T_j from it as one (n, d^2, d^2) stack (83 KB at
-n = 4, d = 6, freed on return).  Verify
-takes the intersection of the per-element fixed subspaces as the null space
-of the stacked [T_j - I] (one thin SVD), the per-element dims from one
-values-only stacked SVD, and the averaged side from the SVD of S - I, S the
-stack's mean: O(n d^6) in all.  Rank decisions follow ``matrixcore``'s rank
-rule on a fixed scale of 1, refusing to decide (RuntimeError) when a
-singular value lies in (tol, 100 tol]; the per-element dims are also checked
-against the eigenvalues of U(g_j).  Cesaro takes the stack's mean alone.
+Cesaro and ``averaged_superop`` all read it.  ``averaged_superop`` sums the
+(n, d^2, d^2) stack of pullback superoperators T_j (83 KB at n = 4, d = 6,
+freed on return).  Verify takes each element's Wigner set dim from U(g_j)'s
+eigenvalues, the intersection from ``matrixcore.commutant`` of the
+unitaries and the averaged side from one SVD of S - I, S the T_j's mean:
+O(d^6) for that SVD plus O(n d^4) for S; no stack of T_j - I is formed.
+Rank decisions follow ``matrixcore``'s rank rule, refusing to decide
+(RuntimeError) when a value lies in (tol, 100 tol].
 
-The Cesaro window sums sum_{k<w} S^k of the d^2 x d^2 averaged
-superoperator S are formed by binary powering, O(log w) products for the
-first window, and reused when the window doubles: sum_{k<2w} S^k =
-sum_{k<w} S^k + S^w sum_{k<w} S^k, two products.  Each window mean is the
-same convex combination of pullbacks that step-by-step iteration gives, at
-O(d^6 log w) for the first window and O(d^6) for each later one, with up to
-five d^2 x d^2 matrices in memory (S, the sum, the power, two new products).
+Cesaro's window sums are formed by binary powering (``cesaro_fixed_point``).
 """
 
 from __future__ import annotations
@@ -45,6 +37,7 @@ from .matrixcore import (
     Subspace,
     _null_basis,
     _rank,
+    commutant,
     frobenius,
     null_space,
     principal_angle_residual,
@@ -111,11 +104,11 @@ def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement) -> Subspace:
     """Orthonormal basis of {M : U(g)^dag M U(g) = M} (the commutant of U(g))."""
     T = _pullback_superops(G.element_unitaries(rep, (g,)))[0]
     return Subspace(T.shape[0], _null_basis(T - np.eye(T.shape[0]), DEFAULT_TOL, 1.0,
-                                            thin=True, what="Wigner set"))
+                                            what="Wigner set"))
 
 
 # Two intersection algorithms for subspaces given by bases.  Verify
-# intersects the Wigner sets from the stacked T_j - I and uses neither.
+# intersects the Wigner sets with ``matrixcore.commutant`` and uses neither.
 
 
 def intersect_stacked(subspaces: list[Subspace], tol: float = DEFAULT_TOL) -> Subspace:
@@ -188,39 +181,26 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     """Check dim and principal-angle agreement of the intersection of the
     per-element fixed subspaces with the averaged map's fixed subspace.
 
-    Both sides start from one stack of the pullback superoperators T_j.  The
-    intersection is the null space of the stacked (n d^2) x d^2 matrix
-    [T_j - I], from one thin SVD; the averaged side is the null space of
-    S - I, S the mean of the T_j, from its own SVD.  The per-element dims
-    come from one values-only stacked SVD of the T_j - I and are checked
-    against U(g_j)'s spectrum: T - I is normal with singular values
-    |lambda_a - lambda_b| over U's eigenvalues, so dim W_g is the number of
-    pairs (a, b) with |lambda_a - lambda_b| <= tol.  Every rank decision uses
-    a fixed scale of 1 and raises RuntimeError when a singular value lies in
-    (tol, 100 tol], or when a count disagrees with the spectrum.  Cost:
-    O(n d^6) for the SVDs, with one (n, d^2, d^2) stack in memory.
+    The two sides come from independent algorithms: the intersection is
+    ``matrixcore.commutant`` of the unitaries at tol, the averaged side the
+    null space of S - I from one SVD, O(d^6).  Each element's dim cuts the
+    |lambda_a - lambda_b| over U(g_j)'s eigenvalues, the singular values of
+    the normal T_j - I.  A value in (tol, 100 tol] raises RuntimeError, and
+    so does an intersection larger than some element's Wigner set (other
+    than it, for one element).
     """
     U = problem.unitaries
-    blocks = _pullback_superops(U)
-    n, d2 = blocks.shape[:2]
-    eye = np.eye(d2)
-    S = sum(blocks) / n
-    # the T_j - I, in place
-    blocks -= eye
-    element_dims = d2 - _rank(np.linalg.svd(blocks, compute_uv=False), tol, "Wigner set")
+    n, d, d2 = len(U), problem.d, problem.d**2
     lam = np.linalg.eigvals(U)
-    pairs = np.sum(np.abs(lam[:, :, None] - lam[:, None, :]) <= tol, axis=(1, 2))
-    if np.any(element_dims != pairs):
-        j = int(np.argmax(element_dims != pairs))
-        raise RuntimeError(
-            f"element {j}: Wigner set dim {element_dims[j]} from the SVD, but U(g) has "
-            f"{pairs[j]} eigenvalue pairs within tol"
-        )
-    inter = Subspace(d2, _null_basis(blocks.reshape(n * d2, d2), tol, 1.0, thin=True,
-                                     what="intersection"))
-    # one element: S - I is bitwise the T_1 - I just cut, so its null space too
-    avg = inter if n == 1 else Subspace(d2, _null_basis(S - eye, tol, 1.0, thin=True,
-                                                         what="averaged map"))
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :]).reshape(n, d2)
+    element_dims = d2 - _rank(gaps, tol, "Wigner set")
+    inter = commutant(U, d, tol)
+    j = int(np.argmin(element_dims))
+    if inter.dim > element_dims[j] or (n == 1 and inter.dim != element_dims[j]):
+        raise RuntimeError(f"intersection dim {inter.dim} from the commutant, but element {j}'s "
+                           f"U(g) has {element_dims[j]} eigenvalue pairs within tol")
+    S = averaged_superop(problem)
+    avg = Subspace(d2, _null_basis(S - np.eye(d2), tol, 1.0, what="averaged map"))
     B = inter.basis
     inclusion = float(np.linalg.norm(S @ B - B, axis=0).max(initial=0.0))
 

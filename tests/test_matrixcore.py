@@ -124,6 +124,14 @@ def test_null_space_requires_positive_tol():
         null_space(np.eye(2), tol=0.0)
 
 
+def test_commutant_requires_positive_tol():
+    # a cut at or below zero is no rank decision: -1 claimed "not normal"
+    # for the identity, 0 kept what commutes exactly
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            commutant([np.eye(2)], 2, tol)
+
+
 def _reference_null_basis(M, tol=1e-10):
     """One SVD of one matrix and the rank rule."""
     if not M.any():

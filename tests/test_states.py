@@ -191,16 +191,32 @@ def test_haar_average_auto_su3_is_cesaro_and_invariant(rng):
     assert res.method == "cesaro"
     assert res.residual <= 1e-7
 
-    # Cesaro runs on every group kind; the 3 elements drawn from seed 0
-    # include an odd one, which generates Z_4, so the limit is the exact average
+    # Cesaro runs on every group kind; on Z_4 it averages over a generator,
+    # so the limit is the exact average
     rep = cyclic_rep(4, dim=4)
-    assert any(g.index % 2 for g in haar_sample(rep, 0, 3))
     rho = random_density(4, rng)
     res = haar_average(rep, rho, method="cesaro")
     assert res.method == "cesaro"
     assert res.residual <= 1e-7
     exact = haar_average(rep, rho, method="finite_exact").state
     assert trace_distance(res.state, exact) <= 1e-9
+
+
+def test_haar_average_cesaro_on_a_finite_group_averages_over_generators():
+    # the 3 Haar samples of this order-24 group at seed 0 are indices 0 (the
+    # identity), 23 and 14, which do not generate it: their Cesaro limit had
+    # residual 0.20 over the whole group
+    rep = groups.product_rep(groups.cyclic_rep(3, dim=2), groups.quaternion_rep(2))
+    rho = random_density(4, groups.philox_stream(5, 0))
+    res = haar_average(rep, rho, method="cesaro")
+    assert res.residual <= 1e-11
+    exact = haar_average(rep, rho, method="finite_exact").state
+    assert trace_distance(res.state, exact) <= 1e-11
+    # the trivial group has no generators: its Cesaro map is the identity
+    trivial = groups.cyclic_rep(1, dim=3)
+    rho = random_density(3, groups.philox_stream(5, 1))
+    res = haar_average(trivial, rho, method="cesaro")
+    assert trace_distance(res.state, rho) <= 1e-15
 
 
 def test_haar_average_montecarlo_within_standard_errors(rng):

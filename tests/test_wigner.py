@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,7 @@ from wignerlab import (
     wigner_subspace,
 )
 from wignerlab import wigner
-from wignerlab.groups import describe_element, identity_element
+from wignerlab.groups import describe_element, identity_element, inverse_element
 from wignerlab.matrixcore import (
     Subspace,
     null_space,
@@ -210,14 +213,28 @@ def test_near_threshold_element_raises_instead_of_deciding():
             call()
 
 
-def test_verify_raises_when_the_spectrum_disagrees_with_the_svd(monkeypatch):
-    # the per-element dims are checked against U(g)'s eigenvalues: a spectrum
-    # that claims U(g) = I for an element that is not must stop verify
+def test_verify_raises_when_the_spectrum_disagrees_with_the_commutant(monkeypatch):
+    # the intersection may not exceed any element's Wigner set: a spectrum
+    # that claims distinct eigenvalues for U(e) = I, whose commutant is all of
+    # M_d, must stop verify
     rep = su2_irrep(3)
-    problem = WignerProblem(rep, tuple(haar_sample(rep, 4, 2)))
-    monkeypatch.setattr(np.linalg, "eigvals", lambda U: np.ones(U.shape[:-1], dtype=complex))
+    problem = WignerProblem(rep, (identity_element(rep.group),))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda U: np.exp(1j * np.arange(U.shape[-1])) * np.ones(U.shape[:-1]))
     with pytest.raises(RuntimeError, match="eigenvalue pairs"):
         verify_wigner_identity(problem)
+
+
+@pytest.mark.parametrize("tol, dim", [(1e-10, 2), (1e-3, 4)])
+def test_verify_tol_reaches_the_intersection(tol, dim):
+    # diag(1, e^{i 5e-7}): its eigenvalues are distinct at tol 1e-10 and one
+    # at tol 1e-3, and the commutant the intersection comes from cuts at the
+    # same tol, or the two counts would disagree and raise
+    problem = WignerProblem(u1_rep([0, 1]), (U1Element(5e-7),))
+    report = verify_wigner_identity(problem, tol)
+    assert report.element_dims == (dim,)
+    assert report.intersection_dim == report.averaged_dim == dim
+    assert report.verdict
 
 
 def test_intersection_algorithms_agree(rng):
@@ -241,9 +258,43 @@ def test_alternating_projection_stops_within_rounding_of_idempotent(seed, index,
     assert intersect_alternating(subs).dim == intersect_stacked(subs).dim == dim
 
 
-@pytest.mark.parametrize("seed", [1403, 1407])
+@pytest.mark.parametrize("seed", [1403, 1407, 1607, 1611])
 def test_verify_every_problem_of_a_batch(seed):
     assert all(verify_wigner_identity(p).verdict for p in standard_problem_batch(200, seed))
+
+
+def _rewritten_families(problem):
+    """Families with the same Wigner set intersection: reversed, the first
+    element repeated, the identity appended, the first element's inverse
+    appended (W_e = M_d and W_{g^-1} = W_g)."""
+    elements, group = problem.elements, problem.rep.group
+    return [elements[::-1], elements + elements[:1], elements + (identity_element(group),),
+            elements + (inverse_element(group, elements[0]),)]
+
+
+@pytest.mark.parametrize("seed", [1403, 1607])
+def test_verify_is_invariant_under_family_rewrites(seed):
+    # each rewrite keeps the intersection, hence by the identity the averaged
+    # map's fixed set, so dims and verdict; the appended inverse has the
+    # first element's Wigner set dim
+    for problem in standard_problem_batch(40, seed):
+        report = verify_wigner_identity(problem)
+        expected = (report.intersection_dim, report.averaged_dim, report.verdict)
+        for elements in _rewritten_families(problem):
+            variant = verify_wigner_identity(WignerProblem(problem.rep, elements))
+            assert (variant.intersection_dim, variant.averaged_dim, variant.verdict) == expected
+        assert variant.element_dims[-1] == report.element_dims[0]
+
+
+# SHA-256 of the JSON list of [element_dims, intersection_dim, averaged_dim,
+# verdict] of every problem of standard_problem_batch(200, s), s = 0..4
+_BATCH_DECISIONS_SHA256 = "65a75629c87ceb280207a94f18fc6bf2d1b1fb6739ea83ba3a95d7c4e86fe23b"
+
+
+def test_verify_decisions_of_five_batches_are_pinned():
+    rows = [[list(r.element_dims), r.intersection_dim, r.averaged_dim, r.verdict]
+            for s in range(5) for r in map(verify_wigner_identity, standard_problem_batch(200, s))]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _BATCH_DECISIONS_SHA256
 
 
 def _reference_superop(rep, g):
@@ -307,10 +358,11 @@ def _reference_families():
 _REPORT_FLOATS = ("max_principal_angle", "min_gram_singular_value", "inclusion_residual")
 
 
-def test_superoperator_stack_is_bitwise_the_per_element_path(monkeypatch):
-    # verify against the per-element reference algorithm: the same dims and
-    # verdict exactly, every report float to 1e-12 (the two take their null
-    # spaces from different SVDs); Cesaro against np.kron superoperators bitwise
+def test_verify_matches_the_per_element_superoperator_reference(monkeypatch):
+    # verify against one superoperator null space per element: the same dims
+    # and verdict exactly, every report float to 1e-12 (verify takes the
+    # intersection from the commutant, not from an SVD); Cesaro against
+    # np.kron superoperators bitwise
     problems = [(p, 1001 + i) for i, p in enumerate(standard_problem_batch(200, 1001))]
     problems += [(p, 2026 + i) for i, p in enumerate(standard_problem_batch(200, 2026))]
     problems += [(p, 7 + i) for i, p in enumerate(_reference_families())]
