@@ -201,7 +201,7 @@ def cmd_wigner_verify(config: dict) -> tuple[int, dict]:
     if group is not None:
         rep = resolve_rep(group, dim)
         problems = [
-            WignerProblem(rep, tuple(G.haar_sample(rep, seed + i, 1 + i % 4)))
+            WignerProblem(rep, G.haar_sample(rep, seed + i, 1 + i % 4))
             for i in range(count)
         ]
     else:

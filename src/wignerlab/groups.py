@@ -13,13 +13,19 @@ with theta in [0, pi] and phi, psi in [-2pi, 2pi] (the double cover needs a
 the same product in closed form, diag(e^{i m phi}) . exp(-i theta J_y) .
 diag(e^{i m psi}) with m = j, j-1, ..., -j, at O(d^3) per element.
 
+Elements travel as batches (``ElementBatch``), one read-only array per
+group kind, checked once with the single element's checks and messages:
+finite indices (N,), U(1) angles (N,), SU(2) Euler angles (N, 3), SU(3)
+matrices (N, 3, 3).  Rows become element objects only one at a time.
+
 Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
 in phi and psi, Gauss-Legendre in cos(theta), O(J^3) nodes in all.
 U^dag rho U for a d-dimensional representation has spin at most d-1, so
 order 2d-1 averages it exactly with O(d^3) nodes: the table
-``su2_quadrature_nodes``, built once per order and cached (read-only), and
-summed in node order (``weighted_mean``).
+``su2_quadrature_nodes``, an (N, 3) angle batch and its weights built once
+per order and cached (read-only), and summed in node order
+(``weighted_mean``).
 
 Haar sampling is Ginibre + QR with diagonal-phase correction, then division
 by the principal n-th root of the determinant for the special groups
@@ -32,17 +38,14 @@ stream; each sample's one call is its draw, and QR, determinant and both
 phase corrections run on stacks of ``BATCH`` matrices, bitwise
 ``haar_unitary(n, philox_stream(seed, i))``.  SU(2) samples become Euler
 angles in one stacked step, except the moduli and theta, which stay scalar
-to keep their bits; SU(3) samples are checked special unitary once, as one
-(count, 3, 3) stack in chunks; each element keeps a read-only copy of its
-row.
+to keep their bits; SU(3) samples are the stack itself.
 
 Every representation has one matrix function, ``UnitaryRep.stack_fn``,
-from a batch of N elements to their (N, d, d) matrices; ``matrix_fn(g)``
-is it on a batch of one, so both give the same bits.  A finite-group
-representation is one read-only (|G|, d, d) table indexed by element.
+from a batch of N elements to their (N, d, d) matrices, read from its
+array; ``matrix_fn(g)`` is it on a batch of one, with the same bits.  A
+finite-group representation is one read-only (|G|, d, d) table.
 ``element_unitaries`` is the one place where elements become validated
-unitaries, a chunk of elements per call; ``element_unitary`` is it on a
-stack of one.
+unitaries, a chunk per call; ``element_unitary`` is it on a batch of one.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -171,12 +175,12 @@ def _generating_indices(table: np.ndarray, identity: int) -> list[int]:
     return gens
 
 
-def generating_set(group: FiniteGroup) -> list[FiniteElement]:
+def generating_set(group: FiniteGroup) -> FiniteBatch:
     """A generating set, greedily: repeatedly add the first element outside
     the subgroup generated so far.  Each addition at least doubles that
     subgroup, so there are at most log2 |G| elements (1 for Z_n, 3 for Q8,
     none for the trivial group)."""
-    return [FiniteElement(i) for i in _generating_indices(group.table, group.identity)]
+    return FiniteBatch(np.array(_generating_indices(group.table, group.identity), int))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ class FiniteElement:
     index: int
 
     def __post_init__(self):
-        if self.index < 0:
+        if operator.index(self.index) < 0:
             raise BadElement(f"negative element index {self.index}")
 
 
@@ -201,8 +205,7 @@ class U1Element:
             raise BadElement(f"U(1) angle must lie in [0, 2pi), got {self.theta}")
 
 
-# slotted: node tables and sample lists hold thousands of them
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SU2Element:
     phi: float
     theta: float
@@ -251,72 +254,115 @@ def _check_su3(M: np.ndarray) -> None:
         raise BadElement("SU(3) element determinant differs from 1 by more than 1e-10")
 
 
-def _su3_elements(stack: np.ndarray) -> list[SU3Element]:
-    """One element per matrix of a stack that ``_check_su3`` has passed,
-    each holding a read-only copy of its row, without checking it again.
-    Copies, not views: a kept element does not keep the whole stack alive."""
-    elements = []
-    for M in stack:
-        M = M.copy()
-        M.setflags(write=False)
+# SU2Element's ranges as bounds on the columns phi, theta, psi
+_SU2_LOW = np.array([-(TWO_PI + 1e-12), -1e-12, -(TWO_PI + 1e-12)])
+_SU2_HIGH = np.array([TWO_PI + 1e-12, math.pi + 1e-12, TWO_PI + 1e-12])
+
+
+class ElementBatch(Sequence):
+    """N elements of one group kind as one read-only array, copied and
+    checked once with the element class's checks over the whole array: the
+    first row that fails raises the element class's own message.  ``len``,
+    slices (batches) and ``==`` act on the array; iterating, or indexing one
+    row, yields the element class, for callers that need one element."""
+
+    shape: tuple = ()
+
+    def __init__(self, array):
+        array = np.asarray(array).astype(self.dtype, casting="same_kind")
+        if array.ndim == 0 or array.shape[1:] != self.shape:
+            raise BadElement(f"a {self.kind} batch needs rows of shape {self.shape}, got {array.shape}")
+        self._check(array)
+        array.setflags(write=False)
+        self.array = array
+
+    @classmethod
+    def _checked(cls, rows):
+        batch = object.__new__(cls)
+        batch.array = np.asarray(rows, cls.dtype).reshape(-1, *cls.shape)
+        batch.array.setflags(write=False)
+        return batch
+
+    def _check(self, array):
+        if not (ok := self._ok(array)).all():
+            self._row(array[np.argmin(ok)])
+
+    def _row(self, row) -> GroupElement:
+        return self.element(row.item())
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._checked(self.array[i])
+        return self._row(self.array[i])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.array, other.array)
+
+
+class FiniteBatch(ElementBatch):
+    kind, element, dtype = "finite", FiniteElement, int
+    _ok = staticmethod(lambda index: index >= 0)
+
+
+class U1Batch(ElementBatch):
+    kind, element, dtype = "u1", U1Element, float
+    # NaN fails both comparisons, and Inf the second
+    _ok = staticmethod(lambda theta: (theta >= 0.0) & (theta < TWO_PI))
+
+
+class SU2Batch(ElementBatch):
+    kind, element, dtype, shape = "su2", SU2Element, float, (3,)
+    _ok = staticmethod(lambda angles: ((angles >= _SU2_LOW) & (angles <= _SU2_HIGH)).all(axis=1))
+
+    def _row(self, row):
+        return SU2Element(*row.tolist())
+
+
+class SU3Batch(ElementBatch):
+    kind, element, dtype, shape = "su3", SU3Element, complex, (3, 3)
+
+    def _check(self, stack):
+        for start in range(0, len(stack), BATCH):
+            _check_su3(stack[start : start + BATCH])
+
+    def _row(self, row):
+        # a checked row, not checked again: its element keeps a read-only copy
         g = object.__new__(SU3Element)
-        object.__setattr__(g, "matrix", M)
-        elements.append(g)
-    return elements
+        object.__setattr__(g, "matrix", row.copy())
+        g.matrix.setflags(write=False)
+        return g
 
 
-# SU2Element's ranges as bounds on the rows phi, theta, psi: |phi| and
-# |psi| <= 2pi + 1e-12, theta in [-1e-12, pi + 1e-12]
-_SU2_LOW = np.array([[-(TWO_PI + 1e-12)], [-1e-12], [-(TWO_PI + 1e-12)]])
-_SU2_HIGH = np.array([[TWO_PI + 1e-12], [math.pi + 1e-12], [TWO_PI + 1e-12]])
-
-
-def _su2_elements(phi: list, theta: list, psi: list) -> list[SU2Element]:
-    """``SU2Element(phi[i], theta[i], psi[i])`` for each i of three lists of
-    floats, with the range checks run once over their (3, N) stack (NaN and
-    Inf fail them too); the first element that fails raises ``SU2Element``'s
-    own ``BadElement``.  The elements hold the lists' float objects, so a
-    value repeated by reference is stored once."""
-    angles = np.array((phi, theta, psi))
-    ok = (angles >= _SU2_LOW) & (angles <= _SU2_HIGH)
-    if not ok.all():
-        i = int(np.argmin(ok.all(axis=0)))
-        SU2Element(phi[i], theta[i], psi[i])
-    elements = []
-    for a, b, c in zip(phi, theta, psi):
-        g = object.__new__(SU2Element)
-        object.__setattr__(g, "phi", a)
-        object.__setattr__(g, "theta", b)
-        object.__setattr__(g, "psi", c)
-        elements.append(g)
-    return elements
-
+_BATCHES = {b.kind: b for b in (FiniteBatch, U1Batch, SU2Batch, SU3Batch)}
 
 GroupElement = FiniteElement | U1Element | SU2Element | SU3Element
 
-_ELEMENT_KIND = {FiniteElement: "finite", U1Element: "u1", SU2Element: "su2", SU3Element: "su3"}
-
 
 def check_membership(group: GroupDescriptor, g: GroupElement) -> None:
-    kind = _ELEMENT_KIND.get(type(g))
-    if kind is None or kind != group.kind:
+    if type(g) is not _BATCHES[group.kind].element:
         raise BadElement(f"element {g!r} does not belong to a {group.kind} group")
     if isinstance(g, FiniteElement) and g.index >= group.order:
         raise BadElement(f"index {g.index} out of range for group of order {group.order}")
 
 
-def _check_members(group: GroupDescriptor, elements: Sequence[GroupElement]) -> None:
-    """``check_membership`` of every element, in one pass over their types
-    (and, for a finite group, their indices); the per-element check runs only
-    to raise its message."""
-    kinds = {_ELEMENT_KIND.get(t) for t in set(map(type, elements))}
-    if kinds <= {group.kind} and not (
-        isinstance(group, FiniteGroup)
-        and max((g.index for g in elements), default=-1) >= group.order
-    ):
-        return
-    for g in elements:
-        check_membership(group, g)
+def element_batch(group: GroupDescriptor, elements) -> ElementBatch:
+    """The elements, a batch or a sequence of single elements, as a batch of
+    the group's kind, with ``check_membership`` of every element in one
+    pass: the first element that fails raises its message."""
+    cls = _BATCHES[group.kind]
+    if type(elements) is not cls:
+        for g in elements:
+            if type(g) is not cls.element:
+                check_membership(group, g)
+        elements = cls._checked([tuple(vars(g).values()) for g in elements])
+    if isinstance(group, FiniteGroup):
+        outside = elements.array >= group.order
+        if outside.any():
+            check_membership(group, elements[int(np.argmax(outside))])
+    return elements
 
 
 def identity_element(group: GroupDescriptor) -> GroupElement:
@@ -340,9 +386,9 @@ def su2_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
 _TWO_SIGNS = np.array([2.0, -2.0])
 
 
-def _euler_angles(U: np.ndarray) -> tuple[list, list, list]:
-    """The lists phi, theta, psi of the Euler angles of the (N, 2, 2) stack
-    of special unitaries U (exact reconstruction).  With a = U[0, 0]
+def _euler_angles(U: np.ndarray) -> np.ndarray:
+    """The (N, 3) rows phi, theta, psi of the Euler angles of the (N, 2, 2)
+    stack of special unitaries U (exact reconstruction).  With a = U[0, 0]
     and b = U[1, 0]: theta = 2 atan2(|b|, |a|) clamped to [0, pi],
     s = 2 arg a (0 if |a| <= 1e-14), r = -2 arg b (0 if |b| <= 1e-14),
     phi = (s + r)/2, psi = (s - r)/2.  The moduli and theta stay scalar
@@ -352,7 +398,7 @@ def _euler_angles(U: np.ndarray) -> tuple[list, list, list]:
     moduli = [(abs(a), abs(b)) for a, b in column.tolist()]
     theta = [min(max(2.0 * math.atan2(b, a), 0.0), math.pi) for a, b in moduli]
     s, r = np.where(np.array(moduli) > 1e-14, np.angle(column) * _TWO_SIGNS, 0.0).T
-    return ((s + r) / 2.0).tolist(), theta, ((s - r) / 2.0).tolist()
+    return np.column_stack(((s + r) / 2.0, theta, (s - r) / 2.0))
 
 
 def euler_from_su2(U) -> SU2Element:
@@ -360,7 +406,7 @@ def euler_from_su2(U) -> SU2Element:
     U = as_matrix(U, "SU(2) matrix")
     if U.shape != (2, 2):
         raise DimensionMismatch(f"SU(2) matrix must be 2x2, got shape {U.shape}")
-    return _su2_elements(*_euler_angles(U[None]))[0]
+    return SU2Batch(_euler_angles(U[None]))[0]
 
 
 def compose(group: GroupDescriptor, g: GroupElement, h: GroupElement) -> GroupElement:
@@ -389,8 +435,8 @@ def inverse_element(group: GroupDescriptor, g: GroupElement) -> GroupElement:
     return SU3Element(g.matrix.conj().T)
 
 
-def finite_elements(group: FiniteGroup) -> list[FiniteElement]:
-    return [FiniteElement(i) for i in range(group.order)]
+def finite_elements(group: FiniteGroup) -> FiniteBatch:
+    return FiniteBatch(np.arange(group.order))
 
 
 def describe_element(g: GroupElement) -> dict:
@@ -417,12 +463,12 @@ class UnitaryRep:
 
     group: GroupDescriptor
     dim: int
-    stack_fn: Callable[[Sequence[GroupElement]], np.ndarray]
+    stack_fn: Callable[[ElementBatch], np.ndarray]
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
 
     def matrix_fn(self, g: GroupElement) -> np.ndarray:
-        return self.stack_fn((g,))[0]
+        return self.stack_fn(element_batch(self.group, (g,)))[0]
 
 
 # matrices per stacked LAPACK call or validation pass: large enough to
@@ -431,20 +477,19 @@ class UnitaryRep:
 BATCH = 256
 
 
-def element_unitaries(rep: UnitaryRep, elements: Sequence[GroupElement]) -> np.ndarray:
+def element_unitaries(rep: UnitaryRep, elements) -> np.ndarray:
     """The (N, d, d) stack of U(g) for g in elements, each validated to
-    1e-10.  Per chunk of ``BATCH`` elements: membership, in one pass; the
-    matrices from one ``rep.stack_fn`` call, whose shape must be the
-    chunk's (a wrong matrix shape is named, else the wrong count); unitarity
+    1e-10: membership once, by ``element_batch``; per chunk of ``BATCH``,
+    the matrices from one ``rep.stack_fn`` call, whose shape must be the
+    chunk's (a wrong matrix shape is named, else the wrong count), unitarity
     and unit determinant."""
+    elements = element_batch(rep.group, elements)
     d = rep.dim
     special = rep.group.kind in ("su2", "su3")
     out = np.empty((len(elements), d, d), dtype=complex)
     for start in range(0, len(elements), BATCH):
         chunk = out[start : start + BATCH]
-        batch = elements[start : start + BATCH]
-        _check_members(rep.group, batch)
-        mats = np.asarray(rep.stack_fn(batch))
+        mats = np.asarray(rep.stack_fn(elements[start : start + BATCH]))
         if mats.shape != chunk.shape:
             got, expected = ((mats.shape[1:], chunk.shape[1:])
                              if mats.shape[:1] == chunk.shape[:1] else (mats.shape, chunk.shape))
@@ -532,15 +577,15 @@ def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
     iw = 1j * np.asarray(win, dtype=float)
 
     def fn(batch):
-        return _diagonal_stack(np.exp(iw * np.array([g.theta for g in batch])[:, None]))
+        return _diagonal_stack(np.exp(iw * batch.array[:, None]))
 
     return _validate_rep(UnitaryRep(U1, len(win), fn, name or f"u1{win}", meta={"weights": win}))
 
 
 def su2_fundamental() -> UnitaryRep:
-    # su2_matrix per element: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
+    # su2_matrix per row: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
     return _validate_rep(UnitaryRep(
-        SU2, 2, lambda batch: np.array([su2_matrix(g.phi, g.theta, g.psi) for g in batch]),
+        SU2, 2, lambda batch: np.array([su2_matrix(*row) for row in batch.array.tolist()]),
         "su2-fund"))
 
 
@@ -573,7 +618,7 @@ def su2_irrep(dim: int) -> UnitaryRep:
 
     def fn(batch):
         # each angle as an (N, 1) column
-        phi, theta, psi = np.array([(g.phi, g.theta, g.psi) for g in batch]).T[:, :, None]
+        phi, theta, psi = batch.array.T[:, :, None]
         ry = (V * np.exp(-1j * theta * w)[:, None, :]) @ Vh
         return np.exp(1j * phi * m)[:, :, None] * ry * np.exp(1j * psi * m)[:, None, :]
 
@@ -582,7 +627,7 @@ def su2_irrep(dim: int) -> UnitaryRep:
 
 def su3_fundamental() -> UnitaryRep:
     return _validate_rep(
-        UnitaryRep(SU3, 3, lambda batch: np.array([g.matrix for g in batch]), "su3-fund"))
+        UnitaryRep(SU3, 3, lambda batch: batch.array, "su3-fund"))
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -613,7 +658,7 @@ def su3_rep(dim: int) -> UnitaryRep:
         S = _symmetric_isometry_pairs(3)
 
         def fn6(batch):
-            M = np.array([g.matrix for g in batch])
+            M = batch.array
             # M kron M for each matrix of the stack, first factor slowest
             K = (M[:, :, None, :, None] * M[:, None, :, None, :]).reshape(len(M), 9, 9)
             return S.T @ K @ S
@@ -640,7 +685,7 @@ def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> Unitar
         raise ValueError("representation matrices have mixed dimensions")
     table = np.array(mats)
     table.setflags(write=False)
-    return _validate_rep(UnitaryRep(group, d, lambda batch: table[[g.index for g in batch]],
+    return _validate_rep(UnitaryRep(group, d, lambda batch: table[batch.array],
                                     name or "finite-rep"))
 
 
@@ -835,44 +880,35 @@ def _haar_special_unitaries(n: int, seed: int, count: int) -> np.ndarray:
     return out
 
 
-def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> list[GroupElement]:
-    """Sample group elements from Haar measure (finite groups: uniform).
+def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
+    """A batch of ``count`` elements from Haar measure (finite groups: uniform).
 
     Sample i is drawn from ``philox_stream(rng_seed, i)`` alone, so
     ``haar_sample(rep, s, n)[:k] == haar_sample(rep, s, k)``; SU(2) and SU(3)
     samples are bitwise ``haar_unitary`` of that stream, computed in stacks
-    by ``_haar_special_unitaries``.  SU(2) samples become elements in one
-    stacked Euler step (``_euler_angles``, ``_su2_elements``), bitwise
-    ``euler_from_su2`` of each; SU(3) samples are checked once, in chunks of
-    ``BATCH`` of one stack.
+    by ``_haar_special_unitaries``.  SU(2) samples become Euler angles in one
+    stacked step (``_euler_angles``), bitwise ``euler_from_su2`` of each;
+    SU(3) samples are the stack itself.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     group = rep.group
     if isinstance(group, FiniteGroup):
-        return [FiniteElement(int(rng.integers(group.order)))
-                for rng in _philox_streams(rng_seed, count)]
+        return FiniteBatch([rng.integers(group.order) for rng in _philox_streams(rng_seed, count)])
     if group.kind == "u1":
-        return [U1Element(float(rng.uniform(0.0, TWO_PI)))
-                for rng in _philox_streams(rng_seed, count)]
+        return U1Batch([rng.uniform(0.0, TWO_PI) for rng in _philox_streams(rng_seed, count)])
     if group.kind == "su2":
-        # in chunks, so the Euler step's Python floats stay few at a time
-        stack = _haar_special_unitaries(2, rng_seed, count)
-        return [g for start in range(0, count, BATCH)
-                for g in _su2_elements(*_euler_angles(stack[start : start + BATCH]))]
-    stack = _haar_special_unitaries(3, rng_seed, count)
-    for start in range(0, count, BATCH):
-        _check_su3(stack[start : start + BATCH])
-    return _su3_elements(stack)
+        return SU2Batch(_euler_angles(_haar_special_unitaries(2, rng_seed, count)))
+    return SU3Batch(_haar_special_unitaries(3, rng_seed, count))
 
 
 @functools.lru_cache(maxsize=16)
-def su2_quadrature_nodes(order: int) -> tuple[tuple[SU2Element, ...], np.ndarray]:
-    """Elements and read-only weights of the SU(2) product rule of this
-    order, in (phi, theta, psi) loop order with psi fastest; weight w_phi *
-    w_theta * w_psi.  J = (order-1)/2: trapezoid in phi on [0, 2pi),
-    floor(J)+1 nodes; Gauss-Legendre in cos(theta), ceil((floor(J)+1)/2);
-    psi on [0, 4pi), 2J+1.  Built once per order by ``_su2_elements`` and
+def su2_quadrature_nodes(order: int) -> tuple[SU2Batch, np.ndarray]:
+    """Nodes (an ``SU2Batch``) and read-only weights of the SU(2) product
+    rule of this order, in (phi, theta, psi) loop order with psi fastest;
+    weight w_phi * w_theta * w_psi.  J = (order-1)/2: trapezoid in phi on
+    [0, 2pi), floor(J)+1 nodes; Gauss-Legendre in cos(theta),
+    ceil((floor(J)+1)/2); psi on [0, 4pi), 2J+1.  Built once per order and
     cached for the 16 orders last used (O(order^3) nodes each)."""
     if order < 4:
         raise ValueError("order must be >= 4")
@@ -880,17 +916,13 @@ def su2_quadrature_nodes(order: int) -> tuple[tuple[SU2Element, ...], np.ndarray
     x, w_theta = leggauss((n_phi + 1) // 2)
     psis = 2.0 * TWO_PI * np.arange(n_psi) / n_psi
     # e^{i psi/2} has period 4pi; fold [0, 4pi) into [-2pi, 2pi]
-    psis = np.where(psis > TWO_PI, psis - 2.0 * TWO_PI, psis).tolist()
-    phis, thetas = (TWO_PI * np.arange(n_phi) / n_phi).tolist(), np.arccos(x).tolist()
-    n_theta = len(thetas)
-    # the grid by reference, so each distinct angle is one float object
-    elements = tuple(_su2_elements([phi for phi in phis for _ in range(n_theta * n_psi)],
-                                   [theta for _ in phis for theta in thetas for _ in psis],
-                                   psis * (n_phi * n_theta)))
+    psis = np.where(psis > TWO_PI, psis - 2.0 * TWO_PI, psis)
+    grid = np.meshgrid(TWO_PI * np.arange(n_phi) / n_phi, np.arccos(x), psis, indexing="ij")
+    nodes = SU2Batch(np.stack(grid, axis=-1).reshape(-1, 3))
     w = TWO_PI / n_phi * w_theta * (2.0 * TWO_PI / n_psi)
     weights = np.tile(np.repeat(w, n_psi), n_phi)
     weights.setflags(write=False)
-    return elements, weights
+    return nodes, weights
 
 
 def haar_quadrature_su2(f: Callable[[SU2Element], np.ndarray], order: int) -> np.ndarray:

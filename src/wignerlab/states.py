@@ -237,9 +237,10 @@ def haar_average(
         # wigner imports this module at load time
         from .wigner import WignerProblem, cesaro_fixed_point
 
-        elements = (G.generating_set(rep.group) or [G.identity_element(rep.group)]
+        # only the trivial group has an empty generating set: its one element
+        elements = (G.generating_set(rep.group) or G.finite_elements(rep.group)
                     if kind == "finite" else G.haar_sample(rep, seed, generators))
-        problem = WignerProblem(rep, tuple(elements))
+        problem = WignerProblem(rep, elements)
         return HaarAverageResult(cesaro_fixed_point(problem, rho, tol=1e-11), method, rep)
 
     if method == "quadrature" and kind == "su2":
@@ -247,7 +248,6 @@ def haar_average(
         avg = weighted_mean(lambda chunk: _pull_back(G.element_unitaries(rep, chunk), rho.rho),
                             nodes, weights, G.BATCH)
     else:
-        # no element list outlives its element_unitaries call (4096 for montecarlo)
         if method == "finite_exact":
             if kind != "finite":
                 raise MethodUnsupported("finite_exact needs a finite group")
@@ -257,7 +257,7 @@ def haar_average(
                 raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
             charges = rep.meta.get("weights")
             n = max(2 * int(max(charges) - min(charges)) + 1, 8) if charges else 257
-            stack = G.element_unitaries(rep, [G.U1Element(2.0 * math.pi * k / n) for k in range(n)])
+            stack = G.element_unitaries(rep, G.U1Batch(2.0 * math.pi * np.arange(n) / n))
         elif method == "montecarlo":
             if kind == "finite":
                 raise MethodUnsupported("use finite_exact for finite groups")

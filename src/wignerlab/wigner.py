@@ -9,7 +9,8 @@ sides independently, reports their dimensions and principal angles, and
 extracts invariant density matrices by restarted Cesaro iteration of the
 averaged map.
 
-A problem builds the (n, d, d) stack of its elements' unitaries once, on
+A problem holds its elements as one ``groups.ElementBatch``, membership
+checked once, and builds the (n, d, d) stack of their unitaries once, on
 first use, and keeps it read-only (``WignerProblem.unitaries``); verify,
 Cesaro and ``averaged_superop`` all read it.  ``averaged_superop`` sums the
 (n, d^2, d^2) stack of pullback superoperators T_j (83 KB at n = 4, d = 6,
@@ -60,17 +61,15 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class WignerProblem:
-    """A representation together with a finite family of group elements."""
+    """A representation and a finite family of elements, one ``groups.ElementBatch``."""
 
     rep: G.UnitaryRep
-    elements: tuple
+    elements: G.ElementBatch
 
     def __post_init__(self):
         if len(self.elements) < 1:
             raise ValueError("need at least one group element")
-        for g in self.elements:
-            G.check_membership(self.rep.group, g)
-        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "elements", G.element_batch(self.rep.group, self.elements))
 
     @property
     def d(self) -> int:
@@ -330,8 +329,7 @@ def standard_problem_batch(
         if key not in cache:
             cache[key] = G.rep_from_config(config)
         rep = cache[key]
-        elements = tuple(G.haar_sample(rep, base_seed + i, n))
-        problems.append(WignerProblem(rep, elements))
+        problems.append(WignerProblem(rep, G.haar_sample(rep, base_seed + i, n)))
     return problems
 
 

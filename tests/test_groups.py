@@ -38,12 +38,17 @@ from wignerlab import (
     trivial_rep,
     u1_rep,
     UnitaryRep,
+    WignerProblem,
 )
 from wignerlab.groups import (
+    FiniteBatch,
+    SU2Batch,
+    SU3Batch,
+    TWO_PI,
+    U1Batch,
     _euler_angles,
     _generating_indices,
     _q8_matrices,
-    _su2_elements,
     compose,
     direct_sum_rep,
     euler_from_su2,
@@ -303,6 +308,15 @@ def test_bad_elements_rejected():
         element_unitary(cyclic_rep(2, dim=2), FiniteElement(5))
 
 
+def test_a_finite_index_must_be_an_integer():
+    # a batch's int array would otherwise truncate 1.5 to element 1
+    assert FiniteElement(np.int64(1)).index == 1
+    with pytest.raises(TypeError):
+        FiniteElement(1.5)
+    with pytest.raises(TypeError):
+        FiniteBatch(np.array([0.0, 1.5]))
+
+
 def test_haar_samples_are_special_unitary():
     for rep, n in ((su2_fundamental(), 2), (su3_fundamental(), 3)):
         for g in haar_sample(rep, 11, 8):
@@ -349,6 +363,85 @@ def test_haar_sample_prefix_contract(rep):
         assert _exact(haar_sample(rep, 1001, k)) == _exact(full[:k])
 
 
+BATCH_COUNTS = (1, 256, 257, 513)
+
+
+def _per_stream(rep, seed, count):
+    """Sample i from its own ``philox_stream(seed, i)``; SU(2) samples by
+    ``euler_from_su2`` of ``haar_unitary``, one at a time."""
+    if rep.group.kind != "su2":
+        return reference_haar_sample(rep, seed, count)
+    return [euler_from_su2(haar_unitary(2, philox_stream(seed, i))) for i in range(count)]
+
+
+@pytest.mark.parametrize("rep", [su2_fundamental(), su2_irrep(4), su3_rep(6), u1_rep([0, 1, -2]),
+                                 quaternion_rep(5)], ids=lambda r: r.name)
+def test_batches_are_bitwise_the_per_stream_path(rep):
+    reference = _per_stream(rep, 2718, max(BATCH_COUNTS))
+    for count in BATCH_COUNTS:
+        batch = haar_sample(rep, 2718, count)
+        assert len(batch) == count
+        assert _exact(batch) == _exact(reference[:count])
+        expected = np.stack([reference_unitary(rep, g) for g in reference[:count]])
+        assert element_unitaries(rep, batch).tobytes() == expected.tobytes()
+        for k in BATCH_COUNTS[: BATCH_COUNTS.index(count)]:
+            assert batch[:k] == haar_sample(rep, 2718, k)
+            assert batch[:k] != haar_sample(rep, 2719, k)
+
+
+_GOOD_ROWS = {kind: haar_sample(rep, 5, max(BATCH_COUNTS)).array for kind, rep in (
+    ("su2", su2_fundamental()), ("su3", su3_fundamental()), ("u1", u1_rep([1])),
+    ("finite", cyclic_rep(7, dim=1)))}
+_SU3_ROW = _GOOD_ROWS["su3"][0]
+
+
+@pytest.mark.parametrize("count", BATCH_COUNTS)
+@pytest.mark.parametrize("cls, bad, single", [
+    (SU2Batch, (0.1, math.nan, 0.2), lambda row: SU2Element(*row)),
+    (SU3Batch, _SU3_ROW * 1.001, SU3Element),
+    # unitary, with det e^{i pi/3}
+    (SU3Batch, _SU3_ROW * np.exp(1j * math.pi / 9), SU3Element),
+    (U1Batch, math.nan, U1Element),
+    (U1Batch, TWO_PI, U1Element),
+    (FiniteBatch, -2, FiniteElement),
+], ids=["su2-nan", "su3-non-unitary", "su3-det", "u1-nan", "u1-2pi", "finite-negative"])
+def test_a_bad_row_raises_the_element_message(cls, bad, single, count):
+    with pytest.raises(BadElement) as expected:
+        single(bad)
+    rows = _GOOD_ROWS[cls.kind][:count].copy()
+    rows[-1] = bad
+    with pytest.raises(BadElement) as raised:
+        cls(rows)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("count", BATCH_COUNTS)
+def test_an_index_outside_the_group_raises_the_membership_message(count):
+    rep = cyclic_rep(7, dim=2)
+    rows = _GOOD_ROWS["finite"][:count].copy()
+    rows[-1] = 9
+    expected = _raised(lambda: element_unitary(rep, FiniteElement(9)))
+    assert str(expected) == "index 9 out of range for group of order 7"
+    for raised in (_raised(lambda: element_unitaries(rep, FiniteBatch(rows))),
+                   _raised(lambda: WignerProblem(rep, FiniteBatch(rows)))):
+        assert type(raised) is BadElement and str(raised) == str(expected)
+
+
+@pytest.mark.parametrize("count", BATCH_COUNTS[1:])
+def test_a_list_mixing_kinds_after_a_full_chunk_raises(count):
+    rep = su2_irrep(3)
+    mixed = [*haar_sample(rep, 5, count), U1Element(1.0), *haar_sample(rep, 6, 2)]
+    expected = _raised(lambda: element_unitary(rep, U1Element(1.0)))
+    for raised in (_raised(lambda: element_unitaries(rep, mixed)),
+                   _raised(lambda: WignerProblem(rep, mixed))):
+        assert type(raised) is BadElement and str(raised) == str(expected)
+    # a batch of another kind: its first row is named
+    other = haar_sample(u1_rep([1]), 5, count)
+    with pytest.raises(BadElement) as raised:
+        element_unitaries(rep, other)
+    assert str(raised.value) == str(_raised(lambda: element_unitary(rep, other[0])))
+
+
 def _reps_for_stacks():
     z3 = cyclic_group(3)
     rot = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
@@ -386,7 +479,7 @@ def _raised(fn):
     "rep, elements",
     [
         # an element of the wrong group, after a full chunk of good ones
-        (su2_irrep(3), haar_sample(su2_irrep(3), 5, 260) + [U1Element(1.0)]),
+        (su2_irrep(3), [*haar_sample(su2_irrep(3), 5, 260), U1Element(1.0)]),
         # an out-of-range finite index
         (cyclic_rep(3), [FiniteElement(1), FiniteElement(7)]),
         # a matrix of the wrong shape
@@ -699,7 +792,7 @@ def _theta_edge_matrices():
 def test_euler_at_theta_zero_and_pi_is_the_scalar_formula():
     stack = _theta_edge_matrices()
     reference = [reference_euler(U) for U in stack]
-    assert _exact(_su2_elements(*_euler_angles(stack))) == _exact(reference)
+    assert _exact(SU2Batch(_euler_angles(stack))) == _exact(reference)
     assert _exact([euler_from_su2(U) for U in stack]) == _exact(reference)
     assert [g.theta for g in reference[:8]] == [0.0, math.pi] * 4
     for U, g in zip(stack, reference):
@@ -713,10 +806,10 @@ def test_euler_at_theta_zero_and_pi_is_the_scalar_formula():
 def test_su2_elements_raise_the_element_message(bad):
     with pytest.raises(BadElement) as expected:
         SU2Element(*bad)
-    # the first failing column is the one named, after good ones
-    angles = np.array([(0.0, 0.0, 0.0), (1.0, 2.0, -3.0), bad, (9.0, 9.0, 9.0)]).T
+    # the first failing row is the one named, after good ones
+    angles = np.array([(0.0, 0.0, 0.0), (1.0, 2.0, -3.0), bad, (9.0, 9.0, 9.0)])
     with pytest.raises(BadElement) as raised:
-        _su2_elements(*angles.tolist())
+        SU2Batch(angles)
     assert str(raised.value) == str(expected.value)
 
 
@@ -738,9 +831,10 @@ def test_su2_quadrature_nodes_cached_read_only_and_bitwise():
     for elements, weights in (first, cached):
         assert _exact(elements) == _exact(reference)
         assert weights.tobytes() == reference_weights
-        assert isinstance(elements, tuple)
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
+        assert isinstance(elements, SU2Batch)
+        for table in (weights, elements.array):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
         with pytest.raises(AttributeError):
             elements[0].phi = 0.0
 
@@ -895,7 +989,7 @@ def test_finite_direct_sum_is_one_table():
     part = UnitaryRep(base.group, 2, lambda batch: calls.append(batch) or base.stack_fn(batch))
     rep = direct_sum_rep(part, trivial_rep(base.group, 1), name="z4-sum")
     assert len(calls) == 1 and rep.name == "z4-sum"
-    element_unitaries(rep, finite_elements(rep.group) * 3)
+    element_unitaries(rep, [*finite_elements(rep.group)] * 3)
     assert len(calls) == 1
 
 

@@ -125,9 +125,31 @@ def test_haar_average_su2_quadrature_nodes(rng, monkeypatch):
         nodes.append(len(elements))
         seen = []
         groups.haar_quadrature_su2(lambda el: seen.append(el) or np.eye(1), max(4, 2 * d - 1))
-        assert tuple(seen) == elements
+        assert tuple(seen) == tuple(elements)
         assert built[1][1].tobytes() == weights.tobytes()
     assert nodes == [8, 30, 56, 135, 198, 364, 480]
+
+
+def test_averages_build_no_per_element_object(monkeypatch):
+    # Monte Carlo, SU(2) quadrature and a finite group's residual read the
+    # batches' arrays only: no element object is made, by a constructor or
+    # by a batch row
+    su3, su2, q8 = groups.su3_rep(6), su2_irrep(8), groups.quaternion_rep(5)
+    rho6, rho8 = (random_density(d, groups.philox_stream(9, d)) for d in (6, 8))
+    groups.su2_quadrature_nodes.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a per-element object was built")
+
+    for cls in (groups.FiniteElement, groups.U1Element, groups.SU2Element, groups.SU3Element):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    for cls in (groups.ElementBatch, groups.SU3Batch):
+        monkeypatch.setattr(cls, "_row", refuse)
+    with pytest.raises(AssertionError, match="per-element"):
+        list(groups.haar_sample(su3, 1, 2))
+    assert haar_average(su3, rho6, "montecarlo").method == "montecarlo"
+    assert haar_average(su2, rho8, "quadrature").method == "quadrature"
+    assert invariance_residual(q8, maximally_mixed(5)) <= 1e-12
 
 
 def test_haar_average_u1_dephasing(rng):

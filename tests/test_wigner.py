@@ -267,9 +267,9 @@ def _rewritten_families(problem):
     """Families with the same Wigner set intersection: reversed, the first
     element repeated, the identity appended, the first element's inverse
     appended (W_e = M_d and W_{g^-1} = W_g)."""
-    elements, group = problem.elements, problem.rep.group
-    return [elements[::-1], elements + elements[:1], elements + (identity_element(group),),
-            elements + (inverse_element(group, elements[0]),)]
+    elements, group = [*problem.elements], problem.rep.group
+    return [elements[::-1], elements + elements[:1], elements + [identity_element(group)],
+            elements + [inverse_element(group, elements[0])]]
 
 
 @pytest.mark.parametrize("seed", [1403, 1607])
