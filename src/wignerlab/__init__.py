@@ -6,8 +6,8 @@ from .matrixcore import (
     DimensionMismatch,
     NotHermitian,
     Subspace,
+    algebra_blocks,
     commutant,
-    double_commutant,
     eig_hermitian,
     kron,
     null_space,

@@ -221,6 +221,10 @@ def cmd_invariant_state(config: dict) -> tuple[int, dict]:
     seed, state_path = config["seed"], config["state"]
     rep = resolve_rep(config["group"], config["dim"])
     config["dim"] = rep.dim
+    if rep.group.kind == "finite":
+        # a finite group averages over its elements or generating set, never
+        # over Haar samples, so the config records no sample count
+        config["generators"] = None
     if state_path is not None:
         seed_state = DensityState.from_json(json.loads(Path(state_path).read_text()))
         if seed_state.d != rep.dim:

@@ -10,8 +10,10 @@ The algebra is generated by a small set: U_h for h in a generating set of G
 (``groups.generating_set``) plus Phi(H_1), Phi(H_2) for two fixed generic
 Hermitian fibre matrices, which generate all of M_d.  Its dimension is
 computed two independent ways, product closure (words grow one letter a
-round) and the double commutant, and both must equal the closed form
-d^2 |G|, since every model embeds all of M_d.
+round) and the block structure (m_i, n_i) of the generators' commutant,
+sum_i M_{m_i} tensor I_{n_i}, whose double commutant is the sum of the
+M_{n_i}; both must equal the closed form d^2 |G|, since every model embeds
+all of M_d.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as G
-from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _rank, as_matrix,
-                         double_commutant, kron, vec)
+from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _rank, algebra_blocks,
+                         as_matrix, commutant, kron, vec)
 
 
 class NonConvergent(RuntimeError):
@@ -108,11 +110,40 @@ def covariance_check(model: CrossedProductModel) -> float:
     return worst
 
 
-def _orthonormal_columns(X: np.ndarray) -> np.ndarray:
-    if X.size == 0:
-        return np.zeros((X.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(X, full_matrices=False)
-    return u[:, : _rank(s, DEFAULT_TOL * max(1.0, s[0]), "product closure")]
+# a column of the projected products at or below this norm is dropped before the SVD
+_SPENT = 1e-3 * DEFAULT_TOL
+
+
+def _kept_columns(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """X without its columns of norm <= ``_SPENT``, and the joint Frobenius
+    norm of the columns dropped."""
+    norms = np.linalg.norm(X, axis=0)
+    spent = norms <= _SPENT
+    return X[:, ~spent], float(np.linalg.norm(norms[spent]))
+
+
+def _orthonormal_columns(X: np.ndarray, slack: float) -> np.ndarray:
+    """Orthonormal basis of the rank-cut range of [X, Y], from the SVD of X
+    alone, where the dropped columns Y have joint Frobenius norm ``slack``.
+
+    Deleting columns interlaces the singular values: sigma_i(X) <=
+    sigma_i([X, Y]) <= sqrt(sigma_i(X)^2 + slack^2), and [X, Y]'s values
+    past X's are at most slack.  So a value of X outside (cut - slack,
+    100 cut] is on the same side of the cut as [X, Y]'s, and the rank rule
+    refuses the rest; max(1, sigma_1(X)) as the scale moves the cut by a
+    relative slack^2 at most.
+    """
+    if X.shape[1] == 0:
+        u, s = X, np.zeros(0)
+    else:
+        u, s, _ = np.linalg.svd(X, full_matrices=False)
+    cut = DEFAULT_TOL * max(1.0, s[0] if s.size else 0.0)
+    if slack > cut:
+        raise RuntimeError(
+            f"product closure: dropped columns of joint norm {slack:.3e} exceed "
+            f"the rank cutoff {cut:.1e}"
+        )
+    return u[:, : _rank(s, cut, "product closure", slack)]
 
 
 def algebra_closure(generators, matrix_dim: int) -> Subspace:
@@ -123,10 +154,12 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
     are.  Each round multiplies only the previous round's new directions on
     the left by every letter, in one stacked einsum, so words grow one
     letter a round.  The products are projected twice against the running
-    orthonormal basis (classical Gram-Schmidt with one reorthogonalisation)
-    and rank-cut at ``DEFAULT_TOL`` (1e-10) times max(1, their largest
-    singular value), by ``matrixcore``'s rank rule: a singular value in
-    (cut, 100 cut] raises ``RuntimeError``.  The result is a subspace of
+    orthonormal basis (classical Gram-Schmidt with one reorthogonalisation);
+    most of them then vanish, and those of norm <= 1e-3 ``DEFAULT_TOL`` are
+    dropped.  The SVD of the rest is rank-cut at ``DEFAULT_TOL`` (1e-10)
+    times max(1, its largest singular value) by ``matrixcore``'s rank rule,
+    whose band widens to (cut - eps, 100 cut] for the dropped columns' joint
+    norm eps (``_orthonormal_columns``).  The result is a subspace of
     vectorized matrix_dim x matrix_dim matrices.
     """
     gens = [as_matrix(M) for M in generators]
@@ -135,7 +168,7 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
     n = d * d
     stack = np.array(letters, dtype=complex).reshape(len(letters), d, d)
     seed = np.column_stack([vec(np.eye(d, dtype=complex))] + [vec(M) for M in letters])
-    basis = _orthonormal_columns(seed)
+    basis = _orthonormal_columns(seed, 0.0)
     fresh = basis
     rounds = 0
     while fresh.shape[1] > 0:
@@ -148,7 +181,9 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
         ).reshape(n, -1, order="F")
         for _ in range(2):
             X = X - basis @ (basis.conj().T @ X)
-        fresh = _orthonormal_columns(X)
+        # rebinding X frees the full block before the SVD
+        X, slack = _kept_columns(X)
+        fresh = _orthonormal_columns(X, slack)
         if fresh.shape[1]:
             basis = np.column_stack([basis, fresh])
     return Subspace(n, basis)
@@ -184,15 +219,21 @@ def spanning_generators(model: CrossedProductModel) -> list[np.ndarray]:
 
 
 def crossed_dimension(model: CrossedProductModel) -> int:
-    """Dimension of the generated algebra: the product closure, the double
-    commutant and the closed form d^2 |G| must all agree."""
+    """Dimension of the generated algebra, from three sides that must agree:
+    the product closure, the sum of n_i^2 over the blocks (m_i, n_i) of the
+    generators' commutant (``algebra_blocks``; by the double commutant
+    theorem the algebra is the sum of the M_{n_i}), and the closed form
+    d^2 |G|.  The blocks must also fill the ambient space, sum m_i n_i = D,
+    and give sum m_i^2 = |G| (the pairs are (d_pi, d d_pi) over G's irreps)."""
     gens = spanning_generators(model)
     span = algebra_closure(gens, model.ambient_dim)
-    dc = double_commutant(gens, model.ambient_dim)
+    pairs = algebra_blocks(commutant(gens, model.ambient_dim))
+    blocks = sum(n * n for _, n in pairs)
     expected = model.d**2 * model.order
-    if not span.dim == dc.dim == expected:
+    if not (span.dim == blocks == expected and sum(m * n for m, n in pairs) == model.ambient_dim
+            and sum(m * m for m, _ in pairs) == model.order):
         raise RuntimeError(
-            f"product closure dim {span.dim}, double commutant dim {dc.dim}, "
+            f"product closure dim {span.dim}, commutant blocks (m, n) {list(pairs)}, "
             f"closed form d^2 |G| = {expected}"
         )
     return span.dim

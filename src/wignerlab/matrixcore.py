@@ -17,10 +17,14 @@ fixed here and used by every other module:
   commutator with A / ||A||_F at its tol on a scale of 1 (verify's
   intersection: tol sqrt(d) on ||U^dag M U - M||_F for a unit-norm M);
   ``crossed.algebra_closure`` at ``DEFAULT_TOL`` times max(1, the largest
-  singular value); ``wigner``'s Wigner sets (U(g)'s eigenvalue gaps) and
-  averaged map S - I at their tol on a scale of 1.
-* ``commutant`` cuts a generic Hermitian element's spectrum into
-  eigenvalue clusters only at gaps above sqrt(tol) times its norm.
+  singular value), on the columns left after it drops those of norm at
+  most 1e-3 ``DEFAULT_TOL``, with the band widened to (cut - eps, 100 cut]
+  by the dropped columns' joint norm eps; ``wigner``'s Wigner sets (U(g)'s
+  eigenvalue gaps) and averaged map S - I at their tol on a scale of 1;
+  ``algebra_blocks``'s links (0 or 1 in exact arithmetic) at sqrt(1e-10).
+* ``commutant`` and ``algebra_blocks`` cut a generic Hermitian element's
+  spectrum into eigenvalue clusters only at gaps above sqrt(tol) times its
+  norm (``algebra_blocks`` at tol = ``DEFAULT_TOL``).
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
   ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
   NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs
@@ -30,6 +34,7 @@ fixed here and used by every other module:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -171,17 +176,19 @@ class Subspace:
         return [unvec(self.basis[:, k]) for k in range(self.dim)]
 
 
-def _rank(s: np.ndarray, cut: float, what: str):
+def _rank(s: np.ndarray, cut: float, what: str, slack: float = 0.0):
     """Number of singular values above ``cut`` along the last axis of s.
     ValueError when cut <= 0; RuntimeError when a value lies in
-    (cut, 100 cut], too close to the cutoff for the decision to stand."""
+    (cut - slack, 100 cut], too close to the cutoff for the decision to
+    stand.  A caller whose values may each sit up to ``slack`` below the
+    ones it decides for passes that slack (``crossed.algebra_closure``)."""
     if cut <= 0:
         raise ValueError("tol must be positive")
-    near = (s > cut) & (s <= 100 * cut)
+    near = (s > cut - slack) & (s <= 100 * cut)
     if near.any():
         raise RuntimeError(
             f"{what}: singular value {s[near].max():.3e} lies within 100x of the "
-            f"rank cutoff {cut:.1e}"
+            f"rank cutoff {cut:.1e}" + (f" or within {slack:.1e} below it" if slack else "")
         )
     return np.sum(s > cut, axis=-1)
 
@@ -222,6 +229,18 @@ def _generic_coefficients(n: int) -> np.ndarray:
     return c
 
 
+def _generic_eigenspaces(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors V of X = Y + Y^dag, Y = sum c_k A_k over the (n, d, d)
+    stack mats with ``_generic_coefficients``, and each one's eigenvalue
+    cluster label.  A cut at gap g turns eigenvectors across it by about
+    eps ||X|| / g, so clusters split only at gaps above sqrt(tol) ||X||:
+    that may merge eigenspaces, never split one."""
+    n, d = len(mats), mats.shape[-1]
+    Y = np.dot(_generic_coefficients(n), mats.reshape(n, -1)).reshape(d, d)
+    vals, V = np.linalg.eigh(Y + Y.conj().T)
+    return V, np.cumsum(np.r_[0, np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()])
+
+
 def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Basis of {M : MA = AM for all A in S} as a subspace of vectorized M_d.
 
@@ -231,7 +250,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     zero-decision scale for each A is ||A||_F, so matrices that commute
     with everything (scalars) yield the full space rather than a noise-rank
     artifact.  A commutator singular value in (tol, 100 tol] raises
-    ``RuntimeError`` (the rank rule above), here and in ``double_commutant``.
+    ``RuntimeError`` (the rank rule above).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -250,13 +269,9 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
         outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj, rcond=None)[0], axis=0) > tol
         if np.any(outside & nonnormal):
             raise ValueError("S has a matrix that is not normal and whose adjoint is not in span(S)")
-    # X = sum a_k (A_k + A_k^dag) + b_k i (A_k - A_k^dag) is in S's *-algebra: S' lies in {X}'
-    Y = np.dot(_generic_coefficients(len(mats)), mats.reshape(len(mats), -1)).reshape(d, d)
-    vals, V = np.linalg.eigh(Y + Y.conj().T)
-    # {X}' is spanned by v_i v_j^dag, i and j in one eigenvalue cluster.  A cut
-    # at gap g turns eigenvectors across it by about eps ||X|| / g, so cut only
-    # at gaps above sqrt(tol) ||X||: that may merge eigenspaces, never split one
-    cluster = np.cumsum(np.r_[0, np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()])
+    # X is in S's *-algebra, so S' lies in {X}', which is spanned by v_i v_j^dag,
+    # i and j in one eigenvalue cluster
+    V, cluster = _generic_eigenspaces(mats, tol)
     # each cluster's kron(Vc.conj(), Vc) in turn, in C order: B's layout picks
     # the BLAS kernel of B @ N below, and with it the basis bits
     i, j = np.nonzero(cluster[:, None] == cluster[None, :])
@@ -271,10 +286,45 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     return Subspace(d * d, B)
 
 
-def double_commutant(S, d: int) -> Subspace:
-    """Commutant applied twice; in finite dimension this is the generated
-    unital *-algebra of S."""
-    return commutant(commutant(S, d).matrices(), d)
+def algebra_blocks(algebra: Subspace) -> tuple[tuple[int, int], ...]:
+    """The pairs (m_i, n_i), largest first, with algebra = sum_i M_{m_i} tensor I_{n_i}.
+
+    ``algebra`` is a unital *-closed algebra of D x D matrices given by its
+    orthonormal basis B_k, a ``commutant`` for instance.  After Murota,
+    Kanno, Kojima and Kojima (Japan J. Indust. Appl. Math. 27, 2010): one
+    generic Hermitian element X of the algebra has m_i eigenspaces of dim n_i
+    in block i, found by ``commutant``'s cluster rule, and an element of the
+    algebra links two eigenspaces exactly when they lie in one block.  The
+    link of clusters a and b, sqrt(sum_k ||V_a^dag B_k V_b||_F^2), is 1 within
+    a block and 0 across; it is cut at sqrt(``DEFAULT_TOL``) = 1e-5 by the
+    rank rule, so a link in (1e-5, 1e-3] raises ``RuntimeError``.  So do
+    links that do not partition the clusters, linked clusters of unequal
+    dims, and pairs whose sum of m_i^2 is not the algebra's dim.
+    """
+    D, k = math.isqrt(algebra.ambient_dim), algebra.dim
+    # mats[k] = unvec(basis[:, k])
+    mats = algebra.basis.T.reshape(k, D, D).transpose(0, 2, 1)
+    V, cluster = _generic_eigenspaces(mats, DEFAULT_TOL)
+    starts = np.flatnonzero(np.r_[1, np.diff(cluster)])
+    sizes = np.diff(np.r_[starts, D])
+    weight = np.sum(np.abs(V.conj().T @ mats @ V) ** 2, axis=0)
+    link = np.sqrt(np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1))
+    cut = np.sqrt(DEFAULT_TOL)
+    _rank(link, cut, "block link")
+    linked = link > cut
+    # the linked clusters of one block share one row, and the rows of two blocks are disjoint
+    rows = np.unique(linked, axis=0)
+    if not (linked.diagonal().all() and rows.sum() == len(linked)):
+        raise RuntimeError("block links do not partition the eigenvalue clusters")
+    pairs = []
+    for row in rows:
+        if sizes[row].min() != sizes[row].max():
+            raise RuntimeError(
+                f"eigenspaces of unequal dims {sizes[row].tolist()} linked in one block")
+        pairs.append((int(row.sum()), int(sizes[row][0])))
+    if sum(m * m for m, _ in pairs) != k:
+        raise RuntimeError(f"blocks {pairs} do not account for the algebra's dim {k}")
+    return tuple(sorted(pairs, reverse=True))
 
 
 def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU2Element, SU3Element,
-                       U1Element, finite_rep)
+                       U1Element, commutant, finite_rep)
 from wignerlab.groups import TWO_PI, check_membership, haar_unitary, philox_stream
 from wignerlab.matrixcore import frobenius
 
@@ -64,6 +64,12 @@ def reference_unitary(rep, g):
     if rep.group.kind in ("su2", "su3") and abs(np.linalg.det(U) - 1.0) > 1e-10:
         raise ValueError(f"representation {rep.name!r} lost the unit determinant")
     return U
+
+
+def double_commutant(S, d):
+    """Independent reference for the generated unital *-algebra of S: in
+    finite dimension it is the commutant of the commutant."""
+    return commutant(commutant(S, d).matrices(), d)
 
 
 def element_index(rep, matrix):

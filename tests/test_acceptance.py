@@ -37,9 +37,10 @@ from wignerlab import (
 from wignerlab import BundleSpec, PartitionWeights, assign_invariant_field, is_separating, restrict
 from wignerlab.crossed import spanning_generators, algebra_closure
 from wignerlab.groups import SU2Element, philox_stream
-from wignerlab.matrixcore import double_commutant
 from wignerlab.states import DensityState
 from wignerlab.wigner import problem_seed_state
+
+from conftest import double_commutant
 
 
 @pytest.fixture(scope="module")

@@ -126,6 +126,25 @@ def test_invariant_state_trivial_group_echoes_seed(tmp_path):
     assert np.abs(got.rho - seed_state.rho).max() <= 1e-12
 
 
+@pytest.mark.parametrize("group, method", [("zn:5", "auto"), ("zn:5", "cesaro"), ("q8", "auto")])
+def test_invariant_state_records_no_generators_for_a_finite_group(tmp_path, group, method):
+    # a finite group averages over its elements or its generating set, never
+    # over --generators Haar samples, so the config records that setting as null
+    out, replay = tmp_path / "state.json", tmp_path / "replay.json"
+    code = run_cli("invariant-state", "--group", group, "--method", method, "--generators", "5",
+                   "--out", str(out))
+    assert code == 0
+    report = load_report(out)
+    assert report["config"]["generators"] is None
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(report["config"]))
+    assert run_cli("invariant-state", "--config", str(config), "--out", str(replay)) == 0
+    assert load_report(replay) == report
+    lie = tmp_path / "su2.json"
+    assert run_cli("invariant-state", "--group", "su2", "--method", "cesaro", "--out", str(lie)) == 0
+    assert load_report(lie)["config"]["generators"] == 3
+
+
 def test_invariant_state_boolean_state_entries_exit_1(tmp_path, capsys):
     # [[true, false]] would read as the valid d = 1 state 1+0j
     state_file = tmp_path / "seed.json"

@@ -13,11 +13,13 @@ from wignerlab import (
     finite_rep,
     generating_set,
     kron,
+    null_space,
     quaternion_rep,
     regular_unitary,
     tensor_iso_check,
     trivial_rep,
 )
+from wignerlab import crossed
 from wignerlab.crossed import spanning_generators
 from wignerlab.groups import (
     FiniteGroup,
@@ -29,7 +31,10 @@ from wignerlab.groups import (
     philox_stream,
     quaternion_group,
 )
-from wignerlab.matrixcore import double_commutant, vec
+from wignerlab.matrixcore import (DEFAULT_TOL, Subspace, _rank, algebra_blocks, commutant,
+                                  principal_angle_residual, vec)
+
+from conftest import double_commutant
 
 
 def z2_trivial_m2():
@@ -165,6 +170,100 @@ def test_closure_matches_double_commutant():
     span = algebra_closure(gens, model.ambient_dim)
     dc = double_commutant(gens, model.ambient_dim)
     assert span.dim == dc.dim == 8
+
+
+def test_q8_blocks_are_its_irreps():
+    model = q8_m2()
+    pairs = algebra_blocks(commutant(spanning_generators(model), model.ambient_dim))
+    # (d_pi, d d_pi) over Q8's irreps: one of dim 2 and four of dim 1
+    assert pairs == ((2, 4), (1, 2), (1, 2), (1, 2), (1, 2))
+    assert sum(n * n for _, n in pairs) == 32
+
+
+@pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
+def test_blocks_give_the_closed_form_and_peter_weyl(model):
+    gens = spanning_generators(model)
+    pairs = algebra_blocks(commutant(gens, model.ambient_dim))
+    assert sum(n * n for _, n in pairs) == model.d**2 * model.order
+    assert sum(m * m for m, _ in pairs) == model.order
+    assert sum(m * n for m, n in pairs) == model.ambient_dim
+
+
+# pairs (m, n) for Q8 on C^2 (ambient 16) that break one of crossed_dimension's sums
+_WRONG_PAIRS = {
+    "sum n^2": ((2, 3), (2, 5)),  # sum m n = 16 and sum m^2 = 8, but sum n^2 = 34
+    "ambient": ((1, 4), (1, 4)),  # sum n^2 = 32, but sum m n = 8
+    "peter-weyl": ((3, 4), (1, 4)),  # sum n^2 = 32 and sum m n = 16, but sum m^2 = 10
+}
+
+
+@pytest.mark.parametrize("side", ["closure", *_WRONG_PAIRS])
+def test_crossed_dimension_raises_when_a_side_disagrees(monkeypatch, side):
+    model = q8_m2()
+    if side == "closure":
+
+        def one_short(gens, n):
+            return null_space(np.eye(n * n)[:-1])
+
+        monkeypatch.setattr(crossed, "algebra_closure", one_short)
+    else:
+        monkeypatch.setattr(crossed, "algebra_blocks", lambda C: _WRONG_PAIRS[side])
+    with pytest.raises(RuntimeError, match="closed form"):
+        crossed_dimension(model)
+
+
+def _with_spent_columns(X, count, rng, norm=0.99 * crossed._SPENT):
+    """X with ``count`` columns of the given norm, in random directions, appended."""
+    Z = rng.standard_normal((X.shape[0], count)) + 1j * rng.standard_normal((X.shape[0], count))
+    return np.column_stack([X, norm * Z / np.linalg.norm(Z, axis=0)])
+
+
+def test_spent_columns_leave_the_closure_rank_and_span():
+    rng = philox_stream(27)
+    # rank 5, as 9 columns in C^30
+    X = (rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))) @ rng.standard_normal(
+        (5, 9))
+    want = crossed._orthonormal_columns(X, 0.0)
+    assert want.shape[1] == 5
+    kept, slack = crossed._kept_columns(_with_spent_columns(X, 200, rng))
+    assert kept.tobytes() == X.tobytes() and 0 < slack <= np.sqrt(200) * crossed._SPENT
+    got = crossed._orthonormal_columns(kept, slack)
+    angle, _ = principal_angle_residual(Subspace(30, want), Subspace(30, got))
+    assert got.shape[1] == 5 and angle <= 1e-12
+    # the whole block, spent columns and all, has the same rank under the plain rule
+    s = np.linalg.svd(_with_spent_columns(X, 200, rng), compute_uv=False)
+    assert _rank(s, DEFAULT_TOL * max(1.0, s[0]), "full block") == 5
+
+
+def test_a_value_within_the_spent_norm_below_the_cut_is_refused():
+    rng = philox_stream(28)
+    X = np.zeros((30, 2), dtype=complex)
+    X[0, 0], X[1, 1] = 1.0, DEFAULT_TOL - 1e-12
+    # 400 spent columns of norm 0.99e-13 have joint norm 1.98e-12
+    kept, slack = crossed._kept_columns(_with_spent_columns(X, 400, rng))
+    assert kept.shape[1] == 2 and slack == pytest.approx(1.98e-12)
+    with pytest.raises(RuntimeError, match="rank cutoff"):
+        crossed._orthonormal_columns(kept, slack)
+    # with no column dropped, the same value lies below the cut and is decided,
+    # and so is a value more than the slack below it
+    assert crossed._orthonormal_columns(X, 0.0).shape[1] == 1
+    X[1, 1] = DEFAULT_TOL - 3 * slack
+    assert crossed._orthonormal_columns(X, slack).shape[1] == 1
+
+
+def test_a_block_of_spent_columns_is_empty_without_an_svd(monkeypatch):
+    spent = _with_spent_columns(np.zeros((16, 0)), 50, philox_stream(29))
+    kept, slack = crossed._kept_columns(spent)
+    assert kept.shape == (16, 0) and 0 < slack <= DEFAULT_TOL
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert crossed._orthonormal_columns(kept, slack).shape == (16, 0)
+    # dropped columns of joint norm above the cut leave the rank undecided
+    with pytest.raises(RuntimeError, match="dropped columns"):
+        crossed._orthonormal_columns(kept, 2 * DEFAULT_TOL)
 
 
 def test_algebra_span_star_closed_and_unital():

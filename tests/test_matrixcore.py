@@ -5,10 +5,10 @@ from wignerlab import (
     CrossedProductModel,
     NotHermitian,
     Subspace,
+    algebra_blocks,
     commutant,
     cyclic_group,
     cyclic_rep,
-    double_commutant,
     eig_hermitian,
     kron,
     null_space,
@@ -28,7 +28,7 @@ from wignerlab.matrixcore import (
     vec,
 )
 
-from conftest import PAULI_X, random_hermitian
+from conftest import PAULI_X, double_commutant, random_hermitian
 
 
 def test_eig_diagonal():
@@ -295,6 +295,68 @@ def test_double_commutant_contains_generators(rng):
     dc = double_commutant(mats, 3)
     for M in mats + [np.eye(3, dtype=complex)]:
         assert dc.residual(vec(M)) <= 1e-9
+
+
+def _rep_commutant(rep, samples):
+    """The commutant of a rep's image, from ``samples`` Haar elements."""
+    from wignerlab import element_unitaries, haar_sample
+
+    return commutant(element_unitaries(rep, haar_sample(rep, 5, samples)), rep.dim)
+
+
+def test_algebra_blocks_of_an_su2_rep_commutant():
+    from wignerlab import su2_irrep
+    from wignerlab.groups import direct_sum_rep
+
+    rep = direct_sum_rep(su2_irrep(2), su2_irrep(2), su2_irrep(3))
+    # two copies of spin 1/2 and one of spin 1: M_2 tensor I_2 plus M_1 tensor I_3
+    assert algebra_blocks(_rep_commutant(rep, 2)) == ((2, 2), (1, 3))
+
+
+def test_algebra_blocks_of_a_u1_rep_commutant():
+    from wignerlab import u1_rep
+
+    pairs = algebra_blocks(_rep_commutant(u1_rep([0, 0, 1, -1, 2, 2, 2]), 1))
+    # each weight's multiplicity, on a one-dimensional irrep
+    assert pairs == ((3, 1), (2, 1), (1, 1), (1, 1))
+
+
+def test_algebra_blocks_of_the_full_and_the_scalar_algebras():
+    d = 4
+    assert algebra_blocks(Subspace(d * d, np.eye(d * d))) == ((d, 1),)
+    assert algebra_blocks(Subspace(d * d, vec(np.eye(d)) / np.sqrt(d))) == ((1, d),)
+
+
+def _blocks_of(monkeypatch, mats, coefficients):
+    """``algebra_blocks`` of the span of orthonormal matrices, its generic
+    element replaced by one with the given coefficients."""
+    from wignerlab import matrixcore
+
+    row = np.array([coefficients], dtype=complex)
+    monkeypatch.setattr(matrixcore, "_generic_coefficients", lambda n: row)
+    d = len(mats[0])
+    return algebra_blocks(Subspace(d * d, np.column_stack([vec(M) for M in mats])))
+
+
+def test_algebra_blocks_raise_on_unequal_dims_in_one_block(monkeypatch):
+    # diag(1, 1, 0) and diag(0, 0, 1) split C^3 into dims 2 and 1, and E links them
+    E = np.zeros((3, 3))
+    E[0, 2] = E[2, 0] = 1 / np.sqrt(2)
+    mats = [np.diag([1, 1, 0]) / np.sqrt(2), np.diag([0, 0, 1.0]), E]
+    with pytest.raises(RuntimeError, match="unequal dims"):
+        _blocks_of(monkeypatch, mats, [1, 2, 0])
+
+
+@pytest.mark.parametrize("link, match", [
+    (1e-4, "block link"),  # within 100x of the link cut 1e-5
+    (1e-7, "do not partition"),  # below the cut one way, linked the other way
+    (0.7, "do not account"),  # one block of two clusters, but the span is no algebra
+])
+def test_algebra_blocks_refuse_what_is_not_an_algebra(monkeypatch, link, match):
+    # e_1 and e_2 linked by N with N[0, 1] = link, N[1, 0] of the rest of its unit norm
+    N = np.array([[0, link], [np.sqrt(1 - link**2), 0]])
+    with pytest.raises(RuntimeError, match=match):
+        _blocks_of(monkeypatch, [np.diag([1, 0.0]), np.diag([0, 1.0]), N], [1, 2, 0])
 
 
 def test_subspace_rejects_non_orthonormal():
