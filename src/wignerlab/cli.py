@@ -217,14 +217,21 @@ def cmd_wigner_verify(config: dict) -> tuple[int, dict]:
     }
 
 
+def _record_method(config: dict, method: str, kind: str) -> None:
+    """Record the resolved method, and as null the sample counts it did not
+    read: ``count`` unless Monte Carlo, ``generators`` unless Cesaro over
+    Haar samples (a finite group's Cesaro runs over its generating set)."""
+    config["method"] = method
+    if method != "montecarlo":
+        config["count"] = None
+    if method != "cesaro" or kind == "finite":
+        config["generators"] = None
+
+
 def cmd_invariant_state(config: dict) -> tuple[int, dict]:
     seed, state_path = config["seed"], config["state"]
     rep = resolve_rep(config["group"], config["dim"])
     config["dim"] = rep.dim
-    if rep.group.kind == "finite":
-        # a finite group averages over its elements or generating set, never
-        # over Haar samples, so the config records no sample count
-        config["generators"] = None
     if state_path is not None:
         seed_state = DensityState.from_json(json.loads(Path(state_path).read_text()))
         if seed_state.d != rep.dim:
@@ -236,8 +243,10 @@ def cmd_invariant_state(config: dict) -> tuple[int, dict]:
         result = haar_average(rep, seed_state, method=config["method"], seed=seed,
                               count=config["count"], generators=config["generators"])
     except NoConvergence as exc:
+        # only Cesaro iterates to a stop
+        _record_method(config, "cesaro", rep.group.kind)
         return EXIT_CONTRACT, {"error": str(exc), "residual": exc.residual}
-    config["method"] = result.method
+    _record_method(config, result.method, rep.group.kind)
 
     residual = invariance_residual(rep, result.state, probes=50, seed=seed + 1)
     sep = is_separating(result.state)

@@ -8,12 +8,15 @@ then holds exactly.
 
 The algebra is generated by a small set: U_h for h in a generating set of G
 (``groups.generating_set``) plus Phi(H_1), Phi(H_2) for two fixed generic
-Hermitian fibre matrices, which generate all of M_d.  Its dimension is
-computed two independent ways, product closure (words grow one letter a
-round) and the block structure (m_i, n_i) of the generators' commutant,
-sum_i M_{m_i} tensor I_{n_i}, whose double commutant is the sum of the
-M_{n_i}; both must equal the closed form d^2 |G|, since every model embeds
-all of M_d.
+Hermitian fibre matrices, which generate all of M_d.  Every generator is
+normal (unitary or Hermitian), and a normal N has N^dag = p(N) for the
+polynomial p that interpolates conj(lambda) on its eigenvalues, so the
+product closure multiplies by the generators alone: the span of their words
+is already *-closed.  The algebra's dimension is computed two independent
+ways, product closure (words grow one letter a round) and the block
+structure (m_i, n_i) of the generators' commutant, sum_i M_{m_i} tensor
+I_{n_i}, whose double commutant is the sum of the M_{n_i}; both must equal
+the closed form d^2 |G|, since every model embeds all of M_d.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups as G
-from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _rank, algebra_blocks,
-                         as_matrix, commutant, kron, vec)
+from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _nonnormal, _rank,
+                         algebra_blocks, as_matrix, commutant, kron, vec)
 
 
 class NonConvergent(RuntimeError):
@@ -149,43 +152,66 @@ def _orthonormal_columns(X: np.ndarray, slack: float) -> np.ndarray:
 def algebra_closure(generators, matrix_dim: int) -> Subspace:
     """Close the span of the generators under products and adjoints.
 
-    The closure is the span of the identity and all words in the letters,
-    the generators and their adjoints; it is *-closed because the letters
-    are.  Each round multiplies only the previous round's new directions on
-    the left by every letter, in one stacked einsum, so words grow one
-    letter a round.  The products are projected twice against the running
-    orthonormal basis (classical Gram-Schmidt with one reorthogonalisation);
-    most of them then vanish, and those of norm <= 1e-3 ``DEFAULT_TOL`` are
-    dropped.  The SVD of the rest is rank-cut at ``DEFAULT_TOL`` (1e-10)
-    times max(1, its largest singular value) by ``matrixcore``'s rank rule,
-    whose band widens to (cut - eps, 100 cut] for the dropped columns' joint
-    norm eps (``_orthonormal_columns``).  The result is a subspace of
-    vectorized matrix_dim x matrix_dim matrices.
+    The closure is the span of the identity and all words in the letters:
+    the generators, and the adjoint of each generator that fails
+    ``matrixcore``'s normality test.  A normal N needs no adjoint letter:
+    N^dag = p(N) for the polynomial p that interpolates conj(lambda) on N's
+    eigenvalues, so a span that holds I and is closed under N is closed
+    under N^dag.  The span of words is an algebra, so it is *-closed once it
+    holds every generator's adjoint; that is checked at the end, and an
+    adjoint outside the span (a generator normal only to the test's
+    tolerance) raises ``RuntimeError``.
+
+    Each round multiplies only the previous round's new directions on the
+    left, one letter at a time, so words grow one letter a round and no
+    block holds more than one letter's products.  Each block is projected
+    twice against the basis as it stands, the directions earlier letters
+    found this round included (classical Gram-Schmidt with one
+    reorthogonalisation); most of its columns then vanish, and those of
+    norm <= 1e-3 ``DEFAULT_TOL`` are dropped.  The SVD of the rest is
+    rank-cut at ``DEFAULT_TOL`` (1e-10) times max(1, its largest singular
+    value) by ``matrixcore``'s rank rule, whose band widens to
+    (cut - eps, 100 cut] for the dropped columns' joint norm eps
+    (``_orthonormal_columns``).  The result is a subspace of vectorized
+    matrix_dim x matrix_dim matrices.
     """
-    gens = [as_matrix(M) for M in generators]
-    letters = gens + [M.conj().T for M in gens if not np.array_equal(M.conj().T, M)]
     d = matrix_dim
     n = d * d
-    stack = np.array(letters, dtype=complex).reshape(len(letters), d, d)
+    mats = [as_matrix(M) for M in generators]
+    gens = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    letters = [*gens, *gens[_nonnormal(gens, DEFAULT_TOL)].conj().transpose(0, 2, 1)]
     seed = np.column_stack([vec(np.eye(d, dtype=complex))] + [vec(M) for M in letters])
     basis = _orthonormal_columns(seed, 0.0)
-    fresh = basis
-    rounds = 0
-    while fresh.shape[1] > 0:
+    # basis[:, start:] are the directions the last round found, the seed's at first
+    start = rounds = 0
+    while start < basis.shape[1]:
         rounds += 1
         if rounds > n * n:
             raise NonConvergent("product closure exceeded the iteration guard")
-        # column (l, k) is vec(letter_l @ fresh_k)
-        X = np.einsum(
-            "lab,bjk->ajlk", stack, fresh.reshape(d, d, -1, order="F"), optimize=True
-        ).reshape(n, -1, order="F")
-        for _ in range(2):
-            X = X - basis @ (basis.conj().T @ X)
-        # rebinding X frees the full block before the SVD
-        X, slack = _kept_columns(X)
-        fresh = _orthonormal_columns(X, slack)
-        if fresh.shape[1]:
-            basis = np.column_stack([basis, fresh])
+        # words[k] = M_k^T for the k-th new direction vec(M_k), and vec(L M) =
+        # flatten_C(M^T L^T); the contiguous copy lets the matmuls below run in BLAS
+        words = np.ascontiguousarray(basis[:, start:].T).reshape(-1, d, d)
+        start = basis.shape[1]
+        for L in letters:
+            # column k is vec(L @ M_k)
+            X = (words @ L.T).reshape(-1, n).T
+            # (X^dag B)^dag conjugates the block, not the whole basis
+            for _ in range(2):
+                X = X - basis @ (X.conj().T @ basis).conj().T
+            # rebinding X frees the full block before the SVD
+            X, slack = _kept_columns(X)
+            new = _orthonormal_columns(X, slack)
+            if new.shape[1]:
+                basis = np.column_stack([basis, new])
+    # column k is vec(gens[k]^dag)
+    A = gens.conj().reshape(-1, n).T
+    outside = np.linalg.norm(A - basis @ (A.conj().T @ basis).conj().T, axis=0)
+    cut = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(A, axis=0))
+    if np.any(outside > cut):
+        raise RuntimeError(
+            f"product closure: a generator's adjoint lies {outside.max():.3e} outside the "
+            "closure; it passed the normality test only to its tolerance"
+        )
     return Subspace(n, basis)
 
 

@@ -25,6 +25,9 @@ fixed here and used by every other module:
 * ``commutant`` and ``algebra_blocks`` cut a generic Hermitian element's
   spectrum into eigenvalue clusters only at gaps above sqrt(tol) times its
   norm (``algebra_blocks`` at tol = ``DEFAULT_TOL``).
+* One normality test, ``_nonnormal``: ||A A^dag - A^dag A||_F > tol for
+  A / ||A||_F.  ``commutant`` (at its tol) and ``crossed.algebra_closure``
+  (at ``DEFAULT_TOL``) decide by it which inputs need their adjoints.
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
   ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
   NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs
@@ -241,6 +244,14 @@ def _generic_eigenspaces(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     return V, np.cumsum(np.r_[0, np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()])
 
 
+def _nonnormal(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Which matrices A of the (n, d, d) stack fail the normality test:
+    ||A A^dag - A^dag A||_F > tol for A / ||A||_F (the zero matrix passes)."""
+    A = mats / np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
+    adjs = A.conj().transpose(0, 2, 1)
+    return np.linalg.norm(A @ adjs - adjs @ A, axis=(1, 2)) > tol
+
+
 def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Basis of {M : MA = AM for all A in S} as a subspace of vectorized M_d.
 
@@ -262,10 +273,10 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     if not np.all(np.isfinite(mats)):
         raise ValueError("matrix contains NaN or Inf entries")
     mats /= np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
-    adjs = mats.conj().transpose(0, 2, 1)
-    nonnormal = np.linalg.norm(mats @ adjs - adjs @ mats, axis=(1, 2)) > tol
+    nonnormal = _nonnormal(mats, tol)
     if nonnormal.any():
-        span, adj = mats.reshape(-1, d * d).T, adjs.reshape(-1, d * d).T
+        span = mats.reshape(-1, d * d).T
+        adj = mats.conj().transpose(0, 2, 1).reshape(-1, d * d).T
         outside = np.linalg.norm(adj - span @ np.linalg.lstsq(span, adj, rcond=None)[0], axis=0) > tol
         if np.any(outside & nonnormal):
             raise ValueError("S has a matrix that is not normal and whose adjoint is not in span(S)")

@@ -145,6 +145,41 @@ def test_invariant_state_records_no_generators_for_a_finite_group(tmp_path, grou
     assert load_report(lie)["config"]["generators"] == 3
 
 
+@pytest.mark.parametrize("group, method, count, generators", [
+    ("su2", "auto", None, None),  # quadrature
+    ("u1", "auto", None, None),  # quadrature
+    ("su3", "auto", None, 3),  # Cesaro over 3 Haar samples
+    ("su2", "cesaro", None, 3),
+    ("su2", "montecarlo", 64, None),
+    ("zn:5", "cesaro", None, None),  # over the generating set
+])
+def test_invariant_state_records_only_the_sample_counts_its_method_read(
+        tmp_path, group, method, count, generators):
+    out, replay = tmp_path / "state.json", tmp_path / "replay.json"
+    assert run_cli("invariant-state", "--group", group, "--method", method, "--count", "64",
+                   "--generators", "3", "--tol", "0.1", "--out", str(out)) == 0
+    report = load_report(out)
+    assert (report["config"]["count"], report["config"]["generators"]) == (count, generators)
+    # the nulls replay as the defaults, which the resolved method does not read
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(report["config"]))
+    assert run_cli("invariant-state", "--config", str(config), "--out", str(replay)) == 0
+    assert load_report(replay) == report
+
+
+def test_invariant_state_records_cesaro_when_it_does_not_converge(tmp_path, monkeypatch):
+    from wignerlab import NoConvergence, cli
+
+    def stalls(*args, **kwargs):
+        raise NoConvergence("stalled", 1e-3)
+
+    monkeypatch.setattr(cli, "haar_average", stalls)
+    out = tmp_path / "state.json"
+    assert run_cli("invariant-state", "--group", "su3", "--out", str(out)) == 2
+    config = load_report(out)["config"]
+    assert (config["method"], config["count"], config["generators"]) == ("cesaro", None, 3)
+
+
 def test_invariant_state_boolean_state_entries_exit_1(tmp_path, capsys):
     # [[true, false]] would read as the valid d = 1 state 1+0j
     state_file = tmp_path / "seed.json"

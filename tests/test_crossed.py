@@ -172,6 +172,75 @@ def test_closure_matches_double_commutant():
     assert span.dim == dc.dim == 8
 
 
+@pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
+def test_closure_spans_the_double_commutant(model):
+    gens = spanning_generators(model)
+    span = algebra_closure(gens, model.ambient_dim)
+    angle, _ = principal_angle_residual(span, double_commutant(gens, model.ambient_dim))
+    assert span.dim == model.d**2 * model.order and angle <= 1e-9
+
+
+def _spy_blocks(monkeypatch):
+    """Record (columns in, columns out) of every ``_orthonormal_columns`` call."""
+    calls, real = [], crossed._orthonormal_columns
+
+    def spy(X, slack):
+        out = real(X, slack)
+        calls.append((X.shape[1], out.shape[1]))
+        return out
+
+    monkeypatch.setattr(crossed, "_orthonormal_columns", spy)
+    return calls
+
+
+def test_a_normal_generator_closes_without_its_adjoint(monkeypatch):
+    model = CrossedProductModel(trivial_rep(cyclic_group(5), 1))
+    U = regular_unitary(model, finite_elements(model.group)[1])
+    calls = _spy_blocks(monkeypatch)
+    span = algebra_closure([U], 5)
+    # the seed is I and U alone; U^dag = U^4 comes from the products
+    assert calls[0] == (2, 2)
+    assert span.dim == 5 and span.residual(vec(U.conj().T)) <= 1e-12
+
+
+def test_a_generator_hermitian_up_to_rounding_adds_no_letter(monkeypatch):
+    rng = philox_stream(31)
+    Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    H = Z + Z.conj().T
+    H[0, 1] += 1e-16 * abs(H[0, 1])
+    assert not np.array_equal(H, H.conj().T)
+    calls = _spy_blocks(monkeypatch)
+    span = algebra_closure([H], 4)
+    # a generic Hermitian 4 x 4 generates the diagonal algebra of its eigenbasis
+    assert calls[0] == (2, 2) and span.dim == 4
+    assert span.residual(vec(H.conj().T)) <= 1e-12
+
+
+def test_a_generator_normal_only_to_tolerance_is_refused():
+    # ||[A, A^dag]||_F / ||A||_F^2 is below 1e-12, yet A^dag is 1e-6 away from span{I, A}
+    A = np.eye(2, dtype=complex)
+    A[0, 1] = 1e-6
+    with pytest.raises(RuntimeError, match="adjoint lies"):
+        algebra_closure([A], 2)
+
+
+def test_no_block_holds_more_than_one_letters_products(monkeypatch):
+    # Q8's three generating unitaries and two embedded Hermitian matrices:
+    # five letters, all normal, so each round passes five blocks
+    model = q8_m2()
+    gens = spanning_generators(model)
+    calls = _spy_blocks(monkeypatch)
+    span = algebra_closure(gens, model.ambient_dim)
+    assert len(gens) == 5 and span.dim == 32
+    fresh, blocks = calls[0][1], calls[1:]
+    assert fresh == 6 and len(blocks) % 5 == 0
+    for start in range(0, len(blocks), 5):
+        round_ = blocks[start:start + 5]
+        assert all(cols_in <= fresh for cols_in, _ in round_)
+        fresh = sum(cols_out for _, cols_out in round_)
+    assert fresh == 0
+
+
 def test_q8_blocks_are_its_irreps():
     model = q8_m2()
     pairs = algebra_blocks(commutant(spanning_generators(model), model.ambient_dim))

@@ -19,6 +19,7 @@ from wignerlab.crossed import algebra_closure, spanning_generators
 from wignerlab.groups import haar_unitary, philox_stream
 from wignerlab.matrixcore import (
     _GENERIC_SEED,
+    _nonnormal,
     matrix_from_json,
     matrix_to_json,
     pairwise_mean,
@@ -288,6 +289,15 @@ def test_commutant_rejects_set_without_adjoints():
     with pytest.raises(ValueError):
         commutant([N], 2)
     assert commutant([N, N.conj().T], 2).dim == 1
+
+
+def test_the_normality_test_is_scale_free_and_passes_rounding(rng):
+    H = random_hermitian(4, rng)
+    H[0, 1] += 1e-16 * abs(H[0, 1])
+    E12 = np.zeros((4, 4), dtype=complex)
+    E12[0, 1] = 1.0
+    mats = np.array([H, 1e8 * haar_unitary(4, rng), np.zeros((4, 4)), 1e-8 * E12, E12 + E12.T])
+    assert _nonnormal(mats, 1e-10).tolist() == [False, False, False, True, False]
 
 
 def test_double_commutant_contains_generators(rng):
