@@ -27,18 +27,21 @@ order 2d-1 averages it exactly with O(d^3) nodes: the table
 per order and cached (read-only), and summed in node order
 (``weighted_mean``).
 
-Haar sampling is Ginibre + QR with diagonal-phase correction, then division
-by the principal n-th root of the determinant for the special groups
-(Mezzadri, Notices AMS 54, 2007).  All randomness flows through Philox
-counter streams keyed by (seed, stream index): sample i of
+Haar sampling orthonormalizes a Ginibre matrix's columns in order, which
+is its QR factor with R's diagonal real and positive, then divides by the
+principal n-th root of the determinant for the special groups (Mezzadri,
+Notices AMS 54, 2007).  All randomness flows through Philox counter
+streams keyed by (seed, stream index): sample i of
 ``haar_sample(rep, seed, count)`` is drawn from stream (seed, i) alone, so
 sampling is reproducible, order-independent and prefix-stable.  A batch
 re-keys one Philox in place per sample instead of building a generator per
-stream; each sample's one call is its draw, and QR, determinant and both
-phase corrections run on stacks of ``BATCH`` matrices, bitwise
-``haar_unitary(n, philox_stream(seed, i))``.  SU(2) samples become Euler
-angles in one stacked step, except the moduli and theta, which stay scalar
-to keep their bits; SU(3) samples are the stack itself.
+stream; each sample's one call is its draw.  One kernel,
+``_special_unitaries``, turns a stack of Ginibre matrices into samples:
+Gram-Schmidt with each column projected twice, then the determinant phase,
+all on stacks of ``BATCH`` matrices.  ``haar_unitary`` is it on a stack of
+one, so sample i is bitwise ``haar_unitary(n, philox_stream(seed, i))``.
+SU(2) samples become Euler angles in one stacked step, except theta, which
+stays scalar to keep its bits; SU(3) samples are the stack itself.
 
 Every representation has one matrix function, ``UnitaryRep.stack_fn``,
 from a batch of N elements to their (N, d, d) matrices, read from its
@@ -391,13 +394,14 @@ def _euler_angles(U: np.ndarray) -> np.ndarray:
     stack of special unitaries U (exact reconstruction).  With a = U[0, 0]
     and b = U[1, 0]: theta = 2 atan2(|b|, |a|) clamped to [0, pi],
     s = 2 arg a (0 if |a| <= 1e-14), r = -2 arg b (0 if |b| <= 1e-14),
-    phi = (s + r)/2, psi = (s - r)/2.  The moduli and theta stay scalar
-    (builtin ``abs``, ``math.atan2``), since numpy's array abs and arctan2
-    are not bitwise their scalar forms; the array ``np.angle`` is."""
+    phi = (s + r)/2, psi = (s - r)/2.  The moduli are ``np.hypot`` of the
+    parts, bitwise builtin ``abs`` (numpy's array abs is not), and theta
+    stays scalar ``math.atan2``, since the array arctan2 is not bitwise it;
+    the array ``np.angle`` is bitwise its scalar form."""
     column = U[:, :, 0]
-    moduli = [(abs(a), abs(b)) for a, b in column.tolist()]
-    theta = [min(max(2.0 * math.atan2(b, a), 0.0), math.pi) for a, b in moduli]
-    s, r = np.where(np.array(moduli) > 1e-14, np.angle(column) * _TWO_SIGNS, 0.0).T
+    moduli = np.hypot(column.real, column.imag)
+    theta = [min(max(2.0 * math.atan2(b, a), 0.0), math.pi) for a, b in moduli.tolist()]
+    s, r = np.where(moduli > 1e-14, np.angle(column) * _TWO_SIGNS, 0.0).T
     return np.column_stack(((s + r) / 2.0, theta, (s - r) / 2.0))
 
 
@@ -809,13 +813,37 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed special unitary: Ginibre matrix, QR,
-    phase-normalized R diagonal, divided by the principal n-th root of det."""
+    """One Haar-distributed special unitary: a Ginibre matrix through
+    ``_special_unitaries``, the kernel of every stack."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
-    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
+    return _special_unitaries(z[None])[0]
+
+
+def _special_unitaries(z: np.ndarray) -> np.ndarray:
+    """Overwrite the (N, n, n) Ginibre stack z with Q / det(Q)^(1/n) and
+    return it, where z = QR with R's diagonal real and positive, which makes
+    Q Haar-distributed on U(n) (Mezzadri, Notices AMS 54, 2007).  Gram-Schmidt
+    on z's columns in order, each column projected twice against those
+    before it (orthogonal to rounding however close the columns), then
+    divided by its norm r_kk > 0, which fixes Q's phases by construction;
+    the principal n-th root of det Q by one array ``np.angle`` and
+    ``np.exp``.  Row i depends on z[i] alone, bitwise, whatever N.  A zero
+    residual, a rank-deficient draw (probability zero), raises
+    ``ValueError``."""
+    n = z.shape[-1]
+    # column k of z as the (1, n) row qt[i, k] of each sample; qt ends as Q^T
+    qt = z.transpose(0, 2, 1)[:, :, None].copy()
+    for k in range(n):
+        v, done = qt[:, k], qt[:, :k, 0]
+        for _ in range(2 if k else 0):
+            v -= np.vecdot(done, v)[:, None] @ done
+        r = np.sqrt(np.vecdot(v, v).real)
+        if not r.all():
+            raise ValueError("rank-deficient Ginibre draw: a zero Gram-Schmidt residual")
+        v /= r[:, :, None]
+    Q = qt[:, :, 0].transpose(0, 2, 1)
+    phase = np.exp(-1j * (np.angle(np.linalg.det(Q)) / n))
+    return np.multiply(Q, phase[:, None, None], out=z)
 
 
 # Generators that _philox_streams re-keys, kept between calls (a new Philox
@@ -857,10 +885,7 @@ def _haar_special_unitaries(n: int, seed: int, count: int) -> np.ndarray:
     bitwise, filled in place.  Per batch of ``BATCH`` samples, the one call
     per sample is its draw: each stream fills its real and imaginary Ginibre
     parts in order with one ``standard_normal`` into a real buffer.  The rest
-    runs stacked: QR and det (LAPACK factors each matrix on its own), the
-    R-diagonal phase fix, and the det phase, with array ``np.angle``, the
-    scalar expression -1j a / n per sample, one ``np.exp`` and one broadcast
-    multiply, each bitwise its per-sample form."""
+    is one ``_special_unitaries`` call on the batch's stack."""
     out = np.empty((count, n, n), dtype=complex)
     normals = np.empty((min(count, BATCH), 2, n, n))
     streams = _philox_streams(seed, count)
@@ -872,11 +897,7 @@ def _haar_special_unitaries(n: int, seed: int, count: int) -> np.ndarray:
         z.real = ginibre[:, 0]
         z.imag = ginibre[:, 1]
         z /= math.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        q *= np.where(np.abs(d) > 0, d / np.abs(d), 1.0)[:, None, :]
-        phase = np.exp([-1j * a / n for a in np.angle(np.linalg.det(q)).tolist()])
-        np.multiply(q, phase[:, None, None], out=z)
+        _special_unitaries(z)
     return out
 
 
@@ -885,8 +906,9 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
 
     Sample i is drawn from ``philox_stream(rng_seed, i)`` alone, so
     ``haar_sample(rep, s, n)[:k] == haar_sample(rep, s, k)``; SU(2) and SU(3)
-    samples are bitwise ``haar_unitary`` of that stream, computed in stacks
-    by ``_haar_special_unitaries``.  SU(2) samples become Euler angles in one
+    samples are bitwise ``haar_unitary`` of that stream: both run the
+    Gram-Schmidt kernel ``_special_unitaries``, here on stacks of ``BATCH``
+    (``_haar_special_unitaries``).  SU(2) samples become Euler angles in one
     stacked step (``_euler_angles``), bitwise ``euler_from_su2`` of each;
     SU(3) samples are the stack itself.
     """

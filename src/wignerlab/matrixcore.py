@@ -257,7 +257,9 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
 
     S is a sequence of d x d matrices or an (n, d, d) array.  Contract: each
     A in S is normal or has its adjoint in span(S), so that S' is the
-    commutant of the *-algebra S generates; otherwise ``ValueError``.  The
+    commutant of the *-algebra S generates; otherwise ``ValueError``, also
+    when the result is not *-closed to tol (every basis matrix's adjoint
+    within tol of the span), which a matrix normal only to tol leaves.  The
     zero-decision scale for each A is ||A||_F, so matrices that commute
     with everything (scalars) yield the full space rather than a noise-rank
     artifact.  A commutator singular value in (tol, 100 tol] raises
@@ -294,6 +296,14 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
         # ||L||_F bounds every singular value: at or below tol, all of B stays
         if np.linalg.norm(L) > tol:
             B = B @ _null_basis(L, tol, 1.0, what="commutant")
+    # a matrix normal only to tol passes the test above without its adjoint;
+    # S' is (S u S^dag)' exactly when it is *-closed.  Row b d + a of B is
+    # entry (a, b) of each basis matrix, so swapping a and b gives vec(M^T)
+    adjs = B.reshape(d, d, -1).swapaxes(0, 1).conj().reshape(d * d, -1)
+    outside = adjs - B @ (B.conj().T @ adjs)
+    if np.any(np.vecdot(outside, outside, axis=0).real > tol * tol):
+        raise ValueError("S' is not closed under adjoints: S has a matrix normal only to tol "
+                         "whose adjoint is not in span(S)")
     return Subspace(d * d, B)
 
 

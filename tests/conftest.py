@@ -72,6 +72,17 @@ def double_commutant(S, d):
     return commutant(commutant(S, d).matrices(), d)
 
 
+def reference_haar_unitary(n, rng):
+    """Independent reference for the Gram-Schmidt sampler: the same Ginibre
+    draw through LAPACK's QR, R's diagonal phases moved into Q, then Q
+    divided by the principal n-th root of its determinant."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    q = q * np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
+
+
 def element_index(rep, matrix):
     """Index of the group element represented by the given matrix."""
     from wignerlab import element_unitary

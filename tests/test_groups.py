@@ -48,6 +48,8 @@ from wignerlab.groups import (
     U1Batch,
     _euler_angles,
     _generating_indices,
+    _haar_special_unitaries,
+    _special_unitaries,
     _q8_matrices,
     compose,
     direct_sum_rep,
@@ -63,7 +65,8 @@ from wignerlab.groups import (
     _validate_rep,
 )
 
-from conftest import reference_euler, reference_haar_sample, reference_unitary, random_hermitian
+from conftest import (reference_euler, reference_haar_sample, reference_haar_unitary,
+                      reference_unitary, random_hermitian)
 
 
 def test_finite_group_rejects_bad_table():
@@ -764,6 +767,53 @@ def test_philox_streams_independent():
     x = philox_stream(9, 0).standard_normal(4)
     y = philox_stream(9, 1).standard_normal(4)
     assert not np.allclose(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_gram_schmidt_samples_match_the_lapack_qr_reference(n):
+    reference = np.array([reference_haar_unitary(n, philox_stream(31, i)) for i in range(4096)])
+    for count in (1, 257, 4096):
+        stack = _haar_special_unitaries(n, 31, count)
+        assert np.abs(stack - reference[:count]).max() <= 1e-13
+    # one kernel: row i is haar_unitary of stream i, bitwise, for every n
+    rows = [0, 255, 256]
+    singles = np.array([haar_unitary(n, philox_stream(31, i)) for i in rows])
+    assert singles.tobytes() == stack[rows].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_nearly_parallel_columns_still_give_special_unitaries(n):
+    rng = philox_stream(77, n)
+    z = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    z[:, :, 1] = z[:, :, 0] + 1e-8 * z[:, :, 1]
+    cond = np.linalg.cond(z)
+    assert np.all((cond > 1e7) & (cond < 1e10))
+    U = _special_unitaries(z.copy())
+    Uh = U.conj().transpose(0, 2, 1)
+    assert np.abs(Uh @ U - np.eye(n)).max() <= 1e-13
+    assert np.abs(np.linalg.det(U) - 1.0).max() <= 1e-13
+    # U = Q / det(Q)^(1/n) = Q conj(w) with w the principal root, |w| = 1,
+    # and Q^dag z = R: upper triangular with a positive real diagonal
+    R = Uh @ z
+    w = R[:, 0, 0] / np.abs(R[:, 0, 0])
+    assert np.all(np.abs(np.angle(w)) <= math.pi / n + 1e-12)
+    R *= w.conj()[:, None, None]
+    scale = np.linalg.norm(z, axis=(1, 2))[:, None]
+    assert np.all(np.abs(np.tril(R, -1)).max(axis=1) <= 1e-13 * scale)
+    diagonal = np.diagonal(R, axis1=1, axis2=2)
+    assert np.all(np.abs(diagonal.imag) <= 1e-13 * scale) and np.all(diagonal.real > 0)
+
+
+class _ZeroDraws:
+    """A stub generator whose every normal draw is zero."""
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+
+def test_a_rank_deficient_draw_raises():
+    with pytest.raises(ValueError, match="rank-deficient"):
+        haar_unitary(3, _ZeroDraws())
 
 
 def test_euler_roundtrip_on_samples():

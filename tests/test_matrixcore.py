@@ -291,6 +291,17 @@ def test_commutant_rejects_set_without_adjoints():
     assert commutant([N, N.conj().T], 2).dim == 1
 
 
+def test_commutant_refuses_a_matrix_normal_only_to_tolerance():
+    # ||[A, A^dag]||_F / ||A||_F^2 = 7e-13 passes the normality test, so A's
+    # adjoint is not asked for, and A's commutant span{I, E12} is not *-closed
+    A = np.eye(2, dtype=complex)
+    A[0, 1] = 1e-6
+    assert not _nonnormal(A[None], 1e-10)[0]
+    with pytest.raises(ValueError, match="closed under adjoints"):
+        commutant([A], 2)
+    assert commutant([A, A.conj().T], 2).dim == 1
+
+
 def test_the_normality_test_is_scale_free_and_passes_rounding(rng):
     H = random_hermitian(4, rng)
     H[0, 1] += 1e-16 * abs(H[0, 1])
