@@ -61,7 +61,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatch(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] < 1:
         raise DimensionMismatch(f"{name} must have dim >= 1")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return A
 
@@ -70,16 +70,17 @@ def frobenius(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
-def op_norm(M) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(M, 2))
+def _norms(x: np.ndarray, axis) -> np.ndarray:
+    """Frobenius norms of x over ``axis``: the expression ``np.linalg.norm``
+    evaluates for an axis argument, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def singular_values(M) -> np.ndarray:
     """Singular values of M, or of each matrix in a stack, descending;
     ValueError on NaN or Inf entries."""
     A = np.asarray(M)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
     return np.linalg.svd(A, compute_uv=False)
 
@@ -148,7 +149,8 @@ class Subspace:
         if not np.isfinite(B).all():
             raise ValueError("subspace basis contains NaN or Inf entries")
         gram = B.conj().T @ B
-        if B.shape[1] and np.max(np.abs(gram - np.eye(B.shape[1]))) > 1e-10:
+        gram.flat[:: B.shape[1] + 1] -= 1.0
+        if B.shape[1] and np.abs(gram).max() > 1e-10:
             raise ValueError("subspace basis is not orthonormal to 1e-10")
         B = B.copy()
         B.setflags(write=False)
@@ -193,7 +195,7 @@ def _rank(s: np.ndarray, cut: float, what: str, slack: float = 0.0):
             f"{what}: singular value {s[near].max():.3e} lies within 100x of the "
             f"rank cutoff {cut:.1e}" + (f" or within {slack:.1e} below it" if slack else "")
         )
-    return np.sum(s > cut, axis=-1)
+    return (s > cut).sum(axis=-1)
 
 
 def _null_basis(M: np.ndarray, tol: float, scale: float | None = None,
@@ -239,24 +241,25 @@ def _generic_eigenspaces(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     eps ||X|| / g, so clusters split only at gaps above sqrt(tol) ||X||:
     that may merge eigenspaces, never split one."""
     n, d = len(mats), mats.shape[-1]
-    Y = np.dot(_generic_coefficients(n), mats.reshape(n, -1)).reshape(d, d)
+    Y = np.dot(_generic_coefficients(n), mats.reshape(n, d * d)).reshape(d, d)
     vals, V = np.linalg.eigh(Y + Y.conj().T)
-    return V, np.cumsum(np.r_[0, np.diff(vals) > np.sqrt(tol) * np.abs(vals).max()])
+    return V, np.cumsum(np.concatenate(([0], np.diff(vals) > np.sqrt(tol) * np.abs(vals).max())))
 
 
 def _nonnormal(mats: np.ndarray, tol: float) -> np.ndarray:
     """Which matrices A of the (n, d, d) stack fail the normality test:
     ||A A^dag - A^dag A||_F > tol for A / ||A||_F (the zero matrix passes)."""
-    A = mats / np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
+    A = mats / np.maximum(_norms(mats, (1, 2)), 1e-300)[:, None, None]
     adjs = A.conj().transpose(0, 2, 1)
-    return np.linalg.norm(A @ adjs - adjs @ A, axis=(1, 2)) > tol
+    return _norms(A @ adjs - adjs @ A, (1, 2)) > tol
 
 
 def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """Basis of {M : MA = AM for all A in S} as a subspace of vectorized M_d.
 
-    S is a sequence of d x d matrices or an (n, d, d) array.  Contract: each
-    A in S is normal or has its adjoint in span(S), so that S' is the
+    S is a sequence of d x d matrices or an (n, d, d) array; another shape
+    raises ``DimensionMismatch``, and an empty S gives all of M_d.  Contract:
+    each A in S is normal or has its adjoint in span(S), so that S' is the
     commutant of the *-algebra S generates; otherwise ``ValueError``, also
     when the result is not *-closed to tol (every basis matrix's adjoint
     within tol of the span), which a matrix normal only to tol leaves.  The
@@ -267,14 +270,19 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    try:
-        # the appended identity shapes an empty S as (0, d, d), a wrong one as ragged
-        mats = np.array([*S, np.eye(d)], dtype=complex)[:-1]
-    except ValueError as exc:
-        raise DimensionMismatch(f"expected {d}x{d} matrices") from exc
-    if not np.all(np.isfinite(mats)):
+    if isinstance(S, np.ndarray):
+        mats = S.astype(complex)  # a copy, normalized in place below
+        if mats.ndim != 3 or mats.shape[1:] != (d, d):
+            raise DimensionMismatch(f"expected {d}x{d} matrices")
+    else:
+        try:
+            # the appended identity shapes an empty S as (0, d, d), a wrong one as ragged
+            mats = np.array([*S, np.eye(d)], dtype=complex)[:-1]
+        except ValueError as exc:
+            raise DimensionMismatch(f"expected {d}x{d} matrices") from exc
+    if not np.isfinite(mats).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    mats /= np.maximum(np.linalg.norm(mats, axis=(1, 2)), 1e-300)[:, None, None]
+    mats /= np.maximum(_norms(mats, (1, 2)), 1e-300)[:, None, None]
     nonnormal = _nonnormal(mats, tol)
     if nonnormal.any():
         span = mats.reshape(-1, d * d).T
@@ -363,7 +371,7 @@ def principal_angle_residual(a: Subspace, b: Subspace) -> tuple[float, float]:
     sigma = float(singular_values(cross).min())
     if a.dim != b.dim:
         return float(np.pi / 2), sigma
-    gap = op_norm(a.basis - b.basis @ cross.conj().T)
+    gap = np.linalg.svd(a.basis - b.basis @ cross.conj().T, compute_uv=False)[0]
     return float(np.arcsin(min(1.0, gap))), sigma
 
 

@@ -54,8 +54,9 @@ class DensityState:
             raise DimensionMismatch(f"declared d={self.d} but matrix is {rho.shape[0]}x{rho.shape[0]}")
         if frobenius(rho - rho.conj().T) > 1e-10:
             raise ValueError("density matrix is not Hermitian to 1e-10")
-        if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
-            raise ValueError(f"density matrix trace {np.trace(rho)} differs from 1")
+        trace = np.trace(rho)
+        if abs(trace.real - 1.0) > 1e-10 or abs(trace.imag) > 1e-10:
+            raise ValueError(f"density matrix trace {trace} differs from 1")
         lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
         if lo < -1e-10:
             raise ValueError(f"density matrix has eigenvalue {lo} below -1e-10")
@@ -170,14 +171,11 @@ def invariance_residual(
     return _max_defect(G.element_unitaries(rep, elements), state.rho)
 
 
-def _max_defect(stack: np.ndarray, rho: np.ndarray, skip_above: float = math.inf) -> float:
+def _max_defect(stack: np.ndarray, rho: np.ndarray) -> float:
     """max_j ||U_j^dag rho U_j - rho||_tr over the (n, d, d) stack of U_j,
-    which it overwrites; inf, without the SVDs, when some defect's Frobenius
-    norm (a lower bound of its trace norm) exceeds skip_above."""
+    which it overwrites."""
     defects = _pull_back(stack, rho)
     defects -= rho
-    if skip_above < math.inf and np.linalg.norm(defects, axis=(1, 2)).max() > skip_above:
-        return math.inf
     return float(singular_values(defects).sum(axis=1).max())
 
 

@@ -21,7 +21,9 @@ O(d^6) for that SVD plus O(n d^4) for S; no stack of T_j - I is formed.
 Rank decisions follow ``matrixcore``'s rank rule, refusing to decide
 (RuntimeError) when a value lies in (tol, 100 tol].
 
-Cesaro's window sums are formed by binary powering (``cesaro_fixed_point``).
+Cesaro's window sums are formed by binary powering from the leading bit of
+the window length, and each window's stop test pulls the window mean back
+by the whole stack of U_j at once (``cesaro_fixed_point``).
 """
 
 from __future__ import annotations
@@ -36,17 +38,19 @@ from . import groups as G
 from .matrixcore import (
     DEFAULT_TOL,
     Subspace,
+    _norms,
     _null_basis,
     _rank,
     commutant,
     frobenius,
     null_space,
     principal_angle_residual,
+    singular_values,
     trace_norm,  # noqa: F401  perfbench/layers.py traces wigner.trace_norm by name
     unvec,
     vec,
 )
-from .states import DensityState, _max_defect, random_density, repair_psd
+from .states import DensityState, random_density, repair_psd
 
 # lcm(1..8): a Cesaro window of this length annihilates every peripheral
 # superoperator eigenvalue that is a root of unity of order <= 8 exactly
@@ -201,7 +205,7 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     S = averaged_superop(problem)
     avg = Subspace(d2, _null_basis(S - np.eye(d2), tol, 1.0, what="averaged map"))
     B = inter.basis
-    inclusion = float(np.linalg.norm(S @ B - B, axis=0).max(initial=0.0))
+    inclusion = float(_norms(S @ B - B, 0).max(initial=0.0))
 
     angle, sigma_min = principal_angle_residual(inter, avg)
     verdict = (
@@ -222,9 +226,10 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
 
 
 def _power_sum(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{k<w} S^k, S^w) by binary powering over the bits of w."""
-    total, power = np.zeros_like(S), np.eye(S.shape[0], dtype=S.dtype)
-    for bit in bin(w)[2:]:
+    """(sum_{k<w} S^k, S^w) by binary powering over the bits of w >= 1,
+    starting at the leading bit with (I, S)."""
+    total, power = np.eye(S.shape[0], dtype=S.dtype), S
+    for bit in bin(w)[3:]:
         # m -> 2m, then m -> m + 1 on a set bit
         total, power = total + power @ total, power @ power
         if bit == "1":
@@ -252,27 +257,40 @@ def cesaro_fixed_point(
     the peripheral spectrum, the window means cannot.
 
     The window sum sum_{k<w} S^k of the averaged superoperator S is formed
-    by binary powering, O(d^6 log w) for the first window, and reused when
-    the window doubles, two d^2 x d^2 products for each later window; up to
-    five d^2 x d^2 matrices are held at once.  The default cap of 10^6 map
-    applications is ten full windows and one cut one, at most 84 d^2 x d^2
-    products (76 at a cap of 10^5).
+    by binary powering, starting at w's leading bit with (I, S): 21 d^2 x d^2
+    products for the first window (w = 840), reused when the window doubles,
+    two products for each later window; up to five d^2 x d^2 matrices are
+    held at once.  The default cap of 10^6 map applications is ten full
+    windows and one cut one, at most 78 d^2 x d^2 products (70 at a cap of
+    10^5).
+
+    Each stop test forms the (n, d, d) defect stack U_j^dag rho U_j - rho in
+    one expression.  A defect whose Frobenius norm exceeds 2 tol (squared
+    norms compared with (2 tol)^2) has a trace norm above tol, so such a
+    window cannot stop and skips the SVDs; otherwise the trace norms come
+    from ``singular_values``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if rho0.d != problem.d:
         raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
     U = problem.unitaries
+    Ud = U.conj().transpose(0, 2, 1)
     S = averaged_superop(problem)
     side = problem.d
 
-    def max_defect(v: np.ndarray, skip_above: float = math.inf) -> float:
-        return _max_defect(U.copy(), unvec(v, side), skip_above)
+    def max_defect(v: np.ndarray, skip: bool = False) -> float:
+        """max_j ||U_j^dag rho U_j - rho||_tr; inf when ``skip`` and some
+        defect's Frobenius norm exceeds 2 tol."""
+        rho = unvec(v, side)
+        defects = Ud @ rho @ U - rho
+        flat = defects.reshape(len(U), -1)
+        if skip and np.vecdot(flat, flat).real.max() > (2.0 * tol) ** 2:
+            return math.inf
+        return float(singular_values(defects).sum(axis=1).max())
 
-    # a defect whose Frobenius norm exceeds 2 tol has a trace norm above
-    # tol, so such a window cannot stop and skips the SVD
     sigma = vec(rho0.rho)
-    residual = max_defect(sigma, 2.0 * tol)
+    residual = max_defect(sigma, skip=True)
     iterations = 0
     window = _BASE_WINDOW
     power = None
@@ -293,7 +311,7 @@ def cesaro_fixed_point(
         sigma = total @ sigma / w
         iterations += w
         window *= 2
-        residual = max_defect(sigma, 2.0 * tol)
+        residual = max_defect(sigma, skip=True)
     repaired, _ = repair_psd(unvec(sigma, side))
     return DensityState(side, repaired)
 

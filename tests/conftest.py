@@ -6,7 +6,9 @@ import pytest
 from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU2Element, SU3Element,
                        U1Element, commutant, finite_rep)
 from wignerlab.groups import TWO_PI, check_membership, haar_unitary, philox_stream
-from wignerlab.matrixcore import frobenius
+from wignerlab.matrixcore import frobenius, singular_values, unvec, vec
+from wignerlab.states import DensityState, _pull_back, repair_psd
+from wignerlab.wigner import NoConvergence, averaged_superop
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -81,6 +83,57 @@ def reference_haar_unitary(n, rng):
     d = np.diagonal(r)
     q = q * np.where(np.abs(d) > 0, d / np.abs(d), 1.0)
     return q * np.exp(-1j * np.angle(np.linalg.det(q)) / n)
+
+
+def reference_power_sum(S, w):
+    """Reference for ``wigner._power_sum``: binary powering over every bit of
+    w from (0, I), the products by 0 and by I included."""
+    total, power = np.zeros_like(S), np.eye(S.shape[0], dtype=S.dtype)
+    for bit in bin(w)[2:]:
+        total, power = total + power @ total, power @ power
+        if bit == "1":
+            total, power = total + power, power @ S
+    return total, power
+
+
+def reference_max_defect(unitaries, rho, skip_above=math.inf):
+    """Reference for Cesaro's defect check: the stack copied and pulled back
+    in place by ``states._pull_back``, then ``np.linalg.norm`` for the skip
+    test; inf when some defect's Frobenius norm exceeds skip_above."""
+    defects = _pull_back(unitaries.copy(), rho)
+    defects -= rho
+    if skip_above < math.inf and np.linalg.norm(defects, axis=(1, 2)).max() > skip_above:
+        return math.inf
+    return float(singular_values(defects).sum(axis=1).max())
+
+
+def reference_cesaro(problem, rho0, tol=1e-10, max_iter=10**6):
+    """Reference for ``cesaro_fixed_point``: its windows and stopping rule
+    on ``reference_power_sum`` and ``reference_max_defect``."""
+    S = averaged_superop(problem)
+    side = problem.d
+
+    def max_defect(v, skip_above=math.inf):
+        return reference_max_defect(problem.unitaries, unvec(v, side), skip_above)
+
+    sigma = vec(rho0.rho)
+    residual = max_defect(sigma, 2.0 * tol)
+    iterations, window, power = 0, 840, None
+    while residual > tol:
+        if iterations >= max_iter:
+            residual = max_defect(sigma)
+            raise NoConvergence("reference did not converge", residual)
+        w = min(window, max_iter - iterations)
+        if power is None or w < window:
+            total, power = reference_power_sum(S, w)
+        else:
+            total, power = total + power @ total, power @ power
+        sigma = total @ sigma / w
+        iterations += w
+        window *= 2
+        residual = max_defect(sigma, 2.0 * tol)
+    repaired, _ = repair_psd(unvec(sigma, side))
+    return DensityState(side, repaired)
 
 
 def element_index(rep, matrix):

@@ -3,6 +3,7 @@ import pytest
 
 from wignerlab import (
     CrossedProductModel,
+    DimensionMismatch,
     NotHermitian,
     Subspace,
     algebra_blocks,
@@ -281,6 +282,17 @@ def test_commutant_keeps_elements_across_a_small_eigenvalue_gap():
     diagonals = ([1.0] * n + [-1.0] * n, np.concatenate([s, s + t]))
     S = [W @ np.diag(v) @ W.conj().T for v in diagonals]
     assert commutant(S, 2 * n).dim == superop_commutant(S, 2 * n).dim == 2 * n
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_commutant_of_the_empty_family_is_everything(d):
+    for S in ([], np.zeros((0, d, d))):
+        sub = commutant(S, d)
+        assert sub.dim == d * d
+        assert np.abs(sub.projector() - np.eye(d * d)).max() <= 1e-12
+    for S in (np.zeros((0, d + 1, d + 1)), np.zeros((2, d, d + 1)), [np.eye(d + 1)]):
+        with pytest.raises(DimensionMismatch):
+            commutant(S, d)
 
 
 def test_commutant_rejects_set_without_adjoints():

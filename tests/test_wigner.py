@@ -52,7 +52,14 @@ from wignerlab.wigner import (
     problem_seed_state,
 )
 
-from conftest import PAULI_X, PAULI_Z, element_index, matrix_group
+from conftest import (
+    PAULI_X,
+    PAULI_Z,
+    element_index,
+    matrix_group,
+    reference_cesaro,
+    reference_power_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +456,37 @@ def test_power_sum_is_the_explicit_sum(w):
     # w of them may differ by a few ulps per term
     assert np.abs(got_total - total).max() <= 1e-13 * w
     assert np.abs(got_power - power).max() <= 1e-13 * w
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 840, 1000])
+@pytest.mark.parametrize("rep", ["su2-3", "z4-3"])
+def test_power_sum_is_bitwise_the_reference(rep, w):
+    # Z_4's diagonal unitaries give an S with exact zeros
+    rep = su2_irrep(3) if rep == "su2-3" else cyclic_rep(4, dim=3)
+    S = averaged_superop(WignerProblem(rep, haar_sample(rep, 5, 3)))
+    total, power = _power_sum(S, w)
+    ref_total, ref_power = reference_power_sum(S, w)
+    assert total.tobytes() == ref_total.tobytes()
+    assert power.tobytes() == ref_power.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 1607, 2026])
+def test_cesaro_is_bitwise_the_reference_on_the_standard_batch(seed):
+    for i, problem in enumerate(standard_problem_batch(200, seed)):
+        rho0 = problem_seed_state(problem, seed + i)
+        out = cesaro_fixed_point(problem, rho0).rho.tobytes()
+        assert out == reference_cesaro(problem, rho0).rho.tobytes(), f"problem {i}"
+
+
+@pytest.mark.parametrize("seed, index", [(1607, 168), (1611, 164)])
+def test_capped_cesaro_residual_is_bitwise_the_reference(seed, index):
+    problem = standard_problem_batch(200, seed)[index]
+    rho0 = problem_seed_state(problem, seed + index)
+    with pytest.raises(NoConvergence) as err:
+        cesaro_fixed_point(problem, rho0, max_iter=840)
+    with pytest.raises(NoConvergence) as ref:
+        reference_cesaro(problem, rho0, max_iter=840)
+    assert err.value.residual == ref.value.residual
 
 
 def test_cesaro_matches_step_loop_on_standard_batch():
