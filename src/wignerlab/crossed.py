@@ -27,7 +27,7 @@ import numpy as np
 
 from . import groups as G
 from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _nonnormal, _rank,
-                         algebra_blocks, as_matrix, commutant, kron, vec)
+                         _unit_norm, algebra_blocks, as_matrix, commutant, kron, vec)
 
 
 class NonConvergent(RuntimeError):
@@ -179,7 +179,8 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
     n = d * d
     mats = [as_matrix(M) for M in generators]
     gens = np.array(mats, dtype=complex).reshape(len(mats), d, d)
-    letters = [*gens, *gens[_nonnormal(gens, DEFAULT_TOL)].conj().transpose(0, 2, 1)]
+    nonnormal = _nonnormal(_unit_norm(gens.copy()), DEFAULT_TOL)
+    letters = [*gens, *gens[nonnormal].conj().transpose(0, 2, 1)]
     seed = np.column_stack([vec(np.eye(d, dtype=complex))] + [vec(M) for M in letters])
     basis = _orthonormal_columns(seed, 0.0)
     # basis[:, start:] are the directions the last round found, the seed's at first

@@ -20,12 +20,14 @@ matrices (N, 3, 3).  Rows become element objects only one at a time.
 
 Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
-in phi and psi, Gauss-Legendre in cos(theta), O(J^3) nodes in all.
-U^dag rho U for a d-dimensional representation has spin at most d-1, so
-order 2d-1 averages it exactly with O(d^3) nodes: the table
-``su2_quadrature_nodes``, an (N, 3) angle batch and its weights built once
-per order and cached (read-only), and summed in node order
-(``weighted_mean``).
+in phi and psi, Gauss-Legendre in cos(theta), O(J) nodes each
+(``su2_axis_rules``) and O(J^3) in their product (``su2_quadrature_nodes``,
+which ``haar_quadrature_su2`` sums in node order with ``weighted_mean``).
+Both are built once per order and cached (read-only).  U^dag rho U for a
+d-dimensional representation has spin at most d-1, so order 2d-1 averages
+it exactly; since U = U(phi, 0, 0) U(0, theta, 0) U(0, 0, psi) and the
+weights are products, ``states.haar_average`` applies the three 1-D rules
+in turn, phi first, with O(d) conjugations instead of O(d^3).
 
 Haar sampling orthonormalizes a Ginibre matrix's columns in order, which
 is its QR factor with R's diagonal real and positive, then divides by the
@@ -61,9 +63,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .matrixcore import (DimensionMismatch, as_matrix, frobenius, int_from_json,
+from .matrixcore import (DimensionMismatch, _norms, as_matrix, frobenius, int_from_json,
                          matrix_from_json, matrix_to_json, weighted_mean)
 
 TWO_PI = 2.0 * math.pi
@@ -251,10 +252,18 @@ def _check_su3(M: np.ndarray) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError("SU(3) element contains NaN or Inf entries")
     gram = M.conj().transpose(0, 2, 1) @ M - np.eye(3)
-    if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
+    if np.any(_norms(gram, (1, 2)) > 1e-10):
         raise BadElement("SU(3) element is not unitary to 1e-10")
-    if np.any(np.abs(np.linalg.det(M) - 1.0) > 1e-10):
+    if np.any(np.abs(_det3(M) - 1.0) > 1e-10):
         raise BadElement("SU(3) element determinant differs from 1 by more than 1e-10")
+
+
+def _det3(M: np.ndarray) -> np.ndarray:
+    """Determinants of the (N, 3, 3) stack M by cofactor expansion along the
+    first row, elementwise over the stack (one LAPACK LU per matrix costs
+    more at this size)."""
+    (a, b, c), (d, e, f), (g, h, i) = M.transpose(1, 2, 0)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # SU2Element's ranges as bounds on the columns phi, theta, psi
@@ -500,7 +509,7 @@ def element_unitaries(rep: UnitaryRep, elements) -> np.ndarray:
             raise DimensionMismatch(f"representation produced shape {got}, expected {expected}")
         chunk[...] = mats
         gram = chunk.conj().transpose(0, 2, 1) @ chunk - np.eye(d)
-        if np.any(np.linalg.norm(gram, "fro", axis=(1, 2)) > 1e-10):
+        if np.any(_norms(gram, (1, 2)) > 1e-10):
             raise ValueError(f"representation {rep.name!r} produced a non-unitary matrix")
         if special and np.any(np.abs(np.linalg.det(chunk) - 1.0) > 1e-10):
             raise ValueError(f"representation {rep.name!r} lost the unit determinant")
@@ -925,24 +934,49 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
 
 
 @functools.lru_cache(maxsize=16)
-def su2_quadrature_nodes(order: int) -> tuple[SU2Batch, np.ndarray]:
-    """Nodes (an ``SU2Batch``) and read-only weights of the SU(2) product
-    rule of this order, in (phi, theta, psi) loop order with psi fastest;
-    weight w_phi * w_theta * w_psi.  J = (order-1)/2: trapezoid in phi on
-    [0, 2pi), floor(J)+1 nodes; Gauss-Legendre in cos(theta),
-    ceil((floor(J)+1)/2); psi on [0, 4pi), 2J+1.  Built once per order and
-    cached for the 16 orders last used (O(order^3) nodes each)."""
+def su2_axis_rules(order: int) -> tuple[tuple[SU2Batch, np.ndarray], ...]:
+    """The three 1-D rules of the SU(2) product rule of this order, each an
+    ``SU2Batch`` and its read-only weights: phi nodes (phi, 0, 0), trapezoid
+    on [0, 2pi) with floor(J)+1 nodes; theta nodes (0, theta, 0),
+    Gauss-Legendre in cos(theta) with ceil((floor(J)+1)/2); psi nodes
+    (0, 0, psi), trapezoid on [0, 4pi) with 2J+1, folded into [-2pi, 2pi];
+    J = (order-1)/2.  U(phi, theta, psi) = U(phi, 0, 0) U(0, theta, 0)
+    U(0, 0, psi) and Haar measure is a product measure in these angles, so
+    an integral of U^dag rho U is the three rules applied in turn, phi first.
+    Built once per order and cached for the 16 orders last used."""
     if order < 4:
         raise ValueError("order must be >= 4")
+    # numpy.polynomial costs milliseconds of import: only these rules need it
+    from numpy.polynomial.legendre import leggauss
+
     n_phi, n_psi = (order + 1) // 2, order
     x, w_theta = leggauss((n_phi + 1) // 2)
     psis = 2.0 * TWO_PI * np.arange(n_psi) / n_psi
     # e^{i psi/2} has period 4pi; fold [0, 4pi) into [-2pi, 2pi]
     psis = np.where(psis > TWO_PI, psis - 2.0 * TWO_PI, psis)
-    grid = np.meshgrid(TWO_PI * np.arange(n_phi) / n_phi, np.arccos(x), psis, indexing="ij")
+    rules = []
+    for axis, (angles, weights) in enumerate((
+            (TWO_PI * np.arange(n_phi) / n_phi, np.full(n_phi, TWO_PI / n_phi)),
+            (np.arccos(x), w_theta),
+            (psis, np.full(n_psi, 2.0 * TWO_PI / n_psi)))):
+        nodes = np.zeros((len(angles), 3))
+        nodes[:, axis] = angles
+        weights.setflags(write=False)
+        rules.append((SU2Batch(nodes), weights))
+    return tuple(rules)
+
+
+@functools.lru_cache(maxsize=16)
+def su2_quadrature_nodes(order: int) -> tuple[SU2Batch, np.ndarray]:
+    """Nodes (an ``SU2Batch``) and read-only weights of the SU(2) product
+    rule of this order: the product of ``su2_axis_rules(order)``, in
+    (phi, theta, psi) loop order with psi fastest, weight
+    (w_phi * w_theta) * w_psi.  Built once per order and cached for the 16
+    orders last used (O(order^3) nodes each)."""
+    (phis, w_phi), (thetas, w_theta), (psis, w_psi) = su2_axis_rules(order)
+    grid = np.meshgrid(phis.array[:, 0], thetas.array[:, 1], psis.array[:, 2], indexing="ij")
     nodes = SU2Batch(np.stack(grid, axis=-1).reshape(-1, 3))
-    w = TWO_PI / n_phi * w_theta * (2.0 * TWO_PI / n_psi)
-    weights = np.tile(np.repeat(w, n_psi), n_phi)
+    weights = np.multiply.outer(np.multiply.outer(w_phi, w_theta), w_psi).reshape(-1)
     weights.setflags(write=False)
     return nodes, weights
 

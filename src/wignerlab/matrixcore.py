@@ -26,8 +26,9 @@ fixed here and used by every other module:
   spectrum into eigenvalue clusters only at gaps above sqrt(tol) times its
   norm (``algebra_blocks`` at tol = ``DEFAULT_TOL``).
 * One normality test, ``_nonnormal``: ||A A^dag - A^dag A||_F > tol for
-  A / ||A||_F.  ``commutant`` (at its tol) and ``crossed.algebra_closure``
-  (at ``DEFAULT_TOL``) decide by it which inputs need their adjoints.
+  A / ||A||_F, on a stack its caller has scaled (``_unit_norm``).
+  ``commutant`` (at its tol) and ``crossed.algebra_closure`` (at
+  ``DEFAULT_TOL``) decide by it which inputs need their adjoints.
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
   ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
   NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs
@@ -246,10 +247,17 @@ def _generic_eigenspaces(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     return V, np.cumsum(np.concatenate(([0], np.diff(vals) > np.sqrt(tol) * np.abs(vals).max())))
 
 
-def _nonnormal(mats: np.ndarray, tol: float) -> np.ndarray:
-    """Which matrices A of the (n, d, d) stack fail the normality test:
-    ||A A^dag - A^dag A||_F > tol for A / ||A||_F (the zero matrix passes)."""
-    A = mats / np.maximum(_norms(mats, (1, 2)), 1e-300)[:, None, None]
+def _unit_norm(mats: np.ndarray) -> np.ndarray:
+    """The (n, d, d) stack with each nonzero matrix divided by its Frobenius
+    norm, in place; returns it."""
+    mats /= np.maximum(_norms(mats, (1, 2)), 1e-300)[:, None, None]
+    return mats
+
+
+def _nonnormal(A: np.ndarray, tol: float) -> np.ndarray:
+    """Which matrices of the (n, d, d) stack A, each of unit Frobenius norm
+    or zero (``_unit_norm``), fail the normality test
+    ||A A^dag - A^dag A||_F > tol (the zero matrix passes)."""
     adjs = A.conj().transpose(0, 2, 1)
     return _norms(A @ adjs - adjs @ A, (1, 2)) > tol
 
@@ -282,8 +290,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
             raise DimensionMismatch(f"expected {d}x{d} matrices") from exc
     if not np.isfinite(mats).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    mats /= np.maximum(_norms(mats, (1, 2)), 1e-300)[:, None, None]
-    nonnormal = _nonnormal(mats, tol)
+    nonnormal = _nonnormal(_unit_norm(mats), tol)
     if nonnormal.any():
         span = mats.reshape(-1, d * d).T
         adj = mats.conj().transpose(0, 2, 1).reshape(-1, d * d).T
@@ -397,8 +404,9 @@ def pairwise_mean(stack: np.ndarray) -> np.ndarray:
 
 def weighted_mean(values, items, weights: np.ndarray, batch: int) -> np.ndarray:
     """sum_i w_i v_i / sum_i w_i, ``values`` mapping each chunk of ``batch``
-    items to a new (n, ...) array of their v_i.  Both sums run in item order
-    (``np.add.reduce`` is pairwise for one-entry values), for every batch."""
+    items to an (n, ...) array of their v_i that this function may overwrite.
+    Both sums run in item order (``np.add.reduce`` is pairwise for one-entry
+    values), for every batch."""
     acc = None
     for start in range(0, len(items), batch):
         chunk = values(items[start : start + batch])

@@ -210,9 +210,11 @@ def haar_average(
     Methods:
 
     * "finite_exact": uniform sum over a finite group;
-    * "quadrature": U(1) uniform grid; for SU(2), ``groups.su2_quadrature_nodes``
-      of order max(4, 2d-1), exact because U^dag rho U of a d-dimensional
-      representation has spin at most d-1, with O(d^3) nodes (480 at d = 8);
+    * "quadrature": U(1) uniform grid; for SU(2), the product rule of order
+      max(4, 2d-1), exact because U^dag rho U of a d-dimensional
+      representation has spin at most d-1, summed one Euler axis at a time
+      (``groups.su2_axis_rules``: phi, then theta, then psi), so O(d)
+      conjugations (27 at d = 8) instead of the product's O(d^3) nodes;
     * "montecarlo": ``count`` Haar samples drawn from ``seed``, fixed-order
       pairwise summation (Lie groups only);
     * "cesaro": ``wigner.cesaro_fixed_point`` to 1e-11 for the averaged map of
@@ -242,9 +244,16 @@ def haar_average(
         return HaarAverageResult(cesaro_fixed_point(problem, rho, tol=1e-11), method, rep)
 
     if method == "quadrature" and kind == "su2":
-        nodes, weights = G.su2_quadrature_nodes(max(4, 2 * rep.dim - 1))
-        avg = weighted_mean(lambda chunk: _pull_back(G.element_unitaries(rep, chunk), rho.rho),
-                            nodes, weights, G.BATCH)
+        # the product rule's triple sum, one axis at a time: U = U_phi U_theta U_psi
+        # makes U^dag rho U three conjugations in turn, phi's innermost.  The
+        # three rules' unitaries are one validated stack, each rule a slice of
+        # it: at d <= 8 one element_unitaries call's fixed cost is most of the work
+        rules = G.su2_axis_rules(max(4, 2 * rep.dim - 1))
+        stack = G.element_unitaries(rep, G.SU2Batch(np.concatenate([n.array for n, _ in rules])))
+        avg = rho.rho
+        for nodes, weights in rules:
+            U, stack = stack[: len(nodes)], stack[len(nodes):]
+            avg = weighted_mean(lambda chunk, m=avg: _pull_back(chunk, m), U, weights, G.BATCH)
     else:
         if method == "finite_exact":
             if kind != "finite":

@@ -6,7 +6,7 @@ import pytest
 from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU2Element, SU3Element,
                        U1Element, commutant, finite_rep)
 from wignerlab.groups import TWO_PI, check_membership, haar_unitary, philox_stream
-from wignerlab.matrixcore import frobenius, singular_values, unvec, vec
+from wignerlab.matrixcore import _norms, frobenius, singular_values, unvec, vec
 from wignerlab.states import DensityState, _pull_back, repair_psd
 from wignerlab.wigner import NoConvergence, averaged_superop
 
@@ -72,6 +72,16 @@ def double_commutant(S, d):
     """Independent reference for the generated unital *-algebra of S: in
     finite dimension it is the commutant of the commutant."""
     return commutant(commutant(S, d).matrices(), d)
+
+
+def double_normalised_nonnormal(mats, tol):
+    """``matrixcore._nonnormal`` as commutant ran it before the test took
+    unit-norm input: the stack scaled to unit Frobenius norm, then each
+    matrix scaled again, then ||A A^dag - A^dag A||_F > tol."""
+    A = mats / np.maximum(_norms(mats, (1, 2)), 1e-300)[:, None, None]
+    A = A / np.maximum(_norms(A, (1, 2)), 1e-300)[:, None, None]
+    adjs = A.conj().transpose(0, 2, 1)
+    return _norms(A @ adjs - adjs @ A, (1, 2)) > tol
 
 
 def reference_haar_unitary(n, rng):

@@ -557,3 +557,13 @@ def test_runs_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
+
+
+def test_import_leaves_numpy_polynomial_to_su2_quadrature():
+    # numpy.polynomial costs milliseconds of every start; only the SU(2) 1-D rules need it
+    code = ("import sys; from wignerlab.cli import main; from wignerlab import groups; "
+            "loaded = 'numpy.polynomial' in sys.modules; groups.su2_axis_rules(5); "
+            "print(loaded, 'numpy.polynomial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

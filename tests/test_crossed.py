@@ -31,10 +31,10 @@ from wignerlab.groups import (
     philox_stream,
     quaternion_group,
 )
-from wignerlab.matrixcore import (DEFAULT_TOL, Subspace, _rank, algebra_blocks, commutant,
-                                  principal_angle_residual, vec)
+from wignerlab.matrixcore import (DEFAULT_TOL, Subspace, _nonnormal, _rank, _unit_norm,
+                                  algebra_blocks, commutant, principal_angle_residual, vec)
 
-from conftest import double_commutant
+from conftest import double_commutant, double_normalised_nonnormal
 
 
 def z2_trivial_m2():
@@ -214,6 +214,15 @@ def test_a_generator_hermitian_up_to_rounding_adds_no_letter(monkeypatch):
     # a generic Hermitian 4 x 4 generates the diagonal algebra of its eigenbasis
     assert calls[0] == (2, 2) and span.dim == 4
     assert span.residual(vec(H.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
+def test_the_normality_test_on_unit_norm_generators_decides_as_before(model):
+    # the generators reach the test through commutant (scaled there) and
+    # through algebra_closure (scaled there, once, as before)
+    gens = np.array(spanning_generators(model))
+    expected = double_normalised_nonnormal(gens, DEFAULT_TOL).tolist()
+    assert _nonnormal(_unit_norm(gens.copy()), DEFAULT_TOL).tolist() == expected
 
 
 def test_a_generator_normal_only_to_tolerance_is_refused():

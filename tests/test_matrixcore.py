@@ -14,6 +14,7 @@ from wignerlab import (
     kron,
     null_space,
     quaternion_rep,
+    standard_problem_batch,
     trivial_rep,
 )
 from wignerlab.crossed import algebra_closure, spanning_generators
@@ -21,6 +22,7 @@ from wignerlab.groups import haar_unitary, philox_stream
 from wignerlab.matrixcore import (
     _GENERIC_SEED,
     _nonnormal,
+    _unit_norm,
     matrix_from_json,
     matrix_to_json,
     pairwise_mean,
@@ -30,7 +32,7 @@ from wignerlab.matrixcore import (
     vec,
 )
 
-from conftest import PAULI_X, double_commutant, random_hermitian
+from conftest import PAULI_X, double_commutant, double_normalised_nonnormal, random_hermitian
 
 
 def test_eig_diagonal():
@@ -320,7 +322,23 @@ def test_the_normality_test_is_scale_free_and_passes_rounding(rng):
     E12 = np.zeros((4, 4), dtype=complex)
     E12[0, 1] = 1.0
     mats = np.array([H, 1e8 * haar_unitary(4, rng), np.zeros((4, 4)), 1e-8 * E12, E12 + E12.T])
-    assert _nonnormal(mats, 1e-10).tolist() == [False, False, False, True, False]
+    assert _nonnormal(_unit_norm(mats), 1e-10).tolist() == [False, False, False, True, False]
+
+
+@pytest.mark.parametrize("seed", [1, 1607])
+def test_the_normality_test_on_unit_norm_input_decides_as_before(seed):
+    # commutant's inputs in the identity batch: each problem's unitaries
+    for problem in standard_problem_batch(200, base_seed=seed):
+        mats = np.array(problem.unitaries)
+        expected = double_normalised_nonnormal(mats, 1e-10)
+        assert _nonnormal(_unit_norm(mats), 1e-10).tolist() == expected.tolist()
+    # normal only to tolerance: passes the test either way, and commutant refuses it
+    A = np.eye(2, dtype=complex)
+    A[0, 1] = 1e-6
+    assert not double_normalised_nonnormal(A[None], 1e-10)[0]
+    assert not _nonnormal(_unit_norm(A[None].copy()), 1e-10)[0]
+    with pytest.raises(ValueError, match="closed under adjoints"):
+        commutant([A], 2)
 
 
 def test_double_commutant_contains_generators(rng):

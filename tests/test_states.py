@@ -99,35 +99,68 @@ def test_haar_average_su2_schur(rng):
 
 
 def test_haar_average_su2_irreps_exact(rng):
-    for d in range(2, 11):
+    for d in (*range(2, 11), 16, 24, 32):
         rho = random_density(d, rng)
         res = haar_average(su2_irrep(d), rho, method="quadrature")
         assert np.abs(res.state.rho - np.eye(d) / d).max() <= 1e-12, d
         assert res.residual <= 1e-12, d
 
 
-def test_haar_average_su2_quadrature_nodes(rng, monkeypatch):
-    # order max(4, 2d-1): (floor(J)+1) * ceil((floor(J)+1)/2) * (2J+1) nodes
-    table = groups.su2_quadrature_nodes
+def test_haar_average_su2_sums_one_axis_at_a_time(rng, monkeypatch):
+    # order max(4, 2d-1): floor(J)+1 phi nodes, ceil((floor(J)+1)/2) theta
+    # nodes and 2J+1 psi nodes, one conjugation each; the product table is
+    # the three rules' product
+    rules = groups.su2_axis_rules
     built = []
 
     def recorded(order):
-        built.append(table(order))
-        return built[-1]
+        built.append((order, rules(order)))
+        return built[-1][1]
 
-    monkeypatch.setattr(groups, "su2_quadrature_nodes", recorded)
-    nodes = []
+    monkeypatch.setattr(groups, "su2_axis_rules", recorded)
+    sizes = []
     for d in range(2, 9):
         built.clear()
         haar_average(su2_irrep(d), random_density(d, rng), method="quadrature")
-        (elements, weights), = built
-        assert len(weights) == len(elements)
-        nodes.append(len(elements))
-        seen = []
-        groups.haar_quadrature_su2(lambda el: seen.append(el) or np.eye(1), max(4, 2 * d - 1))
-        assert tuple(seen) == tuple(elements)
-        assert built[1][1].tobytes() == weights.tobytes()
-    assert nodes == [8, 30, 56, 135, 198, 364, 480]
+        (order, axes), = built
+        assert order == max(4, 2 * d - 1)
+        sizes.append(sum(len(nodes) for nodes, _ in axes))
+        for axis, (nodes, weights) in enumerate(axes):
+            assert len(weights) == len(nodes)
+            assert not np.delete(nodes.array, axis, axis=1).any()
+        (phis, w_phi), (thetas, w_theta), (psis, w_psi) = axes
+        table, weights = groups.su2_quadrature_nodes(order)
+        grid = table.array.reshape(len(phis), len(thetas), len(psis), 3)
+        assert (grid[..., 0] == phis.array[:, 0, None, None]).all()
+        assert (grid[..., 1] == thetas.array[None, :, 1, None]).all()
+        assert (grid[..., 2] == psis.array[None, None, :, 2]).all()
+        product = np.multiply.outer(np.multiply.outer(w_phi, w_theta), w_psi)
+        assert weights.tobytes() == product.tobytes()
+    assert sizes == [7, 10, 13, 17, 20, 24, 27]
+
+
+def _conjugated_irrep(d):
+    """su2_irrep(d) in the basis of a fixed Haar unitary V: its torus
+    U(phi, 0, 0) is not diagonal."""
+    V = groups.haar_unitary(d, groups.philox_stream(31, d))
+    base = su2_irrep(d)
+    return groups.UnitaryRep(base.group, d, lambda batch: V @ base.stack_fn(batch) @ V.conj().T,
+                             f"{base.name}-conj")
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [*(su2_irrep(d) for d in range(2, 11)),
+     groups.direct_sum_rep(su2_irrep(2), su2_irrep(2), su2_irrep(3)),
+     groups.direct_sum_rep(su2_irrep(3), su2_irrep(3)),
+     _conjugated_irrep(4)],
+    ids=lambda rep: rep.name,
+)
+def test_haar_average_su2_quadrature_is_the_product_rule(rep):
+    rho = random_density(rep.dim, groups.philox_stream(2025, rep.dim))
+    state = haar_average(rep, rho, method="quadrature").state
+    expected = repair_psd(_product_rule_su2_quadrature(rep, rho))[0]
+    assert np.abs(state.rho - expected).max() <= 1e-13
 
 
 def test_averages_build_no_per_element_object(monkeypatch):
@@ -386,12 +419,19 @@ def test_haar_average_residual_is_computed_once_on_first_read(rng, monkeypatch):
         assert len(calls) == 1
 
 
-def _reference_su2_quadrature(rep, rho):
-    """The SU(2) product rule of order max(4, 2d-1) as one triple loop over
-    (phi, theta, psi) nodes, one ``reference_unitary`` and one term per node."""
+def _su2_rule_sizes(rep):
+    """n_phi, the Gauss-Legendre nodes and weights in cos(theta), and n_psi of
+    the SU(2) product rule of order max(4, 2d-1)."""
     two_j = max(4, 2 * rep.dim - 1) - 1
     n_phi, n_psi = two_j // 2 + 1, two_j + 1
     x, w_theta = np.polynomial.legendre.leggauss((n_phi + 1) // 2)
+    return n_phi, x, w_theta, n_psi
+
+
+def _product_rule_su2_quadrature(rep, rho):
+    """The SU(2) product rule of order max(4, 2d-1) as one triple loop over
+    (phi, theta, psi) nodes, one ``reference_unitary`` and one term per node."""
+    n_phi, x, w_theta, n_psi = _su2_rule_sizes(rep)
     w_phi, w_psi = 2 * math.pi / n_phi, 4 * math.pi / n_psi
     acc, mass = None, 0.0
     for phi in 2 * math.pi * np.arange(n_phi) / n_phi:
@@ -404,6 +444,31 @@ def _reference_su2_quadrature(rep, rho):
                 acc = w * val if acc is None else acc + w * val
                 mass += w
     return acc / mass
+
+
+def _reference_su2_quadrature(rep, rho):
+    """The same product rule one Euler axis at a time: rho pulled back through
+    the phi rule, then theta, then psi, one ``reference_unitary`` and one
+    term per node, each pass divided by its weights' sum."""
+    n_phi, x, w_theta, n_psi = _su2_rule_sizes(rep)
+    psis = 4 * math.pi * np.arange(n_psi) / n_psi
+    rules = [
+        [(SU2Element(phi, 0.0, 0.0), 2 * math.pi / n_phi)
+         for phi in 2 * math.pi * np.arange(n_phi) / n_phi],
+        [(SU2Element(0.0, theta, 0.0), w) for theta, w in zip(np.arccos(x), w_theta)],
+        [(SU2Element(0.0, 0.0, psi - 4 * math.pi if psi > 2 * math.pi else psi), 4 * math.pi / n_psi)
+         for psi in psis],
+    ]
+    avg = rho.rho
+    for rule in rules:
+        acc, mass = None, 0.0
+        for g, w in rule:
+            U = reference_unitary(rep, g)
+            val = w * (U.conj().T @ avg @ U)
+            acc = val if acc is None else acc + val
+            mass += w
+        avg = acc / mass
+    return avg
 
 
 def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probes=20):
