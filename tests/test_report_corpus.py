@@ -37,6 +37,7 @@ CASES = {
     "verify_batch": ["wigner-verify", "--count", "40", "--seed", "2026"],
     "verify_q8_d4": ["wigner-verify", "--group", "q8", "--dim", "4", "--count", "40"],
     "verify_z5": ["wigner-verify", "--group", "zn:5", "--count", "40"],
+    "verify_u1": ["wigner-verify", "--group", "u1", "--dim", "3", "--count", "8"],
     "state_su2": ["invariant-state", "--group", "su2"],
     "state_su2_d8": ["invariant-state", "--group", "su2", "--dim", "8"],
     "state_su2_montecarlo": ["invariant-state", "--group", "su2", "--method", "montecarlo",
