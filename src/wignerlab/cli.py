@@ -164,6 +164,9 @@ def resolve_rep(group: str, dim: int | None) -> G.UnitaryRep:
     if group == "u1":
         return G.rep_from_config({"kind": "u1", "weights": list(range(2 if dim is None else dim))})
     if group.startswith("zn:"):
+        # int() would also take "1_0", " 5" and "+5"; a minus sign gets the range message
+        if not ((digits := group[3:].removeprefix("-")).isascii() and digits.isdigit()):
+            raise ValueError(f"group {group!r}: n must be written in ASCII digits")
         try:
             n = int(group[3:])
             return G.rep_from_config({"kind": "zn", "n": n, "dim": n if dim is None else dim})

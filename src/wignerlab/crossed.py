@@ -67,12 +67,9 @@ class CrossedProductModel:
 
 def regular_unitary(model: CrossedProductModel, h: G.GroupElement) -> np.ndarray:
     """Translation unitary on the group factor: x tensor e_g -> x tensor e_{g h^-1}."""
-    G.check_membership(model.group, h)
     group = model.group
-    hinv = G.inverse_element(group, h)
-    perm = np.zeros((group.order, group.order))
-    perm[group.table[:, hinv.index], np.arange(group.order)] = 1.0
-    return kron(np.eye(model.d), perm)
+    hinv = group._inverses[G.element_batch(group, (h,)).array[0]]
+    return kron(np.eye(model.d), np.eye(group.order)[group.table[:, hinv]].T)
 
 
 def embed(model: CrossedProductModel, A) -> np.ndarray:

@@ -13,10 +13,12 @@ with theta in [0, pi] and phi, psi in [-2pi, 2pi] (the double cover needs a
 the same product in closed form, diag(e^{i m phi}) . exp(-i theta J_y) .
 diag(e^{i m psi}) with m = j, j-1, ..., -j, at O(d^3) per element.
 
-Elements travel as batches (``ElementBatch``), one read-only array per
-group kind, checked once with the single element's checks and messages:
-finite indices (N,), U(1) angles (N,), SU(2) Euler angles (N, 3), SU(3)
-matrices (N, 3, 3).  Rows become element objects only one at a time.
+Elements are batches (``ElementBatch``), one read-only array per group
+kind: finite indices (N,), U(1) angles (N,), SU(2) Euler angles (N, 3),
+SU(3) matrices (N, 3, 3), each kind's range check defined once on its
+batch.  ``identity``, ``compose`` and ``inverse`` act on batches.  The
+element classes (``SU2Element`` and the rest) view one row: a batch yields
+them unchecked, and constructing one runs its batch's check.
 
 Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
@@ -45,12 +47,9 @@ one, so sample i is bitwise ``haar_unitary(n, philox_stream(seed, i))``.
 SU(2) samples become Euler angles in one stacked step, except theta, which
 stays scalar to keep its bits; SU(3) samples are the stack itself.
 
-Every representation has one matrix function, ``UnitaryRep.stack_fn``,
-from a batch of N elements to their (N, d, d) matrices, read from its
-array; ``matrix_fn(g)`` is it on a batch of one, with the same bits.  A
-finite-group representation is one read-only (|G|, d, d) table.
-``element_unitaries`` is the one place where elements become validated
-unitaries, a chunk per call; ``element_unitary`` is it on a batch of one.
+Every representation has one matrix function, ``UnitaryRep.stack_fn``, on
+batches; ``element_unitaries`` is the one place where elements become
+validated unitaries, a chunk per call.
 """
 
 from __future__ import annotations
@@ -188,7 +187,8 @@ def generating_set(group: FiniteGroup) -> FiniteBatch:
 
 
 # ---------------------------------------------------------------------------
-# group elements
+# group elements: each class views one row of its kind's batch, and
+# constructing one runs that batch's check
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,7 @@ class FiniteElement:
     index: int
 
     def __post_init__(self):
-        if operator.index(self.index) < 0:
-            raise BadElement(f"negative element index {self.index}")
+        FiniteBatch._check(np.array([operator.index(self.index)]))
 
 
 @dataclass(frozen=True)
@@ -205,8 +204,7 @@ class U1Element:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta < TWO_PI) or not math.isfinite(self.theta):
-            raise BadElement(f"U(1) angle must lie in [0, 2pi), got {self.theta}")
+        U1Batch._check(np.array([self.theta], float))
 
 
 @dataclass(frozen=True)
@@ -216,15 +214,7 @@ class SU2Element:
     psi: float
 
     def __post_init__(self):
-        ok = (
-            -1e-12 <= self.theta <= math.pi + 1e-12
-            and abs(self.phi) <= TWO_PI + 1e-12
-            and abs(self.psi) <= TWO_PI + 1e-12
-        )
-        if not ok or not all(map(math.isfinite, (self.phi, self.theta, self.psi))):
-            raise BadElement(
-                f"Euler angles out of range: phi={self.phi} theta={self.theta} psi={self.psi}"
-            )
+        SU2Batch._check(np.array([[self.phi, self.theta, self.psi]], float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,46 +229,31 @@ class SU3Element:
 
     def __post_init__(self):
         M = as_matrix(self.matrix, "SU(3) element").copy()
-        _check_su3(M[None])
+        SU3Batch._check(M[None])
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
 
-def _check_su3(M: np.ndarray) -> None:
-    """Raise unless every matrix of the (N, 3, 3) stack M is finite and
-    special unitary to 1e-10: ||M^dag M - I||_F and |det M - 1|."""
-    if M.shape[1:] != (3, 3):
-        raise BadElement(f"SU(3) element must be 3x3, got {M.shape[1:]}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("SU(3) element contains NaN or Inf entries")
-    gram = M.conj().transpose(0, 2, 1) @ M - np.eye(3)
-    if np.any(_norms(gram, (1, 2)) > 1e-10):
-        raise BadElement("SU(3) element is not unitary to 1e-10")
-    if np.any(np.abs(_det3(M) - 1.0) > 1e-10):
-        raise BadElement("SU(3) element determinant differs from 1 by more than 1e-10")
-
-
 def _det3(M: np.ndarray) -> np.ndarray:
-    """Determinants of the (N, 3, 3) stack M by cofactor expansion along the
-    first row, elementwise over the stack (one LAPACK LU per matrix costs
-    more at this size)."""
+    """Determinants of the (N, 3, 3) stack M by cofactor expansion (cheaper than LAPACK)."""
     (a, b, c), (d, e, f), (g, h, i) = M.transpose(1, 2, 0)
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-# SU2Element's ranges as bounds on the columns phi, theta, psi
+# the SU(2) range as bounds on the columns phi, theta, psi
 _SU2_LOW = np.array([-(TWO_PI + 1e-12), -1e-12, -(TWO_PI + 1e-12)])
 _SU2_HIGH = np.array([TWO_PI + 1e-12, math.pi + 1e-12, TWO_PI + 1e-12])
 
 
 class ElementBatch(Sequence):
     """N elements of one group kind as one read-only array, copied and
-    checked once with the element class's checks over the whole array: the
-    first row that fails raises the element class's own message.  ``len``,
-    slices (batches) and ``==`` act on the array; iterating, or indexing one
-    row, yields the element class, for callers that need one element."""
+    checked once by the kind's range rule ``_ok``: the first row that fails
+    raises the kind's ``message``.  ``len``, slices (batches) and ``==`` act
+    on the array; iterating, or indexing one row, yields unchecked views."""
 
     shape: tuple = ()
+    # the rows as lists of the element's fields
+    _values = lambda self, array: array.reshape(-1, *self.shape or (1,)).tolist()
 
     def __init__(self, array):
         array = np.asarray(array).astype(self.dtype, casting="same_kind")
@@ -295,57 +270,95 @@ class ElementBatch(Sequence):
         batch.array.setflags(write=False)
         return batch
 
-    def _check(self, array):
-        if not (ok := self._ok(array)).all():
-            self._row(array[np.argmin(ok)])
+    @classmethod
+    def _check(cls, array):
+        if not (ok := cls._ok(array)).all():
+            raise BadElement(cls.message.format(*np.ravel(array[np.argmin(ok)]).tolist()))
 
-    def _row(self, row) -> GroupElement:
-        return self.element(row.item())
+    def _row(self, values) -> GroupElement:
+        g = object.__new__(self.element)
+        vars(g).update(zip(self.element.__match_args__, values))
+        return g
 
     def __len__(self):
         return len(self.array)
 
+    def __iter__(self):
+        return map(self._row, self._values(self.array))
+
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self._checked(self.array[i])
-        return self._row(self.array[i])
+        return self._row(self._values(self.array[i][None])[0])
 
     def __eq__(self, other):
         return type(other) is type(self) and np.array_equal(self.array, other.array)
 
+    def describe(self) -> list[dict]:
+        """Each row's fields from the array's ``tolist``, JSON-able for reports."""
+        return [{"kind": self.kind, **vars(g)} for g in self]
+
 
 class FiniteBatch(ElementBatch):
     kind, element, dtype = "finite", FiniteElement, int
+    message = "negative element index {}"
     _ok = staticmethod(lambda index: index >= 0)
+    # the group operations on the rows' arrays, here the group's tables
+    _unit = staticmethod(lambda group: [group.identity])
+    _times = staticmethod(lambda group, a, b: group.table[a, b])
+    _inverse = staticmethod(lambda group, a: group._inverses[a])
 
 
 class U1Batch(ElementBatch):
     kind, element, dtype = "u1", U1Element, float
+    message = "U(1) angle must lie in [0, 2pi), got {}"
     # NaN fails both comparisons, and Inf the second
     _ok = staticmethod(lambda theta: (theta >= 0.0) & (theta < TWO_PI))
+    _unit = staticmethod(lambda group: [0.0])
+    _times = staticmethod(lambda group, a, b: (a + b) % TWO_PI)
+    _inverse = staticmethod(lambda group, a: (TWO_PI - a) % TWO_PI)
 
 
 class SU2Batch(ElementBatch):
     kind, element, dtype, shape = "su2", SU2Element, float, (3,)
+    message = "Euler angles out of range: phi={} theta={} psi={}"
     _ok = staticmethod(lambda angles: ((angles >= _SU2_LOW) & (angles <= _SU2_HIGH)).all(axis=1))
-
-    def _row(self, row):
-        return SU2Element(*row.tolist())
+    _unit = staticmethod(lambda group: [(0.0, 0.0, 0.0)])
+    _times = staticmethod(lambda group, a, b: _euler_angles(_su2_matrices(a) @ _su2_matrices(b)))
+    _inverse = staticmethod(lambda group, a: _euler_angles(_su2_matrices(a).conj().mT))
 
 
 class SU3Batch(ElementBatch):
     kind, element, dtype, shape = "su3", SU3Element, complex, (3, 3)
+    _values = staticmethod(lambda stack: stack)
+    _unit = staticmethod(lambda group: [np.eye(3)])
+    _times = staticmethod(lambda group, a, b: a @ b)
+    _inverse = staticmethod(lambda group, a: a.conj().mT)
 
-    def _check(self, stack):
+    @classmethod
+    def _check(cls, stack):
+        # finite and special unitary to 1e-10: ||M^dag M - I||_F and |det M - 1|
+        if stack.shape[1:] != (3, 3):
+            raise BadElement(f"SU(3) element must be 3x3, got {stack.shape[1:]}")
         for start in range(0, len(stack), BATCH):
-            _check_su3(stack[start : start + BATCH])
+            M = stack[start : start + BATCH]
+            if not np.all(np.isfinite(M)):
+                raise ValueError("SU(3) element contains NaN or Inf entries")
+            gram = M.conj().transpose(0, 2, 1) @ M - np.eye(3)
+            if np.any(_norms(gram, (1, 2)) > 1e-10):
+                raise BadElement("SU(3) element is not unitary to 1e-10")
+            if np.any(np.abs(_det3(M) - 1.0) > 1e-10):
+                raise BadElement("SU(3) element determinant differs from 1 by more than 1e-10")
 
     def _row(self, row):
-        # a checked row, not checked again: its element keeps a read-only copy
+        # the element keeps its own read-only copy, not the whole stack
         g = object.__new__(SU3Element)
         object.__setattr__(g, "matrix", row.copy())
         g.matrix.setflags(write=False)
         return g
+
+    def describe(self):
+        return [{"kind": "su3", "matrix": matrix_to_json(M)} for M in self.array]
 
 
 _BATCHES = {b.kind: b for b in (FiniteBatch, U1Batch, SU2Batch, SU3Batch)}
@@ -353,38 +366,26 @@ _BATCHES = {b.kind: b for b in (FiniteBatch, U1Batch, SU2Batch, SU3Batch)}
 GroupElement = FiniteElement | U1Element | SU2Element | SU3Element
 
 
-def check_membership(group: GroupDescriptor, g: GroupElement) -> None:
-    if type(g) is not _BATCHES[group.kind].element:
-        raise BadElement(f"element {g!r} does not belong to a {group.kind} group")
-    if isinstance(g, FiniteElement) and g.index >= group.order:
-        raise BadElement(f"index {g.index} out of range for group of order {group.order}")
-
-
 def element_batch(group: GroupDescriptor, elements) -> ElementBatch:
     """The elements, a batch or a sequence of single elements, as a batch of
-    the group's kind, with ``check_membership`` of every element in one
-    pass: the first element that fails raises its message."""
+    the group's kind, membership checked in one pass: the first element of
+    another kind, else the first finite index outside the group, raises."""
     cls = _BATCHES[group.kind]
     if type(elements) is not cls:
         for g in elements:
             if type(g) is not cls.element:
-                check_membership(group, g)
+                raise BadElement(f"element {g!r} does not belong to a {group.kind} group")
         elements = cls._checked([tuple(vars(g).values()) for g in elements])
-    if isinstance(group, FiniteGroup):
-        outside = elements.array >= group.order
-        if outside.any():
-            check_membership(group, elements[int(np.argmax(outside))])
+    if isinstance(group, FiniteGroup) and (outside := elements.array >= group.order).any():
+        index = elements.array[np.argmax(outside)]
+        raise BadElement(f"index {index} out of range for group of order {group.order}")
     return elements
 
 
-def identity_element(group: GroupDescriptor) -> GroupElement:
-    if isinstance(group, FiniteGroup):
-        return FiniteElement(group.identity)
-    if group.kind == "u1":
-        return U1Element(0.0)
-    if group.kind == "su2":
-        return SU2Element(0.0, 0.0, 0.0)
-    return SU3Element(np.eye(3))
+def identity(group: GroupDescriptor) -> ElementBatch:
+    """The group's identity, a batch of one."""
+    cls = _BATCHES[group.kind]
+    return cls(cls._unit(group))
 
 
 def su2_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
@@ -393,6 +394,11 @@ def su2_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
     zr = np.array([np.exp(0.5j * psi), np.exp(-0.5j * psi)])
     ry = np.array([[c, -s], [s, c]], dtype=complex)
     return (zl[:, None] * ry) * zr[None, :]
+
+
+def _su2_matrices(angles: np.ndarray) -> np.ndarray:
+    # su2_matrix per row: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
+    return np.array([su2_matrix(*row) for row in angles.tolist()])
 
 
 _TWO_SIGNS = np.array([2.0, -2.0])
@@ -414,53 +420,22 @@ def _euler_angles(U: np.ndarray) -> np.ndarray:
     return np.column_stack(((s + r) / 2.0, theta, (s - r) / 2.0))
 
 
-def euler_from_su2(U) -> SU2Element:
-    """Euler angles of a 2x2 special-unitary matrix: ``_euler_angles`` of one."""
-    U = as_matrix(U, "SU(2) matrix")
-    if U.shape != (2, 2):
-        raise DimensionMismatch(f"SU(2) matrix must be 2x2, got shape {U.shape}")
-    return SU2Batch(_euler_angles(U[None]))[0]
+def compose(group: GroupDescriptor, a, b) -> ElementBatch:
+    """The rowwise products a_i b_i of two batches (one row broadcasts): table
+    lookups, angles mod 2pi for U(1), SU(2) matrices multiplied and read back
+    by ``_euler_angles``, one matmul for SU(3)."""
+    cls = _BATCHES[group.kind]
+    return cls(cls._times(group, element_batch(group, a).array, element_batch(group, b).array))
 
 
-def compose(group: GroupDescriptor, g: GroupElement, h: GroupElement) -> GroupElement:
-    """The product gh in the given group."""
-    check_membership(group, g)
-    check_membership(group, h)
-    if isinstance(group, FiniteGroup):
-        return FiniteElement(int(group.table[g.index, h.index]))
-    if group.kind == "u1":
-        return U1Element((g.theta + h.theta) % TWO_PI)
-    if group.kind == "su2":
-        return euler_from_su2(
-            su2_matrix(g.phi, g.theta, g.psi) @ su2_matrix(h.phi, h.theta, h.psi)
-        )
-    return SU3Element(g.matrix @ h.matrix)
-
-
-def inverse_element(group: GroupDescriptor, g: GroupElement) -> GroupElement:
-    check_membership(group, g)
-    if isinstance(group, FiniteGroup):
-        return FiniteElement(int(group._inverses[g.index]))
-    if group.kind == "u1":
-        return U1Element((-g.theta) % TWO_PI)
-    if group.kind == "su2":
-        return euler_from_su2(su2_matrix(g.phi, g.theta, g.psi).conj().T)
-    return SU3Element(g.matrix.conj().T)
+def inverse(group: GroupDescriptor, a) -> ElementBatch:
+    """The rowwise inverses, stacked as in ``compose``."""
+    cls = _BATCHES[group.kind]
+    return cls(cls._inverse(group, element_batch(group, a).array))
 
 
 def finite_elements(group: FiniteGroup) -> FiniteBatch:
     return FiniteBatch(np.arange(group.order))
-
-
-def describe_element(g: GroupElement) -> dict:
-    """JSON-able parameters of an element, for reproducible reports."""
-    if isinstance(g, FiniteElement):
-        return {"kind": "finite", "index": g.index}
-    if isinstance(g, U1Element):
-        return {"kind": "u1", "theta": g.theta}
-    if isinstance(g, SU2Element):
-        return {"kind": "su2", "phi": g.phi, "theta": g.theta, "psi": g.psi}
-    return {"kind": "su3", "matrix": matrix_to_json(g.matrix)}
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +507,15 @@ def act(rep: UnitaryRep, g: GroupElement, A) -> np.ndarray:
 
 def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
     """Check U(e) = I and the homomorphism on one stack of unitaries: the
-    whole Cayley table of a finite group; for a Lie group
-    U(g_i) U(h_i) = U(g_i h_i) on two seeded Haar pairs."""
+    whole Cayley table of a finite group; for a Lie group U(g_i) U(h_i) =
+    U(g_i h_i) on two seeded Haar pairs, e, g, h and gh in one batch."""
     group = rep.group
     if isinstance(group, FiniteGroup):
         e, elements = group.identity, finite_elements(group)
     else:
-        g1, g2, h1, h2 = haar_sample(rep, rng_seed=0x5EED, count=4)
-        e, elements = 0, [identity_element(group), g1, g2, h1, h2,
-                          compose(group, g1, h1), compose(group, g2, h2)]
+        gh = haar_sample(rep, rng_seed=0x5EED, count=4)
+        e, elements = 0, _BATCHES[group.kind]._checked(np.concatenate(
+            [identity(group).array, gh.array, compose(group, gh[:2], gh[2:]).array]))
     mats = element_unitaries(rep, elements)
     if frobenius(mats[e] - np.eye(rep.dim)) > 1e-10:
         raise ValueError(f"representation {rep.name!r} does not map identity to identity")
@@ -596,10 +571,7 @@ def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
 
 
 def su2_fundamental() -> UnitaryRep:
-    # su2_matrix per row: math.cos/math.sin need not match np.cos/np.sin on arrays bitwise
-    return _validate_rep(UnitaryRep(
-        SU2, 2, lambda batch: np.array([su2_matrix(*row) for row in batch.array.tolist()]),
-        "su2-fund"))
+    return _validate_rep(UnitaryRep(SU2, 2, lambda batch: _su2_matrices(batch.array), "su2-fund"))
 
 
 def _spin_jy(dim: int) -> np.ndarray:
@@ -639,8 +611,7 @@ def su2_irrep(dim: int) -> UnitaryRep:
 
 
 def su3_fundamental() -> UnitaryRep:
-    return _validate_rep(
-        UnitaryRep(SU3, 3, lambda batch: batch.array, "su3-fund"))
+    return _validate_rep(UnitaryRep(SU3, 3, lambda batch: batch.array, "su3-fund"))
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -683,7 +654,7 @@ def su3_rep(dim: int) -> UnitaryRep:
 def trivial_rep(group: GroupDescriptor, dim: int, name: str = "") -> UnitaryRep:
     eye = np.eye(_positive_dim(dim), dtype=complex)
     return UnitaryRep(group, dim, lambda batch: np.broadcast_to(eye, (len(batch), dim, dim)),
-                      name or f"trivial{dim}")
+                      name or f"trivial{dim}", meta={"weights": (0,) * dim} if group == U1 else {})
 
 
 def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> UnitaryRep:
@@ -704,7 +675,8 @@ def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> Unitar
 
 def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
     """Block-diagonal direct sum of representations of one group; over a
-    finite group, one ``finite_rep`` table of the summed blocks."""
+    finite group, one ``finite_rep`` table of the summed blocks.  Over U(1)
+    the summands' weights, when each has them, are the sum's."""
     if not reps:
         raise ValueError("need at least one representation")
     group = reps[0].group
@@ -723,7 +695,9 @@ def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
 
     if isinstance(group, FiniteGroup):
         return finite_rep(group, fn(finite_elements(group)), name)
-    return _validate_rep(UnitaryRep(group, total, fn, name))
+    weights = [r.meta.get("weights") for r in reps]
+    meta = {"weights": sum(weights, ())} if group == U1 and all(weights) else {}
+    return _validate_rep(UnitaryRep(group, total, fn, name, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +721,8 @@ def cyclic_rep(n: int, dim: int | None = None, weights: Sequence[int] | None = N
     if weights is None:
         weights = range(n if dim is None else _positive_dim(dim))
     w = np.array(_integer_weights(weights))
+    if dim is not None and dim != len(w):
+        raise ValueError(f"dim {dim} differs from the {len(w)} weights")
     # row j holds (j w_k) mod n
     phases = (np.arange(n)[:, None] * w) % n
     return finite_rep(group, _diagonal_stack(np.exp(2j * math.pi * phases / n)), f"z{n}-diag")
@@ -918,8 +894,7 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
     samples are bitwise ``haar_unitary`` of that stream: both run the
     Gram-Schmidt kernel ``_special_unitaries``, here on stacks of ``BATCH``
     (``_haar_special_unitaries``).  SU(2) samples become Euler angles in one
-    stacked step (``_euler_angles``), bitwise ``euler_from_su2`` of each;
-    SU(3) samples are the stack itself.
+    stacked step (``_euler_angles``); SU(3) samples are the stack itself.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -210,7 +210,8 @@ def haar_average(
     Methods:
 
     * "finite_exact": uniform sum over a finite group;
-    * "quadrature": U(1) uniform grid; for SU(2), the product rule of order
+    * "quadrature": U(1) uniform grid over twice the span of the weights in
+      ``rep.meta`` (none recorded raises); for SU(2), the product rule of order
       max(4, 2d-1), exact because U^dag rho U of a d-dimensional
       representation has spin at most d-1, summed one Euler axis at a time
       (``groups.su2_axis_rules``: phi, then theta, then psi), so O(d)
@@ -220,8 +221,7 @@ def haar_average(
     * "cesaro": ``wigner.cesaro_fixed_point`` to 1e-11 for the averaged map of
       ``generators`` Haar samples drawn from ``seed``, or of a finite group's
       ``groups.generating_set`` (the identity if the group is trivial);
-    * "auto": finite -> finite_exact, u1 and su2 -> quadrature,
-      su3 -> cesaro.
+    * "auto": finite -> finite_exact, u1 and su2 -> quadrature, su3 -> cesaro.
 
     No invariance residual is computed here: the result's ``residual`` is
     computed on first read, and a caller that wants another probe set calls
@@ -262,8 +262,9 @@ def haar_average(
         elif method == "quadrature":
             if kind != "u1":
                 raise MethodUnsupported(f"no quadrature for group kind {kind!r}")
-            charges = rep.meta.get("weights")
-            n = max(2 * int(max(charges) - min(charges)) + 1, 8) if charges else 257
+            if not (charges := rep.meta.get("weights")):
+                raise MethodUnsupported(f"U(1) representation {rep.name!r} records no weights")
+            n = max(2 * int(max(charges) - min(charges)) + 1, 8)
             stack = G.element_unitaries(rep, G.U1Batch(2.0 * math.pi * np.arange(n) / n))
         elif method == "montecarlo":
             if kind == "finite":

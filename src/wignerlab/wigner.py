@@ -214,7 +214,7 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     return WignerReport(
         rep_name=problem.rep.name,
         d=problem.d,
-        element_params=tuple(G.describe_element(g) for g in problem.elements),
+        element_params=tuple(problem.elements.describe()),
         element_dims=tuple(int(k) for k in element_dims),
         intersection_dim=inter.dim,
         averaged_dim=avg.dim,

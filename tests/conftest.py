@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wignerlab import (DimensionMismatch, FiniteElement, FiniteGroup, SU2Element, SU3Element,
-                       U1Element, commutant, finite_rep)
-from wignerlab.groups import TWO_PI, check_membership, haar_unitary, philox_stream
+from wignerlab import (BadElement, DimensionMismatch, FiniteElement, FiniteGroup, SU2Element,
+                       SU3Element, U1Element, commutant, finite_rep)
+from wignerlab.groups import TWO_PI, haar_unitary, philox_stream
 from wignerlab.matrixcore import _norms, frobenius, singular_values, unvec, vec
 from wignerlab.states import DensityState, _pull_back, repair_psd
 from wignerlab.wigner import NoConvergence, averaged_superop
@@ -51,11 +51,23 @@ def matrix_group(generators):
     return group, finite_rep(group, mats, "matrix-group")
 
 
+ELEMENT_CLASSES = {"finite": FiniteElement, "u1": U1Element, "su2": SU2Element, "su3": SU3Element}
+
+
+def reference_membership(group, g):
+    """Per-element membership: the element class of the group's kind, and
+    a finite index inside the group."""
+    if type(g) is not ELEMENT_CLASSES[group.kind]:
+        raise BadElement(f"element {g!r} does not belong to a {group.kind} group")
+    if isinstance(g, FiniteElement) and g.index >= group.order:
+        raise BadElement(f"index {g.index} out of range for group of order {group.order}")
+
+
 def reference_unitary(rep, g):
     """Per-element reference for ``element_unitaries``: membership, one
     ``matrix_fn`` call, shape, then unitarity and the unit determinant
     checked on the 2-D matrix alone."""
-    check_membership(rep.group, g)
+    reference_membership(rep.group, g)
     U = np.asarray(rep.matrix_fn(g), dtype=complex)
     if U.shape != (rep.dim, rep.dim):
         raise DimensionMismatch(

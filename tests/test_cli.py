@@ -433,7 +433,13 @@ def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys, command, confi
 _REJECTED_MESSAGES = {
     ("wigner-verify", "--group", "zn:0"): "group 'zn:0': n must be >= 1, got 0\n",
     ("wigner-verify", "--group", "zn:-2"): "group 'zn:-2': n must be >= 1, got -2\n",
-    ("invariant-state", "--group", "zn:abc"): "group 'zn:abc': invalid literal for int()",
+    ("invariant-state", "--group", "zn:abc"): "group 'zn:abc': n must be written in ASCII digits\n",
+    # int() reads each of these as a number
+    ("wigner-verify", "--group", "zn:1_0"): "group 'zn:1_0': n must be written in ASCII digits\n",
+    ("wigner-verify", "--group", "zn: 5"): "group 'zn: 5': n must be written in ASCII digits\n",
+    ("wigner-verify", "--group", "zn:+5"): "group 'zn:+5': n must be written in ASCII digits\n",
+    ("invariant-state", "--group", "zn:\u0665"):
+        "group 'zn:\u0665': n must be written in ASCII digits\n",
 }
 
 
@@ -466,6 +472,10 @@ _REJECTED_MESSAGES = {
     (("wigner-verify", "--group", "zn:0"), None),
     (("wigner-verify", "--group", "zn:-2"), None),
     (("invariant-state", "--group", "zn:abc"), None),
+    (("wigner-verify", "--group", "zn:1_0"), None),
+    (("wigner-verify", "--group", "zn: 5"), None),
+    (("wigner-verify", "--group", "zn:+5"), None),
+    (("invariant-state", "--group", "zn:\u0665"), None),
 ])
 def test_rejected_input_exits_1_before_writing(tmp_path, capsys, monkeypatch, argv, config):
     rep = quaternion_rep()

@@ -27,7 +27,6 @@ from wignerlab.groups import (
     element_unitary,
     finite_elements,
     haar_unitary,
-    inverse_element,
     philox_stream,
     quaternion_group,
 )
@@ -82,10 +81,10 @@ def _reference_embed(model, A):
 def _reference_regular_unitary(model, h):
     """U_h one column of the permutation at a time."""
     group = model.group
-    hinv = inverse_element(group, h)
+    [hinv] = [k for k in range(group.order) if group.table[h.index, k] == group.identity]
     perm = np.zeros((group.order, group.order))
     for g in range(group.order):
-        perm[group.table[g, hinv.index], g] = 1.0
+        perm[group.table[g, hinv], g] = 1.0
     return kron(np.eye(model.d), perm)
 
 

@@ -53,11 +53,11 @@ from wignerlab.groups import (
     _q8_matrices,
     compose,
     direct_sum_rep,
-    euler_from_su2,
+    element_batch,
     finite_elements,
     haar_unitary,
-    inverse_element,
-    describe_element,
+    identity,
+    inverse,
     product_group,
     product_rep,
     su2_matrix,
@@ -160,8 +160,8 @@ def test_cyclic_and_quaternion_pass_construction_checks():
     q8 = quaternion_group()
     assert q8.order == 8
     # -1 is central and squares to the identity
-    minus1 = FiniteElement(1)
-    assert compose(q8, minus1, minus1).index == q8.identity
+    minus1 = FiniteBatch([1])
+    assert compose(q8, minus1, minus1) == identity(q8) == FiniteBatch([q8.identity])
 
 
 def _reference_q8_table():
@@ -218,8 +218,8 @@ def _reference_homomorphism_error(rep):
     mats = [reference_unitary(rep, g) for g in els]
     for g in els:
         for h in els:
-            gh = compose(rep.group, g, h)
-            if np.linalg.norm(mats[g.index] @ mats[h.index] - mats[gh.index]) > 1e-10:
+            gh = rep.group.table[g.index, h.index]
+            if np.linalg.norm(mats[g.index] @ mats[h.index] - mats[gh]) > 1e-10:
                 return (
                     f"representation {rep.name!r} breaks the homomorphism at "
                     f"({rep.group.labels[g.index]}, {rep.group.labels[h.index]})"
@@ -262,13 +262,14 @@ def test_finite_rep_homomorphism_error_is_the_pairwise_loops(base, index, factor
 
 def test_finite_rep_homomorphism_full_table():
     rep = quaternion_rep()
-    for g in finite_elements(rep.group):
-        for h in finite_elements(rep.group):
-            gh = compose(rep.group, g, h)
-            err = np.linalg.norm(
-                element_unitary(rep, g) @ element_unitary(rep, h) - element_unitary(rep, gh)
-            )
-            assert err <= 1e-10
+    # every pair (g, h) of the table, as two stacked batches
+    n = rep.group.order
+    g, h = FiniteBatch(np.repeat(np.arange(n), n)), FiniteBatch(np.tile(np.arange(n), n))
+    gh = compose(rep.group, g, h)
+    assert gh == FiniteBatch(rep.group.table.reshape(-1))
+    err = np.linalg.norm(element_unitaries(rep, g) @ element_unitaries(rep, h)
+                         - element_unitaries(rep, gh), axis=(1, 2))
+    assert err.max() <= 1e-10
 
 
 def test_cyclic_rep_is_diagonal_roots_of_unity():
@@ -279,9 +280,10 @@ def test_cyclic_rep_is_diagonal_roots_of_unity():
     assert np.allclose(np.diag(U), np.exp(2j * math.pi * np.arange(4) / 4))
 
 
-def test_su2_identity_element():
+def test_su2_identity_maps_to_the_unit_matrix():
     rep = su2_fundamental()
     assert np.allclose(element_unitary(rep, SU2Element(0, 0, 0)), np.eye(2))
+    assert identity(rep.group) == SU2Batch([(0.0, 0.0, 0.0)])
 
 
 def test_u1_weight_rep_formula():
@@ -343,19 +345,19 @@ HAAR_SEEDS = (0, 1, 1001, 2**63 + 5, -3)
 HAAR_COUNTS = (1, 2, 257, 4096)
 
 
-def _exact(elements):
+def _exact(group, elements):
     # json.dumps writes repr of each float, so -0.0 and 0.0 differ
-    return [json.dumps(describe_element(g)) for g in elements]
+    return [json.dumps(params) for params in element_batch(group, elements).describe()]
 
 
 @pytest.mark.parametrize("seed", HAAR_SEEDS)
 def test_haar_sample_is_bitwise_the_per_stream_loop(seed):
     reps = (su2_fundamental(), su3_fundamental(), u1_rep([0, 1, -2]), quaternion_rep(2))
     for rep in reps:
-        reference = _exact(reference_haar_sample(rep, seed, max(HAAR_COUNTS)))
+        reference = _exact(rep.group, reference_haar_sample(rep, seed, max(HAAR_COUNTS)))
         for count in HAAR_COUNTS:
             samples = haar_sample(rep, seed, count)
-            assert _exact(samples) == reference[:count], (rep.name, seed, count)
+            assert _exact(rep.group, samples) == reference[:count], (rep.name, seed, count)
 
 
 @pytest.mark.parametrize("rep", [su2_fundamental(), su3_fundamental(), u1_rep([2, -1]),
@@ -363,7 +365,7 @@ def test_haar_sample_is_bitwise_the_per_stream_loop(seed):
 def test_haar_sample_prefix_contract(rep):
     full = haar_sample(rep, 1001, 300)
     for k in (1, 2, 255, 256, 257, 299):
-        assert _exact(haar_sample(rep, 1001, k)) == _exact(full[:k])
+        assert _exact(rep.group, haar_sample(rep, 1001, k)) == _exact(rep.group, full[:k])
 
 
 BATCH_COUNTS = (1, 256, 257, 513)
@@ -371,10 +373,11 @@ BATCH_COUNTS = (1, 256, 257, 513)
 
 def _per_stream(rep, seed, count):
     """Sample i from its own ``philox_stream(seed, i)``; SU(2) samples by
-    ``euler_from_su2`` of ``haar_unitary``, one at a time."""
+    ``_euler_angles`` of one ``haar_unitary`` at a time."""
     if rep.group.kind != "su2":
         return reference_haar_sample(rep, seed, count)
-    return [euler_from_su2(haar_unitary(2, philox_stream(seed, i))) for i in range(count)]
+    return SU2Batch(np.concatenate(
+        [_euler_angles(haar_unitary(2, philox_stream(seed, i))[None]) for i in range(count)]))
 
 
 @pytest.mark.parametrize("rep", [su2_fundamental(), su2_irrep(4), su3_rep(6), u1_rep([0, 1, -2]),
@@ -384,7 +387,7 @@ def test_batches_are_bitwise_the_per_stream_path(rep):
     for count in BATCH_COUNTS:
         batch = haar_sample(rep, 2718, count)
         assert len(batch) == count
-        assert _exact(batch) == _exact(reference[:count])
+        assert _exact(rep.group, batch) == _exact(rep.group, reference[:count])
         expected = np.stack([reference_unitary(rep, g) for g in reference[:count]])
         assert element_unitaries(rep, batch).tobytes() == expected.tobytes()
         for k in BATCH_COUNTS[: BATCH_COUNTS.index(count)]:
@@ -820,7 +823,7 @@ def test_euler_roundtrip_on_samples():
     rng = philox_stream(5)
     for _ in range(50):
         U = haar_unitary(2, rng)
-        el = euler_from_su2(U)
+        el = SU2Batch(_euler_angles(U[None]))[0]
         assert np.linalg.norm(su2_matrix(el.phi, el.theta, el.psi) - U) <= 1e-12
 
 
@@ -842,8 +845,9 @@ def _theta_edge_matrices():
 def test_euler_at_theta_zero_and_pi_is_the_scalar_formula():
     stack = _theta_edge_matrices()
     reference = [reference_euler(U) for U in stack]
-    assert _exact(SU2Batch(_euler_angles(stack))) == _exact(reference)
-    assert _exact([euler_from_su2(U) for U in stack]) == _exact(reference)
+    assert _exact(SU2, SU2Batch(_euler_angles(stack))) == _exact(SU2, reference)
+    one_at_a_time = [SU2Batch(_euler_angles(U[None]))[0] for U in stack]
+    assert _exact(SU2, one_at_a_time) == _exact(SU2, reference)
     assert [g.theta for g in reference[:8]] == [0.0, math.pi] * 4
     for U, g in zip(stack, reference):
         assert np.linalg.norm(su2_matrix(g.phi, g.theta, g.psi) - U) <= 1e-12
@@ -879,7 +883,7 @@ def test_su2_quadrature_nodes_cached_read_only_and_bitwise():
     assert su2_quadrature_nodes.cache_info().hits == 1
     assert su2_quadrature_nodes.cache_info().maxsize is not None
     for elements, weights in (first, cached):
-        assert _exact(elements) == _exact(reference)
+        assert _exact(SU2, elements) == _exact(SU2, reference)
         assert weights.tobytes() == reference_weights
         assert isinstance(elements, SU2Batch)
         for table in (weights, elements.array):
@@ -965,7 +969,7 @@ def test_act_identity_unital_and_composition(rng):
     assert np.allclose(act(rep, e, A), A)
     g, h = haar_sample(rep, 3, 2)
     assert np.allclose(act(rep, g, np.eye(2)), np.eye(2))
-    gh = compose(rep.group, g, h)
+    gh = compose(rep.group, [g], [h])[0]
     assert np.linalg.norm(act(rep, g, act(rep, h, A)) - act(rep, gh, A)) <= 1e-10
 
 
@@ -980,11 +984,53 @@ def test_automorphism_properties(rng):
         assert abs(np.linalg.norm(act(rep, g, A), 2) - np.linalg.norm(A, 2)) <= 1e-9
 
 
-def test_inverse_element_matches_adjoint():
+def test_inverse_matches_adjoint():
     rep = su2_fundamental()
-    g = haar_sample(rep, 8, 1)[0]
-    ginv = inverse_element(rep.group, g)
-    assert np.linalg.norm(element_unitary(rep, ginv) - element_unitary(rep, g).conj().T) <= 1e-12
+    g = haar_sample(rep, 8, 1)
+    ginv = inverse(rep.group, g)
+    assert np.linalg.norm(element_unitary(rep, ginv[0]) - element_unitary(rep, g[0]).conj().T) <= 1e-12
+
+
+_GROUP_OPERATION_REPS = [quaternion_rep(5), cyclic_rep(6, dim=3), u1_rep([0, 1, -2]),
+                         su2_fundamental(), su2_irrep(4), su3_rep(6)]
+
+
+@pytest.mark.parametrize("rep", _GROUP_OPERATION_REPS, ids=lambda r: r.name)
+def test_stacked_compose_and_inverse_follow_the_matrices(rep):
+    # 300 rows: more than one BATCH chunk of element_unitaries
+    group = rep.group
+    g, h = haar_sample(rep, 11, 300), haar_sample(rep, 12, 300)
+    Ug, Uh = element_unitaries(rep, g), element_unitaries(rep, h)
+    gh, ginv = compose(group, g, h), inverse(group, g)
+    assert type(gh) is type(ginv) is type(g) and len(gh) == len(ginv) == 300
+    assert np.abs(element_unitaries(rep, gh) - Ug @ Uh).max() <= 1e-12
+    assert np.abs(element_unitaries(rep, ginv) - Ug.conj().transpose(0, 2, 1)).max() <= 1e-12
+    # a batch of one broadcasts, and a list of element objects is a batch
+    assert compose(group, g[:1], h) == compose(group, [g[0]] * 300, list(h))
+    e = identity(group)
+    assert len(e) == 1 and np.abs(element_unitaries(rep, e)[0] - np.eye(rep.dim)).max() <= 1e-14
+    assert np.abs(element_unitaries(rep, compose(group, e, g)) - Ug).max() <= 1e-12
+
+
+def test_u1_inverse_stays_below_two_pi():
+    # -1e-17 % 2pi rounds to 2pi itself, which is no U(1) angle
+    inv = inverse(U1, U1Batch([1e-17, 0.0, 1.0, TWO_PI - 1e-15]))
+    assert inv.array.tolist() == [0.0, 0.0, TWO_PI - 1.0, (TWO_PI - (TWO_PI - 1e-15)) % TWO_PI]
+    assert compose(U1, U1Batch([TWO_PI - 1e-15]), U1Batch([1e-15, 2e-15])).array.max() < TWO_PI
+
+
+@pytest.mark.parametrize("rep", _GROUP_OPERATION_REPS, ids=lambda r: r.name)
+def test_group_operations_reject_foreign_elements(rep):
+    group = rep.group
+    other = haar_sample(u1_rep([1]) if group.kind != "u1" else su2_fundamental(), 5, 2)
+    for op in (lambda: compose(group, other, other), lambda: inverse(group, other)):
+        with pytest.raises(BadElement) as raised:
+            op()
+        assert str(raised.value) == f"element {other[0]!r} does not belong to a {group.kind} group"
+    if isinstance(group, FiniteGroup):
+        outside = FiniteBatch([0, group.order])
+        with pytest.raises(BadElement, match=f"^index {group.order} out of range"):
+            compose(group, outside, outside)
 
 
 def test_quadrature_exact_up_to_spin():
@@ -1027,7 +1073,7 @@ def test_su2_irreps_unitary_and_homomorphic():
         g, h = haar_sample(rep, 31, 2)
         Ug, Uh = element_unitary(rep, g), element_unitary(rep, h)
         assert np.linalg.norm(Ug.conj().T @ Ug - np.eye(d)) <= 1e-10
-        Ugh = element_unitary(rep, compose(rep.group, g, h))
+        Ugh = element_unitaries(rep, compose(rep.group, [g], [h]))[0]
         assert np.linalg.norm(Ug @ Uh - Ugh) <= 1e-9
         assert abs(np.linalg.det(Ug) - 1) <= 1e-10
 
@@ -1089,6 +1135,13 @@ def test_rep_builders_reject_non_integer_weights(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_cyclic_rep_rejects_a_dim_other_than_its_weights():
+    with pytest.raises(ValueError) as info:
+        cyclic_rep(4, dim=3, weights=[0, 1])
+    assert type(info.value) is ValueError and str(info.value) == "dim 3 differs from the 2 weights"
+    assert cyclic_rep(4, dim=2, weights=[0, 1]).dim == 2
 
 
 def test_rep_builders_take_numpy_integer_weights():

@@ -43,7 +43,7 @@ def test_matrix_fn_is_element_unitary_for_every_group_kind():
 
     for rep in (groups.quaternion_rep(5), groups.u1_rep([0, 1, -2]), groups.su2_irrep(4),
                 groups.su3_rep(6)):
-        for g in [*groups.haar_sample(rep, 3, 5), groups.identity_element(rep.group)]:
+        for g in [*groups.haar_sample(rep, 3, 5), *groups.identity(rep.group)]:
             expected = groups.element_unitary(rep, g).tobytes()
             assert np.asarray(rep.matrix_fn(g), dtype=complex).tobytes() == expected
 
@@ -85,8 +85,9 @@ def test_single_element_constructors_validate_as_before():
     # U1Element(t) and SU3Element(M)
     from wignerlab import groups
 
-    good = (groups.FiniteElement(3), groups.SU2Element(0.1, 0.2, 0.3), groups.U1Element(1.0))
-    assert [groups.describe_element(g) for g in good] == [
+    good = ((groups.cyclic_group(4), groups.FiniteElement(3)),
+            (groups.SU2, groups.SU2Element(0.1, 0.2, 0.3)), (groups.U1, groups.U1Element(1.0)))
+    assert [groups.element_batch(group, [g]).describe()[0] for group, g in good] == [
         {"kind": "finite", "index": 3},
         {"kind": "su2", "phi": 0.1, "theta": 0.2, "psi": 0.3},
         {"kind": "u1", "theta": 1.0}]

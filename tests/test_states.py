@@ -193,6 +193,33 @@ def test_haar_average_u1_dephasing(rng):
     assert np.abs(res.state.rho - expected).max() <= 1e-12
 
 
+def test_u1_quadrature_covers_the_recorded_weights():
+    # weights 0 and 257: a fixed 257-point grid sees the phase e^{i 257 t} as
+    # 1 and returns rho unchanged; the sum's recorded weights give the right grid
+    rho = DensityState(2, np.array([[0.5, 0.4], [0.4, 0.5]]))
+    summed = groups.direct_sum_rep(u1_rep([0]), u1_rep([257]))
+    assert summed.meta["weights"] == (0, 257)
+    for rep in (summed, u1_rep([0, 257])):
+        res = haar_average(rep, rho)
+        assert np.abs(res.state.rho - np.eye(2) / 2).max() <= 1e-15 and res.residual <= 1e-14
+    padded = groups.direct_sum_rep(u1_rep([3]), trivial_rep(groups.U1, 2))
+    assert trivial_rep(groups.U1, 2).meta["weights"] == (0, 0)
+    assert padded.meta["weights"] == (3, 0, 0)
+    assert trivial_rep(cyclic_group(2), 2).meta == {}
+
+
+def test_u1_quadrature_refuses_a_rep_without_weights():
+    rho = DensityState(2, np.array([[0.5, 0.4], [0.4, 0.5]]))
+    bare = groups.UnitaryRep(groups.U1, 1, u1_rep([257]).stack_fn, "bare")
+    summed = groups.direct_sum_rep(u1_rep([0]), bare)
+    assert "weights" not in summed.meta
+    for rep in (summed, groups.UnitaryRep(groups.U1, 2, summed.stack_fn, "bare2")):
+        for method in ("auto", "quadrature"):
+            with pytest.raises(MethodUnsupported) as info:
+                haar_average(rep, rho, method=method)
+            assert str(info.value) == f"U(1) representation {rep.name!r} records no weights"
+
+
 def test_haar_average_finite_trivial(rng):
     rep = trivial_rep(cyclic_group(2), 3)
     rho = random_density(3, rng)

@@ -33,9 +33,10 @@ from wignerlab import (
     wigner_subspace,
 )
 from wignerlab import wigner
-from wignerlab.groups import describe_element, identity_element, inverse_element
+from wignerlab.groups import SU3Element, identity, inverse
 from wignerlab.matrixcore import (
     Subspace,
+    matrix_to_json,
     null_space,
     principal_angle_residual,
     trace_norm,
@@ -70,9 +71,9 @@ def pauli_rep():
     return rep, element_index(rep, PAULI_X), element_index(rep, PAULI_Z)
 
 
-def test_wigner_subspace_identity_element():
+def test_wigner_subspace_of_the_identity():
     rep = su2_fundamental()
-    sub = wigner_subspace(rep, identity_element(rep.group))
+    sub = wigner_subspace(rep, identity(rep.group)[0])
     assert sub.dim == 4
 
 
@@ -109,16 +110,16 @@ def test_wigner_sets_match_the_commutant_kernel_and_multiplicities():
 
 def test_averaged_subspace_trivial_cases(pauli_rep):
     rep, gx, gz = pauli_rep
-    e = identity_element(rep.group)
+    [e] = identity(rep.group)
     assert verify_wigner_identity(WignerProblem(rep, (e, e))).averaged_dim == 4
     single = verify_wigner_identity(WignerProblem(rep, (gx,))).averaged_dim
     assert single == wigner_subspace(rep, gx).dim
     assert verify_wigner_identity(WignerProblem(rep, (gx, gz))).averaged_dim == 1
 
 
-def test_verify_identity_identity_elements():
+def test_verify_identity_on_identity_batches():
     rep = su2_fundamental()
-    e = identity_element(rep.group)
+    [e] = identity(rep.group)
     report = verify_wigner_identity(WignerProblem(rep, (e, e, e)))
     assert report.verdict
     assert report.intersection_dim == 4 and report.averaged_dim == 4
@@ -156,7 +157,7 @@ def _closed_form_problems():
     # so every singular value of T - I is rounding: a rank scale taken from
     # the largest of them counted each as rank and found dim 0
     for rep in [su2_irrep(d) for d in range(3, 9)] + [su3_rep(6)]:
-        e, d2 = identity_element(rep.group), rep.dim**2
+        [e], d2 = identity(rep.group), rep.dim**2
         cases.append((WignerProblem(rep, (e, e)), [d2, d2], d2))
     # the central -1 of Q8 (index 1): U = -I on copies of the 2-d block, T = I
     for d in (2, 4, 6):
@@ -225,7 +226,7 @@ def test_verify_raises_when_the_spectrum_disagrees_with_the_commutant(monkeypatc
     # that claims distinct eigenvalues for U(e) = I, whose commutant is all of
     # M_d, must stop verify
     rep = su2_irrep(3)
-    problem = WignerProblem(rep, (identity_element(rep.group),))
+    problem = WignerProblem(rep, identity(rep.group))
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda U: np.exp(1j * np.arange(U.shape[-1])) * np.ones(U.shape[:-1]))
     with pytest.raises(RuntimeError, match="eigenvalue pairs"):
@@ -275,8 +276,8 @@ def _rewritten_families(problem):
     element repeated, the identity appended, the first element's inverse
     appended (W_e = M_d and W_{g^-1} = W_g)."""
     elements, group = [*problem.elements], problem.rep.group
-    return [elements[::-1], elements + elements[:1], elements + [identity_element(group)],
-            elements + [inverse_element(group, elements[0])]]
+    return [elements[::-1], elements + elements[:1], elements + [*identity(group)],
+            elements + [*inverse(group, elements[:1])]]
 
 
 @pytest.mark.parametrize("seed", [1403, 1607])
@@ -315,6 +316,15 @@ def _reference_averaged_superop(problem):
     return sum(ops) / len(ops)
 
 
+_KINDS = {FiniteElement: "finite", U1Element: "u1", SU2Element: "su2", SU3Element: "su3"}
+
+
+def _element_params(g):
+    """One element's report parameters, field by field."""
+    fields = vars(g) if type(g) is not SU3Element else {"matrix": matrix_to_json(g.matrix)}
+    return {"kind": _KINDS[type(g)], **fields}
+
+
 def _reference_report(problem, tol=1e-10):
     """verify_wigner_identity with one np.kron superoperator and one
     null_space per element, as it was before the superoperators were built
@@ -337,7 +347,7 @@ def _reference_report(problem, tol=1e-10):
     return WignerReport(
         rep_name=problem.rep.name,
         d=problem.d,
-        element_params=tuple(describe_element(g) for g in problem.elements),
+        element_params=tuple(map(_element_params, problem.elements)),
         element_dims=tuple(s.dim for s in subs),
         intersection_dim=inter.dim,
         averaged_dim=avg.dim,
@@ -351,7 +361,7 @@ def _reference_report(problem, tol=1e-10):
 def _reference_families():
     # su2-fund represents the identity exactly, so T - I is the zero matrix
     su2, su2_8 = su2_fundamental(), su2_irrep(8)
-    e = identity_element(su2.group)
+    [e] = identity(su2.group)
     q8, u1 = quaternion_rep(5), u1_rep([0, 0, 1, -1, 2])
     return [
         WignerProblem(su2, (e, e)),
@@ -383,7 +393,7 @@ def test_verify_matches_the_per_element_superoperator_reference(monkeypatch):
             else:
                 assert report[key] == value, (key, report, reference)
         # the identity element's T - I is zero: its Wigner set is all of M_d
-        e = identity_element(problem.rep.group)
+        [e] = identity(problem.rep.group)
         for g, dim in zip(problem.elements, report["element_dims"]):
             if g == e:
                 identities += 1
@@ -527,7 +537,7 @@ def test_cesaro_stops_on_each_elements_defect():
 def test_cesaro_identity_map_returns_seed(rng):
     rep = su2_fundamental()
     rho0 = random_density(2, rng)
-    out = cesaro_fixed_point(WignerProblem(rep, (identity_element(rep.group),)), rho0)
+    out = cesaro_fixed_point(WignerProblem(rep, identity(rep.group)), rho0)
     assert trace_distance(out, rho0) <= 1e-12
 
 
