@@ -119,8 +119,7 @@ def _point_seed(seed: int, index: int) -> int:
 def _blend_seed_state(d: int, blend: float, rng: np.random.Generator) -> DensityState:
     mixed = maximally_mixed(d).rho
     noisy = random_density(d, rng).rho
-    out, _ = repair_psd(blend * mixed + (1.0 - blend) * noisy)
-    return DensityState(d, out)
+    return DensityState._from_repair(d, repair_psd(blend * mixed + (1.0 - blend) * noisy))
 
 
 def _average_one(rep: G.UnitaryRep, seed_state: DensityState, gen_seed: int) -> DensityState:

@@ -170,7 +170,7 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
     value) by ``matrixcore``'s rank rule, whose band widens to
     (cut - eps, 100 cut] for the dropped columns' joint norm eps
     (``_orthonormal_columns``).  The result is a subspace of vectorized
-    matrix_dim x matrix_dim matrices.
+    matrix_dim x matrix_dim matrices, unchecked: SVD columns of twice-projected blocks.
     """
     d = matrix_dim
     n = d * d
@@ -210,7 +210,7 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
             f"product closure: a generator's adjoint lies {outside.max():.3e} outside the "
             "closure; it passed the normality test only to its tolerance"
         )
-    return Subspace(n, basis)
+    return Subspace._checked(basis)
 
 
 # seed of the Philox stream the generic fibre pair is drawn from

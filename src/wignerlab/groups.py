@@ -18,7 +18,8 @@ kind: finite indices (N,), U(1) angles (N,), SU(2) Euler angles (N, 3),
 SU(3) matrices (N, 3, 3), each kind's range check defined once on its
 batch.  ``identity``, ``compose`` and ``inverse`` act on batches.  The
 element classes (``SU2Element`` and the rest) view one row: a batch yields
-them unchecked, and constructing one runs its batch's check.
+them unchecked, and constructing one, or a batch, runs the check; only
+checked rows and ``haar_sample``'s kernel output enter a batch by ``_checked``.
 
 Haar integrals over SU(2) use a product rule in Euler coordinates that is
 exact for every matrix coefficient of spin J <= (order-1)/2: trapezoid rules
@@ -372,6 +373,7 @@ def element_batch(group: GroupDescriptor, elements) -> ElementBatch:
     another kind, else the first finite index outside the group, raises."""
     cls = _BATCHES[group.kind]
     if type(elements) is not cls:
+        elements = list(elements)  # an iterator is read once
         for g in elements:
             if type(g) is not cls.element:
                 raise BadElement(f"element {g!r} does not belong to a {group.kind} group")
@@ -423,9 +425,12 @@ def _euler_angles(U: np.ndarray) -> np.ndarray:
 def compose(group: GroupDescriptor, a, b) -> ElementBatch:
     """The rowwise products a_i b_i of two batches (one row broadcasts): table
     lookups, angles mod 2pi for U(1), SU(2) matrices multiplied and read back
-    by ``_euler_angles``, one matmul for SU(3)."""
+    by ``_euler_angles``, one matmul for SU(3); unequal lengths raise ValueError."""
     cls = _BATCHES[group.kind]
-    return cls(cls._times(group, element_batch(group, a).array, element_batch(group, b).array))
+    a, b = element_batch(group, a).array, element_batch(group, b).array
+    if len(a) != len(b) and 1 not in (len(a), len(b)):
+        raise ValueError(f"cannot compose batches of {len(a)} and {len(b)} elements")
+    return cls(cls._times(group, a, b))
 
 
 def inverse(group: GroupDescriptor, a) -> ElementBatch:
@@ -894,7 +899,8 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
     samples are bitwise ``haar_unitary`` of that stream: both run the
     Gram-Schmidt kernel ``_special_unitaries``, here on stacks of ``BATCH``
     (``_haar_special_unitaries``).  SU(2) samples become Euler angles in one
-    stacked step (``_euler_angles``); SU(3) samples are the stack itself.
+    stacked step (``_euler_angles``, which keeps them in range); SU(3)
+    samples are the stack itself, special unitary by construction.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -904,8 +910,8 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
     if group.kind == "u1":
         return U1Batch([rng.uniform(0.0, TWO_PI) for rng in _philox_streams(rng_seed, count)])
     if group.kind == "su2":
-        return SU2Batch(_euler_angles(_haar_special_unitaries(2, rng_seed, count)))
-    return SU3Batch(_haar_special_unitaries(3, rng_seed, count))
+        return SU2Batch._checked(_euler_angles(_haar_special_unitaries(2, rng_seed, count)))
+    return SU3Batch._checked(_haar_special_unitaries(3, rng_seed, count))
 
 
 @functools.lru_cache(maxsize=16)

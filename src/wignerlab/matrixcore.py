@@ -157,6 +157,14 @@ class Subspace:
         B.setflags(write=False)
         object.__setattr__(self, "basis", B)
 
+    @classmethod
+    def _checked(cls, basis: np.ndarray) -> "Subspace":
+        """``Subspace(n, B)`` checks B; a basis a kernel has just made orthonormal
+        (``null_space``, ``commutant``, verify's, the closure's) enters here unchecked."""
+        (B := np.ascontiguousarray(basis)).setflags(write=False)
+        vars(sub := object.__new__(cls)).update(ambient_dim=B.shape[0], basis=B)
+        return sub
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -219,8 +227,10 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatch("null_space expects a 2-d array")
-    n = M.shape[1]
-    return Subspace(n, _null_basis(M, tol) if M.any() else np.eye(n, dtype=complex))
+    B = _null_basis(M, tol) if M.any() else np.eye(M.shape[1], dtype=complex)
+    if not np.isfinite(B).all():  # numpy's SVD returns NaNs for an Inf entry
+        raise ValueError("subspace basis contains NaN or Inf entries")
+    return Subspace._checked(B)
 
 
 # key of the Philox stream the generic Hermitian element's coefficients come from
@@ -319,7 +329,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     if np.any(np.vecdot(outside, outside, axis=0).real > tol * tol):
         raise ValueError("S' is not closed under adjoints: S has a matrix normal only to tol "
                          "whose adjoint is not in span(S)")
-    return Subspace(d * d, B)
+    return Subspace._checked(B)
 
 
 def algebra_blocks(algebra: Subspace) -> tuple[tuple[int, int], ...]:

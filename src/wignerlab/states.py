@@ -64,6 +64,17 @@ class DensityState:
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
+    @classmethod
+    def _from_repair(cls, d: int, repair: "_Repair") -> "DensityState":
+        """``DensityState(d, rho)`` checks rho.  ``repair_psd``'s output is finite; unclipped,
+        it is Hermitian exactly, and of trace 1 to d eps once its lowest eigenvalue (the
+        repair's own, checked here) is >= -1e-10.  Any other output gets every check."""
+        if repair.lowest is None or repair.lowest < -1e-10:
+            return cls(d, repair[0])
+        vars(state := object.__new__(cls)).update(d=d, rho=repair[0].copy())
+        state.rho.setflags(write=False)
+        return state
+
     def __eq__(self, other):
         if not isinstance(other, DensityState):
             return NotImplemented
@@ -106,6 +117,10 @@ def random_density(d: int, rng: np.random.Generator) -> DensityState:
     return DensityState(d, rho / np.trace(rho).real)
 
 
+class _Repair(tuple):
+    lowest = None  # (matrix, magnitude)'s lowest eigenvalue by the repair's eigh, unless clipped
+
+
 def repair_psd(rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Clip eigenvalues below -1e-12 to zero and renormalize the trace.
 
@@ -115,8 +130,10 @@ def repair_psd(rho: np.ndarray) -> tuple[np.ndarray, float]:
     herm = (rho + rho.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(herm)
     if vals.min() >= -1e-12:
-        out = herm / np.trace(herm).real
-        return out, float(trace_norm(out - rho))
+        out = herm / (trace := np.trace(herm).real)
+        repair = _Repair((out, float(trace_norm(out - rho))))
+        repair.lowest = float(min(vals[[0, -1]] / trace))  # a negative trace reverses vals
+        return repair
     clipped = np.maximum(vals, 0.0)
     out = (vecs * clipped) @ vecs.conj().T
     out = out / np.trace(out).real
@@ -124,7 +141,7 @@ def repair_psd(rho: np.ndarray) -> tuple[np.ndarray, float]:
     if magnitude > 1e-10:
         raise ValueError(f"PSD repair of magnitude {magnitude:.3e} exceeds 1.0e-10")
     log.debug("PSD repair applied, magnitude %.3e", magnitude)
-    return out, magnitude
+    return _Repair((out, magnitude))
 
 
 def pair(rho: DensityState, A) -> complex:
@@ -274,7 +291,7 @@ def haar_average(
             raise MethodUnsupported(f"unknown method {method!r}")
         avg = pairwise_mean(_pull_back(stack, rho.rho))
 
-    return HaarAverageResult(DensityState(rho.d, repair_psd(avg)[0]), method, rep)
+    return HaarAverageResult(DensityState._from_repair(rho.d, repair_psd(avg)), method, rep)
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,9 @@ class WignerProblem:
     elements: G.ElementBatch
 
     def __post_init__(self):
+        object.__setattr__(self, "elements", G.element_batch(self.rep.group, self.elements))
         if len(self.elements) < 1:
             raise ValueError("need at least one group element")
-        object.__setattr__(self, "elements", G.element_batch(self.rep.group, self.elements))
 
     @property
     def d(self) -> int:
@@ -101,6 +101,20 @@ def averaged_superop(problem: WignerProblem) -> np.ndarray:
     """Mean of the problem's pullback superoperators."""
     ops = _pullback_superops(problem.unitaries)
     return sum(ops) / len(ops)
+
+
+_LAST_S: list = [None]  # the last problem's (unitaries, read-only S)
+
+
+def _shared_superop(problem: WignerProblem) -> np.ndarray:
+    """``averaged_superop`` built once for verify and then Cesaro, keyed by the
+    identity of the unitaries stack the entry holds (so its id is not reused);
+    a miss drops the kept S before it builds: one S is alive (16 MB at d = 32)."""
+    if (entry := _LAST_S[0]) is None or entry[0] is not problem.unitaries:
+        _LAST_S[0] = None
+        (S := averaged_superop(problem)).setflags(write=False)
+        _LAST_S[0] = entry = (problem.unitaries, S)
+    return entry[1]
 
 
 def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement) -> Subspace:
@@ -202,8 +216,8 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     if inter.dim > element_dims[j] or (n == 1 and inter.dim != element_dims[j]):
         raise RuntimeError(f"intersection dim {inter.dim} from the commutant, but element {j}'s "
                            f"U(g) has {element_dims[j]} eigenvalue pairs within tol")
-    S = averaged_superop(problem)
-    avg = Subspace(d2, _null_basis(S - np.eye(d2), tol, 1.0, what="averaged map"))
+    S = _shared_superop(problem)
+    avg = Subspace._checked(_null_basis(S - np.eye(d2), tol, 1.0, what="averaged map"))
     B = inter.basis
     inclusion = float(_norms(S @ B - B, 0).max(initial=0.0))
 
@@ -276,7 +290,7 @@ def cesaro_fixed_point(
         raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
     U = problem.unitaries
     Ud = U.conj().transpose(0, 2, 1)
-    S = averaged_superop(problem)
+    S = _shared_superop(problem)
     side = problem.d
 
     def max_defect(v: np.ndarray, skip: bool = False) -> float:
@@ -312,8 +326,7 @@ def cesaro_fixed_point(
         iterations += w
         window *= 2
         residual = max_defect(sigma, skip=True)
-    repaired, _ = repair_psd(unvec(sigma, side))
-    return DensityState(side, repaired)
+    return DensityState._from_repair(side, repair_psd(unvec(sigma, side)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from wignerlab import (BadElement, DimensionMismatch, FiniteElement, FiniteGroup, SU2Element,
                        SU3Element, U1Element, commutant, finite_rep)
 from wignerlab.groups import TWO_PI, haar_unitary, philox_stream
-from wignerlab.matrixcore import _norms, frobenius, singular_values, unvec, vec
+from wignerlab.matrixcore import Subspace, _norms, frobenius, singular_values, unvec, vec
 from wignerlab.states import DensityState, _pull_back, repair_psd
 from wignerlab.wigner import NoConvergence, averaged_superop
 
@@ -18,6 +18,30 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 @pytest.fixture
 def rng():
     return philox_stream(0xC0FFEE)
+
+
+@pytest.fixture
+def unchecked_bases(monkeypatch):
+    """Every subspace a kernel builds by ``Subspace._checked`` while the
+    test runs."""
+    seen, build = [], Subspace._checked.__func__
+
+    def spy(cls, basis):
+        seen.append(sub := build(cls, basis))
+        return sub
+
+    monkeypatch.setattr(Subspace, "_checked", classmethod(spy))
+    return seen
+
+
+def assert_orthonormal(subspaces):
+    """Each basis is read-only, in C order and orthonormal to 1e-10, the
+    Gram check ``Subspace(n, B)`` runs."""
+    for sub in subspaces:
+        B = sub.basis
+        assert not B.flags.writeable and B.flags.c_contiguous
+        assert B.shape == (sub.ambient_dim, sub.dim)
+        assert np.abs(B.conj().T @ B - np.eye(sub.dim)).max(initial=0.0) <= 1e-10
 
 
 def random_hermitian(d, rng):

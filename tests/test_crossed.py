@@ -33,7 +33,7 @@ from wignerlab.groups import (
 from wignerlab.matrixcore import (DEFAULT_TOL, Subspace, _nonnormal, _rank, _unit_norm,
                                   algebra_blocks, commutant, principal_angle_residual, vec)
 
-from conftest import double_commutant, double_normalised_nonnormal
+from conftest import assert_orthonormal, double_commutant, double_normalised_nonnormal
 
 
 def z2_trivial_m2():
@@ -177,6 +177,14 @@ def test_closure_spans_the_double_commutant(model):
     span = algebra_closure(gens, model.ambient_dim)
     angle, _ = principal_angle_residual(span, double_commutant(gens, model.ambient_dim))
     assert span.dim == model.d**2 * model.order and angle <= 1e-9
+
+
+@pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
+def test_closure_and_commutant_bases_are_orthonormal(model, unchecked_bases):
+    # neither basis is checked again when it enters its Subspace
+    assert crossed_dimension(model) == model.d**2 * model.order
+    assert len(unchecked_bases) == 2
+    assert_orthonormal(unchecked_bases)
 
 
 def _spy_blocks(monkeypatch):

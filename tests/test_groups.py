@@ -716,26 +716,19 @@ SU3_MESSAGES = {
     # unitary, with det e^{i pi/3}
     ("det", lambda M: M * np.exp(1j * math.pi / 9)),
 ])
-def test_haar_sample_su3_stack_check_fires(monkeypatch, case, spoil):
+def test_su3_batch_check_fires_past_the_first_chunk(case, spoil):
+    # haar_sample trusts its kernel's stack; the same stack, spoiled in its
+    # second chunk and given from outside, is checked
     import wignerlab.groups as groups_module
 
-    rep = su3_fundamental()
-    sampler = groups_module._haar_special_unitaries
+    stack = groups_module._haar_special_unitaries(3, 7, 300)
     bad = groups_module.BATCH + 3
-    spoiled = []
-
-    def broken(n, seed, count):
-        stack = sampler(n, seed, count)
-        stack[bad] = spoil(stack[bad])
-        spoiled.append(stack[bad].copy())
-        return stack
-
-    monkeypatch.setattr(groups_module, "_haar_special_unitaries", broken)
+    stack[bad] = spoil(stack[bad])
     with pytest.raises(BadElement) as info:
-        haar_sample(rep, 7, 300)
+        SU3Batch(stack)
     assert str(info.value) == SU3_MESSAGES[case]
     with pytest.raises(BadElement) as single:
-        SU3Element(spoiled[0])
+        SU3Element(stack[bad])
     assert str(single.value) == SU3_MESSAGES[case]
 
 
@@ -1031,6 +1024,40 @@ def test_group_operations_reject_foreign_elements(rep):
         outside = FiniteBatch([0, group.order])
         with pytest.raises(BadElement, match=f"^index {group.order} out of range"):
             compose(group, outside, outside)
+
+
+@pytest.mark.parametrize("rep", _GROUP_OPERATION_REPS, ids=lambda r: r.name)
+def test_compose_rejects_batches_of_unequal_lengths(rep):
+    # one ValueError for every kind, not a table lookup's IndexError or numpy's broadcast error
+    group = rep.group
+    a, b = haar_sample(rep, 11, 2), haar_sample(rep, 12, 3)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as raised:
+            compose(group, x, y)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"cannot compose batches of {len(x)} and {len(y)} elements"
+    assert len(compose(group, a[:1], b)) == len(compose(group, b, a[:1])) == 3
+
+
+@pytest.mark.parametrize("rep", _GROUP_OPERATION_REPS, ids=lambda r: r.name)
+def test_element_batch_reads_an_iterator_once(rep):
+    elements = haar_sample(rep, 11, 5)
+    batch = element_batch(rep.group, (g for g in elements))
+    assert batch == elements
+    assert WignerProblem(rep, (g for g in elements)).elements == elements
+    assert (element_unitaries(rep, (g for g in elements)).tobytes()
+            == element_unitaries(rep, elements).tobytes())
+
+
+@pytest.mark.parametrize("seed", [1, 1607])
+@pytest.mark.parametrize("count", [1, 256, 257, 4096])
+def test_haar_kernels_make_rows_the_batch_checks_accept(seed, count):
+    # haar_sample's SU(2) angles and SU(3) stack enter their batch unchecked
+    angles = haar_sample(su2_fundamental(), seed, count).array
+    assert SU2Batch._ok(angles).all()
+    stack = haar_sample(su3_fundamental(), seed, count).array
+    SU3Batch._check(stack)
+    assert SU3Batch(stack) == SU3Batch._checked(stack)
 
 
 def test_quadrature_exact_up_to_spin():

@@ -411,14 +411,14 @@ def test_algebra_blocks_refuse_what_is_not_an_algebra(monkeypatch, link, match):
 
 
 def test_subspace_rejects_non_orthonormal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subspace basis is not orthonormal to 1e-10$"):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_subspace_rejects_nonfinite_basis():
     # a NaN makes every comparison False, so a "> 1e-10" check alone lets it through
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^subspace basis contains NaN or Inf entries$"):
             Subspace(2, np.array([[bad], [0.0]], dtype=complex))
 
 

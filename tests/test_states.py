@@ -28,16 +28,18 @@ from wignerlab import (
 from wignerlab import groups
 from wignerlab.states import repair_psd
 
+from wignerlab.matrixcore import frobenius
+
 from conftest import reference_haar_sample, reference_unitary, random_hermitian
 
 
 def test_density_state_validation():
-    with pytest.raises(ValueError):
-        DensityState(2, np.eye(2, dtype=complex))  # trace 2
-    with pytest.raises(ValueError):
-        DensityState(2, np.array([[1.5, 0], [0, -0.5]], dtype=complex))  # negative
-    with pytest.raises(ValueError):
-        DensityState(2, np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))  # non-Hermitian
+    with pytest.raises(ValueError, match=r"^density matrix trace \(2\+0j\) differs from 1$"):
+        DensityState(2, np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="^density matrix has eigenvalue -0.5 below -1e-10$"):
+        DensityState(2, np.array([[1.5, 0], [0, -0.5]], dtype=complex))
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian to 1e-10$"):
+        DensityState(2, np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
 
 
 def test_pair_examples(rng):
@@ -389,6 +391,48 @@ def test_repair_psd_bounds():
     assert np.linalg.eigvalsh(out).min() >= 0
     with pytest.raises(ValueError):
         repair_psd(np.diag([1.2, -0.2]).astype(complex))
+
+
+def _repair_inputs():
+    """Inputs of repair_psd: seeded states of rank 1 to d with Hermitian
+    noise, clipped or not; a negative trace; a trace of 1e-3."""
+    rng = groups.philox_stream(0x5EA1)
+    for d in (1, 2, 3, 5, 8, 16):
+        for rank in sorted({1, (d + 1) // 2, d}):
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            rho = g @ g.conj().T
+            for noise in (0.0, 2e-13, 1.5e-12):
+                yield rho / np.trace(rho).real + noise / math.sqrt(d) * random_hermitian(d, rng)
+    yield -1e-13 * np.eye(3, dtype=complex)
+    yield np.diag([1e-3 + 5e-14, -5e-14]).astype(complex)
+
+
+def test_a_state_from_repair_passes_every_check_of_the_constructor():
+    paths = set()
+    for M in _repair_inputs():
+        repair = repair_psd(M)
+        paths.add(repair.lowest is None)
+        state = DensityState._from_repair(len(M), repair)
+        assert state == DensityState(len(M), repair[0]) and not state.rho.flags.writeable
+        rho = state.rho
+        assert frobenius(rho - rho.conj().T) <= 1e-10
+        assert abs(np.trace(rho) - 1.0) <= 1e-10
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    # both the clipped and the unclipped path ran
+    assert paths == {True, False}
+
+
+def test_a_state_from_repair_refuses_what_the_constructor_refuses():
+    # trace 1e-3 with an eigenvalue of -5e-13: not clipped, and the repaired
+    # matrix's lowest eigenvalue is -5e-10
+    M = np.diag([1e-3 + 5e-13, -5e-13]).astype(complex)
+    repair = repair_psd(M)
+    assert repair.lowest is not None
+    pattern = r"^density matrix has eigenvalue -(5e-10|5\.0000\d*e-10|4\.9999\d*e-10) below -1e-10$"
+    with pytest.raises(ValueError, match=pattern):
+        DensityState(2, repair[0])
+    with pytest.raises(ValueError, match=pattern):
+        DensityState._from_repair(2, repair)
 
 
 def test_invariance_residual_probes_deterministic(rng):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from wignerlab.wigner import (
 from conftest import (
     PAULI_X,
     PAULI_Z,
+    assert_orthonormal,
     element_index,
     matrix_group,
     reference_cesaro,
@@ -401,9 +403,69 @@ def test_verify_matches_the_per_element_superoperator_reference(monkeypatch):
         rho0 = problem_seed_state(problem, seed)
         with monkeypatch.context() as m:
             m.setattr(wigner, "averaged_superop", _reference_averaged_superop)
-            expected = cesaro_fixed_point(problem, rho0).rho.tobytes()
+            # a problem of its own: verify's S is kept for this problem's Cesaro
+            fresh = WignerProblem(problem.rep, problem.elements)
+            expected = cesaro_fixed_point(fresh, rho0).rho.tobytes()
         assert cesaro_fixed_point(problem, rho0).rho.tobytes() == expected
     assert identities >= 3
+
+
+@pytest.mark.parametrize("seed", [1001, 2026, 1607, 1611])
+def test_verify_bases_of_the_standard_batch_are_orthonormal(seed, unchecked_bases):
+    # the commutant, the averaged side and null_space enter Subspace unchecked
+    for problem in standard_problem_batch(200, seed):
+        verify_wigner_identity(problem)
+        S = averaged_superop(problem)
+        null_space(S - np.eye(len(S)))
+    assert len(unchecked_bases) == 3 * 200
+    assert_orthonormal(unchecked_bases)
+
+
+@pytest.mark.parametrize("d", [8, 16, 24])
+def test_verify_bases_of_su2_irreps_are_orthonormal(d, unchecked_bases):
+    rep = su2_irrep(d)
+    verify_wigner_identity(WignerProblem(rep, haar_sample(rep, d, 3)))
+    assert len(unchecked_bases) == 2
+    assert_orthonormal(unchecked_bases)
+
+
+def test_verify_then_cesaro_build_one_superoperator(monkeypatch):
+    built = []
+    monkeypatch.setattr(wigner, "averaged_superop",
+                        lambda problem: built.append(problem) or averaged_superop(problem))
+    problems = standard_problem_batch(20, 1607)
+    for i, problem in enumerate(problems):
+        verify_wigner_identity(problem)
+        cesaro_fixed_point(problem, problem_seed_state(problem, 1607 + i))
+    assert built == problems
+
+
+def test_interleaved_problems_each_get_their_own_superoperator(monkeypatch):
+    # A, B, A: each S is byte-equal to averaged_superop, and a miss drops the
+    # kept S before it builds, so no more than one S is alive
+    a, b = standard_problem_batch(8, 2026)[6:]
+    kept = []
+
+    def build(problem):
+        assert wigner._LAST_S == [None]
+        kept.append(weakref.ref(S := averaged_superop(problem)))
+        return S
+
+    monkeypatch.setattr(wigner, "averaged_superop", build)
+    for problem in (a, b, a):
+        S = wigner._shared_superop(problem)
+        assert S.tobytes() == averaged_superop(problem).tobytes() and not S.flags.writeable
+        assert wigner._shared_superop(problem) is S
+        assert len(wigner._LAST_S) == 1 and wigner._LAST_S[0][0] is problem.unitaries
+        del S
+        assert sum(ref() is not None for ref in kept) == 1
+    assert len(kept) == 3
+    rhos = [problem_seed_state(p, 5) for p in (a, b)]
+    verify_wigner_identity(a)
+    verify_wigner_identity(b)
+    for problem, rho0 in zip((a, b), rhos):
+        assert (cesaro_fixed_point(problem, rho0).rho.tobytes()
+                == reference_cesaro(problem, rho0).rho.tobytes())
 
 
 def test_nested_families_weakly_decreasing(pauli_rep):
