@@ -22,8 +22,8 @@ class NotOrthonormal(ValueError):
 
 
 def _entropy_of(values: np.ndarray, base: float) -> float:
-    if base <= 1.0:
-        raise ValueError("base must be > 1")
+    if not 1.0 < base < math.inf:
+        raise ValueError("base must be a finite number > 1")
     nz = values[values > 0.0]
     h = float(-np.sum(nz * np.log(nz))) + 0.0  # avoid -0.0
     return h / math.log(base)
@@ -56,6 +56,8 @@ class PartitionWeights:
             raise ValueError("weights must be nonnegative")
         if abs(sum(p) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {sum(p)}, not 1")
+        if not all(map(math.isfinite, p)):
+            raise ValueError("weights must be finite")
         object.__setattr__(self, "p", p)
 
     @classmethod

@@ -222,7 +222,7 @@ def null_space(M, tol: float = DEFAULT_TOL) -> Subspace:
     <= tol * (its largest).  A NaN entry raises ``LinAlgError`` (from the
     SVD), an Inf entry ``ValueError``; a singular value in (cut, 100 cut]
     raises ``RuntimeError`` (the rank rule above)."""
-    if tol <= 0:
+    if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
@@ -286,7 +286,7 @@ def commutant(S, d: int, tol: float = DEFAULT_TOL) -> Subspace:
     artifact.  A commutator singular value in (tol, 100 tol] raises
     ``RuntimeError`` (the rank rule above).
     """
-    if tol <= 0:
+    if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     if isinstance(S, np.ndarray):
         mats = S.astype(complex)  # a copy, normalized in place below

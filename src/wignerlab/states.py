@@ -6,6 +6,13 @@ pair(pullback(g, rho), A) = pair(rho, act(g, A)) holds as an exact
 adjunction.  Weak-topology statements from the infinite-dimensional picture
 are realized as trace-norm statements, which is equivalent at fixed finite
 dimension.
+
+Every average lives here.  Besides ``haar_average``'s sums, a finite family
+g_1 .. g_n (a ``WignerProblem``, its unitaries built once) has the averaged
+map S = (1/n) sum_j U(g_j)^dag . U(g_j) (``averaged_superop``, the last
+problem's S kept by ``_shared_superop``), and ``cesaro_fixed_point`` takes
+its restarted Cesaro means, window sums by binary powering.  Every
+invariance check takes its trace norms in one kernel, ``_max_defect``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from .matrixcore import (
     pairwise_mean,
     singular_values,
     trace_norm,
+    unvec,
+    vec,
     weighted_mean,
 )
 
@@ -188,12 +197,160 @@ def invariance_residual(
     return _max_defect(G.element_unitaries(rep, elements), state.rho)
 
 
-def _max_defect(stack: np.ndarray, rho: np.ndarray) -> float:
+def _max_defect(unitaries: np.ndarray, rho: np.ndarray, skip_above: float = math.inf) -> float:
     """max_j ||U_j^dag rho U_j - rho||_tr over the (n, d, d) stack of U_j,
-    which it overwrites."""
-    defects = _pull_back(stack, rho)
-    defects -= rho
+    the defect stack formed in one expression.  A defect whose Frobenius
+    norm exceeds ``skip_above`` (squared norms compared with its square) has
+    a trace norm above it too: then inf is returned without the SVDs."""
+    defects = unitaries.conj().transpose(0, 2, 1) @ rho @ unitaries - rho
+    flat = defects.reshape(len(defects), -1)
+    if np.vecdot(flat, flat).real.max() > skip_above**2:
+        return math.inf
     return float(singular_values(defects).sum(axis=1).max())
+
+
+# ---------------------------------------------------------------------------
+# the averaged map of a finite family and its Cesaro means
+
+# lcm(1..8): a Cesaro window of this length annihilates every peripheral
+# superoperator eigenvalue that is a root of unity of order <= 8 exactly
+_BASE_WINDOW = 840
+
+
+class NoConvergence(RuntimeError):
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+@dataclass(frozen=True)
+class WignerProblem:
+    """A representation and a finite family of elements, one ``groups.ElementBatch``."""
+
+    rep: G.UnitaryRep
+    elements: G.ElementBatch
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", G.element_batch(self.rep.group, self.elements))
+        if len(self.elements) < 1:
+            raise ValueError("need at least one group element")
+
+    @property
+    def d(self) -> int:
+        return self.rep.dim
+
+    @functools.cached_property
+    def unitaries(self) -> np.ndarray:
+        """The read-only (n, d, d) stack of the elements' unitaries, built
+        once."""
+        stack = G.element_unitaries(self.rep, self.elements)
+        stack.setflags(write=False)
+        return stack
+
+
+def _pullback_superops(U: np.ndarray) -> np.ndarray:
+    """Stack of U.T kron U^dag (vec(U^dag M U) in column-stacking), one per
+    unitary of the (n, d, d) stack U, with the same scalar products as
+    ``np.kron``."""
+    A = U.transpose(0, 2, 1)
+    n, d = A.shape[:2]
+    return (A[:, :, None, :, None] * A.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
+
+
+def averaged_superop(problem: WignerProblem) -> np.ndarray:
+    """Mean of the problem's pullback superoperators."""
+    ops = _pullback_superops(problem.unitaries)
+    return sum(ops) / len(ops)
+
+
+_LAST_S: list = [None]  # the last problem's (unitaries, read-only S)
+
+
+def _shared_superop(problem: WignerProblem) -> np.ndarray:
+    """``averaged_superop`` built once for verify and then Cesaro, keyed by the
+    identity of the unitaries stack the entry holds (so its id is not reused);
+    a miss drops the kept S before it builds: one S is alive (16 MB at d = 32)."""
+    if (entry := _LAST_S[0]) is None or entry[0] is not problem.unitaries:
+        _LAST_S[0] = None
+        (S := averaged_superop(problem)).setflags(write=False)
+        _LAST_S[0] = entry = (problem.unitaries, S)
+    return entry[1]
+
+
+def _power_sum(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{k<w} S^k, S^w) by binary powering over the bits of w >= 1,
+    starting at the leading bit with (I, S)."""
+    total, power = np.eye(S.shape[0], dtype=S.dtype), S
+    for bit in bin(w)[3:]:
+        # m -> 2m, then m -> m + 1 on a set bit
+        total, power = total + power @ total, power @ power
+        if bit == "1":
+            total, power = total + power, power @ S
+    return total, power
+
+
+def cesaro_fixed_point(
+    problem: WignerProblem,
+    rho0: DensityState,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = 10**6,
+) -> DensityState:
+    """Invariant density matrix in the orbit hull of rho0.
+
+    Averages the iterates of the averaged map T(rho) = (1/n) sum_j
+    U(g_j)^dag rho U(g_j) over a window (Cesaro mean), restarting from the
+    window mean with doubled window length until every element leaves it
+    invariant to tol, max_j ||U(g_j)^dag rho* U(g_j) - rho*||_tr <= tol; the
+    mean ||T(rho*) - rho*||_tr can cancel the elements' defects and is not
+    checked.  max_iter caps the number of map applications the windows stand
+    for; ``NoConvergence.residual`` is the last per-element maximum.
+    Every window mean is a convex combination of pullbacks of rho0, so the
+    output stays in the orbit hull; plain iteration alone can oscillate on
+    the peripheral spectrum, the window means cannot.
+
+    The window sum sum_{k<w} S^k of the averaged superoperator S is formed
+    by binary powering, starting at w's leading bit with (I, S): 21 d^2 x d^2
+    products for the first window (w = 840), reused when the window doubles,
+    two products for each later window; up to five d^2 x d^2 matrices are
+    held at once.  The default cap of 10^6 map applications is ten full
+    windows and one cut one, at most 78 d^2 x d^2 products (70 at a cap of
+    10^5).
+
+    Each stop test is ``_max_defect`` of the window mean, skipping the SVDs
+    when some defect's Frobenius norm exceeds 2 tol: its trace norm is then
+    above tol, and the window cannot stop.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive")
+    if rho0.d != problem.d:
+        raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
+    U = problem.unitaries
+    S = _shared_superop(problem)
+    side = problem.d
+    sigma = vec(rho0.rho)
+    residual = _max_defect(U, unvec(sigma, side), 2.0 * tol)
+    iterations = 0
+    window = _BASE_WINDOW
+    power = None
+    while residual > tol:
+        if iterations >= max_iter:
+            residual = _max_defect(U, unvec(sigma, side))
+            raise NoConvergence(
+                f"Cesaro element invariance defect {residual:.3e} > tol {tol:.1e} "
+                f"after {iterations} iterations",
+                residual,
+            )
+        w = min(window, max_iter - iterations)
+        if power is None or w < window:
+            total, power = _power_sum(S, w)
+        else:
+            # the previous window had length w / 2
+            total, power = total + power @ total, power @ power
+        sigma = total @ sigma / w
+        iterations += w
+        window *= 2
+        residual = _max_defect(U, unvec(sigma, side), 2.0 * tol)
+    return DensityState._from_repair(side, repair_psd(unvec(sigma, side)))
 
 
 @dataclass(frozen=True)
@@ -235,7 +392,7 @@ def haar_average(
       conjugations (27 at d = 8) instead of the product's O(d^3) nodes;
     * "montecarlo": ``count`` Haar samples drawn from ``seed``, fixed-order
       pairwise summation (Lie groups only);
-    * "cesaro": ``wigner.cesaro_fixed_point`` to 1e-11 for the averaged map of
+    * "cesaro": ``cesaro_fixed_point`` to 1e-11 for the averaged map of
       ``generators`` Haar samples drawn from ``seed``, or of a finite group's
       ``groups.generating_set`` (the identity if the group is trivial);
     * "auto": finite -> finite_exact, u1 and su2 -> quadrature, su3 -> cesaro.
@@ -251,9 +408,6 @@ def haar_average(
         method = _AUTO_METHOD[kind]
 
     if method == "cesaro":
-        # wigner imports this module at load time
-        from .wigner import WignerProblem, cesaro_fixed_point
-
         # only the trivial group has an empty generating set: its one element
         elements = (G.generating_set(rep.group) or G.finite_elements(rep.group)
                     if kind == "finite" else G.haar_sample(rep, seed, generators))

@@ -5,30 +5,25 @@ rho -> U(g)^dag rho U(g) form a linear subspace of M_d: the commutant of
 U(g).  Given a finite family {g_1 .. g_n}, the intersection of the
 per-element fixed subspaces coincides with the fixed subspace of the
 averaged map (1/n) sum_j U(g_j)^dag . U(g_j).  This module computes both
-sides independently, reports their dimensions and principal angles, and
-extracts invariant density matrices by restarted Cesaro iteration of the
-averaged map.
+sides independently and reports their dimensions and principal angles.
 
-A problem holds its elements as one ``groups.ElementBatch``, membership
-checked once, and builds the (n, d, d) stack of their unitaries once, on
-first use, and keeps it read-only (``WignerProblem.unitaries``); verify,
-Cesaro and ``averaged_superop`` all read it.  ``averaged_superop`` sums the
-(n, d^2, d^2) stack of pullback superoperators T_j (83 KB at n = 4, d = 6,
-freed on return).  Verify takes each element's Wigner set dim from U(g_j)'s
-eigenvalues, the intersection from ``matrixcore.commutant`` of the
-unitaries and the averaged side from one SVD of S - I, S the T_j's mean:
+The family, its averaged map and Cesaro live in ``states``.  The package API
+and the benchmark's tracer reach ``WignerProblem``, ``averaged_superop``,
+``cesaro_fixed_point`` and ``NoConvergence`` as ``wigner.*``, so they are
+re-exported here, the same objects: the tracer rebinds every name of a
+function, and so counts the builds of ``states``' memo.
+
+Verify reads the problem's read-only stack of unitaries.  It takes each
+element's Wigner set dim from U(g_j)'s eigenvalues, the intersection from
+``matrixcore.commutant`` of the unitaries and the averaged side from one
+SVD of S - I, S the T_j's mean (shared with the problem's Cesaro run):
 O(d^6) for that SVD plus O(n d^4) for S; no stack of T_j - I is formed.
 Rank decisions follow ``matrixcore``'s rank rule, refusing to decide
 (RuntimeError) when a value lies in (tol, 100 tol].
-
-Cesaro's window sums are formed by binary powering from the leading bit of
-the window length, and each window's stop test pulls the window mean back
-by the whole stack of U_j at once (``cesaro_fixed_point``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,76 +40,10 @@ from .matrixcore import (
     frobenius,
     null_space,
     principal_angle_residual,
-    singular_values,
     trace_norm,  # noqa: F401  perfbench/layers.py traces wigner.trace_norm by name
-    unvec,
-    vec,
 )
-from .states import DensityState, random_density, repair_psd
-
-# lcm(1..8): a Cesaro window of this length annihilates every peripheral
-# superoperator eigenvalue that is a root of unity of order <= 8 exactly
-_BASE_WINDOW = 840
-
-
-class NoConvergence(RuntimeError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-@dataclass(frozen=True)
-class WignerProblem:
-    """A representation and a finite family of elements, one ``groups.ElementBatch``."""
-
-    rep: G.UnitaryRep
-    elements: G.ElementBatch
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", G.element_batch(self.rep.group, self.elements))
-        if len(self.elements) < 1:
-            raise ValueError("need at least one group element")
-
-    @property
-    def d(self) -> int:
-        return self.rep.dim
-
-    @functools.cached_property
-    def unitaries(self) -> np.ndarray:
-        """The read-only (n, d, d) stack of the elements' unitaries, built
-        once."""
-        stack = G.element_unitaries(self.rep, self.elements)
-        stack.setflags(write=False)
-        return stack
-
-
-def _pullback_superops(U: np.ndarray) -> np.ndarray:
-    """Stack of U.T kron U^dag (vec(U^dag M U) in column-stacking), one per
-    unitary of the (n, d, d) stack U, with the same scalar products as
-    ``np.kron``."""
-    A = U.transpose(0, 2, 1)
-    n, d = A.shape[:2]
-    return (A[:, :, None, :, None] * A.conj()[:, None, :, None, :]).reshape(n, d * d, d * d)
-
-
-def averaged_superop(problem: WignerProblem) -> np.ndarray:
-    """Mean of the problem's pullback superoperators."""
-    ops = _pullback_superops(problem.unitaries)
-    return sum(ops) / len(ops)
-
-
-_LAST_S: list = [None]  # the last problem's (unitaries, read-only S)
-
-
-def _shared_superop(problem: WignerProblem) -> np.ndarray:
-    """``averaged_superop`` built once for verify and then Cesaro, keyed by the
-    identity of the unitaries stack the entry holds (so its id is not reused);
-    a miss drops the kept S before it builds: one S is alive (16 MB at d = 32)."""
-    if (entry := _LAST_S[0]) is None or entry[0] is not problem.unitaries:
-        _LAST_S[0] = None
-        (S := averaged_superop(problem)).setflags(write=False)
-        _LAST_S[0] = entry = (problem.unitaries, S)
-    return entry[1]
+from .states import DensityState, _pullback_superops, _shared_superop, random_density
+from .states import NoConvergence, WignerProblem, averaged_superop, cesaro_fixed_point  # noqa: F401
 
 
 def wigner_subspace(rep: G.UnitaryRep, g: G.GroupElement) -> Subspace:
@@ -206,6 +135,8 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
     so does an intersection larger than some element's Wigner set (other
     than it, for one element).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive")
     U = problem.unitaries
     n, d, d2 = len(U), problem.d, problem.d**2
     lam = np.linalg.eigvals(U)
@@ -237,96 +168,6 @@ def verify_wigner_identity(problem: WignerProblem, tol: float = DEFAULT_TOL) -> 
         inclusion_residual=inclusion,
         verdict=bool(verdict),
     )
-
-
-def _power_sum(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{k<w} S^k, S^w) by binary powering over the bits of w >= 1,
-    starting at the leading bit with (I, S)."""
-    total, power = np.eye(S.shape[0], dtype=S.dtype), S
-    for bit in bin(w)[3:]:
-        # m -> 2m, then m -> m + 1 on a set bit
-        total, power = total + power @ total, power @ power
-        if bit == "1":
-            total, power = total + power, power @ S
-    return total, power
-
-
-def cesaro_fixed_point(
-    problem: WignerProblem,
-    rho0: DensityState,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10**6,
-) -> DensityState:
-    """Invariant density matrix in the orbit hull of rho0.
-
-    Averages the iterates of the averaged map T(rho) = (1/n) sum_j
-    U(g_j)^dag rho U(g_j) over a window (Cesaro mean), restarting from the
-    window mean with doubled window length until every element leaves it
-    invariant to tol, max_j ||U(g_j)^dag rho* U(g_j) - rho*||_tr <= tol; the
-    mean ||T(rho*) - rho*||_tr can cancel the elements' defects and is not
-    checked.  max_iter caps the number of map applications the windows stand
-    for; ``NoConvergence.residual`` is the last per-element maximum.
-    Every window mean is a convex combination of pullbacks of rho0, so the
-    output stays in the orbit hull; plain iteration alone can oscillate on
-    the peripheral spectrum, the window means cannot.
-
-    The window sum sum_{k<w} S^k of the averaged superoperator S is formed
-    by binary powering, starting at w's leading bit with (I, S): 21 d^2 x d^2
-    products for the first window (w = 840), reused when the window doubles,
-    two products for each later window; up to five d^2 x d^2 matrices are
-    held at once.  The default cap of 10^6 map applications is ten full
-    windows and one cut one, at most 78 d^2 x d^2 products (70 at a cap of
-    10^5).
-
-    Each stop test forms the (n, d, d) defect stack U_j^dag rho U_j - rho in
-    one expression.  A defect whose Frobenius norm exceeds 2 tol (squared
-    norms compared with (2 tol)^2) has a trace norm above tol, so such a
-    window cannot stop and skips the SVDs; otherwise the trace norms come
-    from ``singular_values``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if rho0.d != problem.d:
-        raise ValueError(f"state dim {rho0.d} != representation dim {problem.d}")
-    U = problem.unitaries
-    Ud = U.conj().transpose(0, 2, 1)
-    S = _shared_superop(problem)
-    side = problem.d
-
-    def max_defect(v: np.ndarray, skip: bool = False) -> float:
-        """max_j ||U_j^dag rho U_j - rho||_tr; inf when ``skip`` and some
-        defect's Frobenius norm exceeds 2 tol."""
-        rho = unvec(v, side)
-        defects = Ud @ rho @ U - rho
-        flat = defects.reshape(len(U), -1)
-        if skip and np.vecdot(flat, flat).real.max() > (2.0 * tol) ** 2:
-            return math.inf
-        return float(singular_values(defects).sum(axis=1).max())
-
-    sigma = vec(rho0.rho)
-    residual = max_defect(sigma, skip=True)
-    iterations = 0
-    window = _BASE_WINDOW
-    power = None
-    while residual > tol:
-        if iterations >= max_iter:
-            residual = max_defect(sigma)
-            raise NoConvergence(
-                f"Cesaro element invariance defect {residual:.3e} > tol {tol:.1e} "
-                f"after {iterations} iterations",
-                residual,
-            )
-        w = min(window, max_iter - iterations)
-        if power is None or w < window:
-            total, power = _power_sum(S, w)
-        else:
-            # the previous window had length w / 2
-            total, power = total + power @ total, power @ power
-        sigma = total @ sigma / w
-        iterations += w
-        window *= 2
-        residual = max_defect(sigma, skip=True)
-    return DensityState._from_repair(side, repair_psd(unvec(sigma, side)))
 
 
 # ---------------------------------------------------------------------------

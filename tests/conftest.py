@@ -6,9 +6,8 @@ import pytest
 from wignerlab import (BadElement, DimensionMismatch, FiniteElement, FiniteGroup, SU2Element,
                        SU3Element, U1Element, commutant, finite_rep)
 from wignerlab.groups import TWO_PI, haar_unitary, philox_stream
-from wignerlab.matrixcore import Subspace, _norms, frobenius, singular_values, unvec, vec
-from wignerlab.states import DensityState, _pull_back, repair_psd
-from wignerlab.wigner import NoConvergence, averaged_superop
+from wignerlab.matrixcore import Subspace, _norms, frobenius, unvec, vec
+from wignerlab.states import DensityState, NoConvergence, averaged_superop, repair_psd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -132,7 +131,7 @@ def reference_haar_unitary(n, rng):
 
 
 def reference_power_sum(S, w):
-    """Reference for ``wigner._power_sum``: binary powering over every bit of
+    """Reference for ``states._power_sum``: binary powering over every bit of
     w from (0, I), the products by 0 and by I included."""
     total, power = np.zeros_like(S), np.eye(S.shape[0], dtype=S.dtype)
     for bit in bin(w)[2:]:
@@ -143,14 +142,13 @@ def reference_power_sum(S, w):
 
 
 def reference_max_defect(unitaries, rho, skip_above=math.inf):
-    """Reference for Cesaro's defect check: the stack copied and pulled back
-    in place by ``states._pull_back``, then ``np.linalg.norm`` for the skip
-    test; inf when some defect's Frobenius norm exceeds skip_above."""
-    defects = _pull_back(unitaries.copy(), rho)
-    defects -= rho
-    if skip_above < math.inf and np.linalg.norm(defects, axis=(1, 2)).max() > skip_above:
+    """Reference for ``states._max_defect``: one 2-D product and one
+    ``np.linalg.svd`` per element, then ``np.linalg.norm`` for the skip test;
+    inf when some defect's Frobenius norm exceeds skip_above."""
+    defects = [U.conj().T @ rho @ U - rho for U in unitaries]
+    if max(np.linalg.norm(D) for D in defects) > skip_above:
         return math.inf
-    return float(singular_values(defects).sum(axis=1).max())
+    return float(max(np.linalg.svd(D, compute_uv=False).sum() for D in defects))
 
 
 def reference_cesaro(problem, rho0, tol=1e-10, max_iter=10**6):

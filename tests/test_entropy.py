@@ -51,6 +51,18 @@ def test_partition_weights_validation():
         PartitionWeights(2, (-0.1, 1.1))
     with pytest.raises(ValueError):
         PartitionWeights(3, (0.5, 0.5))
+    # a NaN weight passed the sign and sum checks and had entropy 0.0
+    with pytest.raises(ValueError, match="weights must be finite"):
+        PartitionWeights(2, (math.nan, 1.0))
+
+
+def test_entropy_base_must_be_finite_and_above_one():
+    # base NaN passed "base <= 1" and gave a NaN entropy
+    for base in (math.nan, math.inf, 1.0, 0.5):
+        with pytest.raises(ValueError, match="base must be a finite number > 1"):
+            vn_entropy(DensityState(1, [[1.0]]), base=base)
+        with pytest.raises(ValueError, match="base must be a finite number > 1"):
+            partition_entropy(PartitionWeights.uniform(2), base=base)
 
 
 def test_uniform_partition_sweep_monotone():

@@ -124,16 +124,21 @@ def test_null_space_commutant_of_pauli_x():
 
 
 def test_null_space_requires_positive_tol():
-    with pytest.raises(ValueError):
-        null_space(np.eye(2), tol=0.0)
+    # a NaN cut failed every comparison: diag(1, 2, 0) had a 3-dim null space
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            null_space(np.diag([1.0, 2.0, 0.0]), tol=tol)
 
 
 def test_commutant_requires_positive_tol():
     # a cut at or below zero is no rank decision: -1 claimed "not normal"
-    # for the identity, 0 kept what commutes exactly
-    for tol in (0.0, -1.0):
+    # for the identity, 0 kept what commutes exactly, NaN gave all of M_4
+    U = haar_unitary(4, philox_stream(3))
+    for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             commutant([np.eye(2)], 2, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            commutant([U], 4, tol)
 
 
 def _reference_null_basis(M, tol=1e-10):
@@ -168,7 +173,7 @@ def test_null_space_rejects_bad_input():
     M[1, 2] = np.inf
     with pytest.raises(ValueError, match="NaN or Inf"):
         null_space(M)
-    for tol in (0.0, -1.0):
+    for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             null_space(np.eye(2), tol=tol)
     for bad in (np.eye(2)[None], np.ones(3)):

@@ -102,3 +102,30 @@ def test_single_element_constructors_validate_as_before():
         with pytest.raises(groups.BadElement) as info:
             build()
         assert str(info.value) == message
+
+
+def test_the_tracer_reaches_the_averages_that_states_calls(monkeypatch):
+    # perfbench traces wigner.cesaro_fixed_point and wigner.averaged_superop;
+    # both live in states, and the tracer rebinds every name of a function,
+    # so its count of wigner.averaged_superop sees states' one-entry memo
+    from wignerlab import states, wigner
+
+    assert wigner.cesaro_fixed_point is states.cesaro_fixed_point
+    assert wigner.averaged_superop is states.averaged_superop
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.modules.pop("tracing", None)
+    tracer = tracing.Tracer()
+    tracer.install([tracing.Target("wignerlab.wigner", name, f"wigner.{name}")
+                    for name in ("averaged_superop", "cesaro_fixed_point")])
+    try:
+        for i, problem in enumerate(wigner.standard_problem_batch(count=3, base_seed=1)):
+            wigner.verify_wigner_identity(problem)
+            wigner.cesaro_fixed_point(problem, wigner.problem_seed_state(problem, 1 + i))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["wigner.averaged_superop"]["calls"] == 3
+    assert totals["wigner.cesaro_fixed_point"]["calls"] == 3

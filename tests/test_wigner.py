@@ -33,7 +33,7 @@ from wignerlab import (
     verify_wigner_identity,
     wigner_subspace,
 )
-from wignerlab import wigner
+from wignerlab import states
 from wignerlab.groups import SU3Element, identity, inverse
 from wignerlab.matrixcore import (
     Subspace,
@@ -44,11 +44,9 @@ from wignerlab.matrixcore import (
     unvec,
     vec,
 )
-from wignerlab.states import repair_psd
+from wignerlab.states import _power_sum, averaged_superop, repair_psd
 from wignerlab.wigner import (
     WignerReport,
-    _power_sum,
-    averaged_superop,
     intersect_alternating,
     intersect_stacked,
     problem_seed_state,
@@ -402,7 +400,7 @@ def test_verify_matches_the_per_element_superoperator_reference(monkeypatch):
                 assert dim == problem.d**2
         rho0 = problem_seed_state(problem, seed)
         with monkeypatch.context() as m:
-            m.setattr(wigner, "averaged_superop", _reference_averaged_superop)
+            m.setattr(states, "averaged_superop", _reference_averaged_superop)
             # a problem of its own: verify's S is kept for this problem's Cesaro
             fresh = WignerProblem(problem.rep, problem.elements)
             expected = cesaro_fixed_point(fresh, rho0).rho.tobytes()
@@ -431,7 +429,7 @@ def test_verify_bases_of_su2_irreps_are_orthonormal(d, unchecked_bases):
 
 def test_verify_then_cesaro_build_one_superoperator(monkeypatch):
     built = []
-    monkeypatch.setattr(wigner, "averaged_superop",
+    monkeypatch.setattr(states, "averaged_superop",
                         lambda problem: built.append(problem) or averaged_superop(problem))
     problems = standard_problem_batch(20, 1607)
     for i, problem in enumerate(problems):
@@ -447,16 +445,16 @@ def test_interleaved_problems_each_get_their_own_superoperator(monkeypatch):
     kept = []
 
     def build(problem):
-        assert wigner._LAST_S == [None]
+        assert states._LAST_S == [None]
         kept.append(weakref.ref(S := averaged_superop(problem)))
         return S
 
-    monkeypatch.setattr(wigner, "averaged_superop", build)
+    monkeypatch.setattr(states, "averaged_superop", build)
     for problem in (a, b, a):
-        S = wigner._shared_superop(problem)
+        S = states._shared_superop(problem)
         assert S.tobytes() == averaged_superop(problem).tobytes() and not S.flags.writeable
-        assert wigner._shared_superop(problem) is S
-        assert len(wigner._LAST_S) == 1 and wigner._LAST_S[0][0] is problem.unitaries
+        assert states._shared_superop(problem) is S
+        assert len(states._LAST_S) == 1 and states._LAST_S[0][0] is problem.unitaries
         del S
         assert sum(ref() is not None for ref in kept) == 1
     assert len(kept) == 3
@@ -625,6 +623,18 @@ def test_cesaro_output_fixed_by_each_element(rng):
     out = cesaro_fixed_point(problem, rho0, tol=tol)
     for g in problem.elements:
         assert trace_distance(pullback(rep, g, out), out) <= 10 * tol
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_verify_and_cesaro_require_a_finite_positive_tol(tol):
+    # d = 4, both sides of dim 8 at the default tol: a NaN tol passed every
+    # rank guard, so verify reported intersection 16 = averaged 16 with
+    # verdict True, and Cesaro returned its seed state unchanged
+    problem = standard_problem_batch(count=3, base_seed=1)[2]
+    with pytest.raises(ValueError, match="tol must be positive"):
+        verify_wigner_identity(problem, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        cesaro_fixed_point(problem, problem_seed_state(problem, 1), tol=tol)
 
 
 def test_cesaro_raises_no_convergence(rng):
