@@ -55,6 +55,8 @@ CASES = {
     "crossed_q8_file": ["crossed", "--group", "file:q8.json"],
     "crossed_z2_trivial_tensor2": ["crossed", "--group", "zn:2", "--dim", "2",
                                    "--action", "trivial", "--tensor-factors", "2"],
+    "crossed_z2_trivial_tensor3": ["crossed", "--group", "zn:2", "--dim", "2",
+                                   "--action", "trivial", "--tensor-factors", "3"],
     "crossed_z5_d4_tensor2_over_cap": ["crossed", "--group", "zn:5", "--dim", "4",
                                        "--tensor-factors", "2"],
     "bundle_su2": ["bundle", "--config", "bundle_su2.json", "--seed", "17"],
