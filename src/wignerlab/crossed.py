@@ -9,14 +9,13 @@ then holds exactly.
 The algebra is generated by a small set: U_h for h in a generating set of G
 (``groups.generating_set``) plus Phi(H_1), Phi(H_2) for two fixed generic
 Hermitian fibre matrices, which generate all of M_d.  Every generator is
-normal (unitary or Hermitian), and a normal N has N^dag = p(N) for the
-polynomial p that interpolates conj(lambda) on its eigenvalues, so the
-product closure multiplies by the generators alone: the span of their words
-is already *-closed.  The algebra's dimension is computed two independent
-ways, product closure (words grow one letter a round) and the block
-structure (m_i, n_i) of the generators' commutant, sum_i M_{m_i} tensor
-I_{n_i}, whose double commutant is the sum of the M_{n_i}; both must equal
-the closed form d^2 |G|, since every model embeds all of M_d.
+normal (unitary or Hermitian).  The algebra's dimension is the sum of n_i^2
+over the blocks (m_i, n_i) of the generators' commutant, sum_i M_{m_i}
+tensor I_{n_i}, whose double commutant is the sum of the M_{n_i}; it must
+equal the closed form d^2 |G|, since every model embeds all of M_d.
+``algebra_closure``, the product closure (words grow one letter a round),
+computes the algebra independently; no runtime path calls it, and the
+tests check the blocks against it.
 """
 
 from __future__ import annotations
@@ -243,24 +242,22 @@ def spanning_generators(model: CrossedProductModel) -> list[np.ndarray]:
 
 
 def crossed_dimension(model: CrossedProductModel) -> int:
-    """Dimension of the generated algebra, from three sides that must agree:
-    the product closure, the sum of n_i^2 over the blocks (m_i, n_i) of the
-    generators' commutant (``algebra_blocks``; by the double commutant
-    theorem the algebra is the sum of the M_{n_i}), and the closed form
-    d^2 |G|.  The blocks must also fill the ambient space, sum m_i n_i = D,
-    and give sum m_i^2 = |G| (the pairs are (d_pi, d d_pi) over G's irreps)."""
-    gens = spanning_generators(model)
-    span = algebra_closure(gens, model.ambient_dim)
-    pairs = algebra_blocks(commutant(gens, model.ambient_dim))
+    """Dimension of the generated algebra, the sum of n_i^2 over the blocks
+    (m_i, n_i) of the generators' commutant (``algebra_blocks``; by the
+    double commutant theorem the algebra is the sum of the M_{n_i}).  It must
+    equal the closed form d^2 |G|, and the blocks must fill the ambient space,
+    sum m_i n_i = D, and give sum m_i^2 = |G| (the pairs are (d_pi, d d_pi)
+    over G's irreps); otherwise ``RuntimeError``."""
+    pairs = algebra_blocks(commutant(spanning_generators(model), model.ambient_dim))
     blocks = sum(n * n for _, n in pairs)
     expected = model.d**2 * model.order
-    if not (span.dim == blocks == expected and sum(m * n for m, n in pairs) == model.ambient_dim
+    if not (blocks == expected and sum(m * n for m, n in pairs) == model.ambient_dim
             and sum(m * m for m, _ in pairs) == model.order):
         raise RuntimeError(
-            f"product closure dim {span.dim}, commutant blocks (m, n) {list(pairs)}, "
+            f"commutant blocks (m, n) {list(pairs)} give dim {blocks}, "
             f"closed form d^2 |G| = {expected}"
         )
-    return span.dim
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ fixed here and used by every other module:
   1e-10) times the matrix's largest singular value; ``commutant`` cuts each
   commutator with A / ||A||_F at its tol on a scale of 1 (verify's
   intersection: tol sqrt(d) on ||U^dag M U - M||_F for a unit-norm M);
-  ``crossed.algebra_closure`` at ``DEFAULT_TOL`` times max(1, the largest
-  singular value), on the columns left after it drops those of norm at
-  most 1e-3 ``DEFAULT_TOL``, with the band widened to (cut - eps, 100 cut]
-  by the dropped columns' joint norm eps; ``wigner``'s Wigner sets (U(g)'s
+  ``crossed.algebra_closure``, the product closure the tests use as a
+  reference (no runtime path calls it), at ``DEFAULT_TOL`` times max(1, the
+  largest singular value), its band widened to (cut - eps, 100 cut] by the
+  joint norm eps of the columns it drops; ``wigner``'s Wigner sets (U(g)'s
   eigenvalue gaps) and averaged map S - I at their tol on a scale of 1;
   ``algebra_blocks``'s links (0 or 1 in exact arithmetic) at sqrt(1e-10).
 * ``commutant`` and ``algebra_blocks`` cut a generic Hermitian element's
@@ -27,8 +27,8 @@ fixed here and used by every other module:
   norm (``algebra_blocks`` at tol = ``DEFAULT_TOL``).
 * One normality test, ``_nonnormal``: ||A A^dag - A^dag A||_F > tol for
   A / ||A||_F, on a stack its caller has scaled (``_unit_norm``).
-  ``commutant`` (at its tol) and ``crossed.algebra_closure`` (at
-  ``DEFAULT_TOL``) decide by it which inputs need their adjoints.
+  ``commutant`` (at its tol) and the reference ``crossed.algebra_closure``
+  (at ``DEFAULT_TOL``) decide by it which inputs need their adjoints.
 * Singular values come from numpy's LAPACK SVD; ``singular_values``,
   ``trace_norm`` and ``principal_angle_residual`` raise ``ValueError`` on
   NaN or Inf input (numpy raises ``LinAlgError`` on a NaN but returns NaNs

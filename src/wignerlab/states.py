@@ -200,11 +200,12 @@ def invariance_residual(
 def _max_defect(unitaries: np.ndarray, rho: np.ndarray, skip_above: float = math.inf) -> float:
     """max_j ||U_j^dag rho U_j - rho||_tr over the (n, d, d) stack of U_j,
     the defect stack formed in one expression.  A defect whose Frobenius
-    norm exceeds ``skip_above`` (squared norms compared with its square) has
-    a trace norm above it too: then inf is returned without the SVDs."""
+    norm exceeds ``skip_above`` (squared norms compared with its square,
+    taken as x * x: x**2 raises OverflowError past 1.3e154) has a trace norm
+    above it too: then inf is returned without the SVDs."""
     defects = unitaries.conj().transpose(0, 2, 1) @ rho @ unitaries - rho
     flat = defects.reshape(len(defects), -1)
-    if np.vecdot(flat, flat).real.max() > skip_above**2:
+    if np.vecdot(flat, flat).real.max() > skip_above * skip_above:
         return math.inf
     return float(singular_values(defects).sum(axis=1).max())
 

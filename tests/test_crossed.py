@@ -13,13 +13,13 @@ from wignerlab import (
     finite_rep,
     generating_set,
     kron,
-    null_space,
     quaternion_rep,
     regular_unitary,
     tensor_iso_check,
     trivial_rep,
 )
 from wignerlab import crossed
+from wignerlab.cli import main
 from wignerlab.crossed import spanning_generators
 from wignerlab.groups import (
     FiniteGroup,
@@ -28,6 +28,7 @@ from wignerlab.groups import (
     finite_elements,
     haar_unitary,
     philox_stream,
+    product_rep,
     quaternion_group,
 )
 from wignerlab.matrixcore import (DEFAULT_TOL, Subspace, _nonnormal, _rank, _unit_norm,
@@ -182,9 +183,35 @@ def test_closure_spans_the_double_commutant(model):
 @pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
 def test_closure_and_commutant_bases_are_orthonormal(model, unchecked_bases):
     # neither basis is checked again when it enters its Subspace
-    assert crossed_dimension(model) == model.d**2 * model.order
+    expected = model.d**2 * model.order
+    assert algebra_closure(spanning_generators(model), model.ambient_dim).dim == expected
+    assert crossed_dimension(model) == expected
     assert len(unchecked_bases) == 2
     assert_orthonormal(unchecked_bases)
+
+
+def test_dimensions_need_no_product_closure(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("algebra_closure is a test reference, not a runtime path")
+
+    monkeypatch.setattr(crossed, "algebra_closure", refuse)
+    for model in _benchmark_models():
+        assert crossed_dimension(model) == model.d**2 * model.order
+    # the README's tensor-3 example: three copies of M_2 x Z_2, ambient 64
+    report = tensor_iso_check([z2_trivial_m2()] * 3)
+    assert report.ambient_dim == 64 and report.product_model_dim == 512 and report.equal
+    argv = ["crossed", "--group", "zn:2", "--dim", "2", "--action", "trivial",
+            "--tensor-factors", "3", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+
+
+def test_closure_of_the_ambient_64_product_model_is_its_blocks():
+    # the one ambient-64 model the product closure is checked on; about 2 s
+    m = z2_trivial_m2()
+    model = CrossedProductModel(product_rep(product_rep(m.rep, m.rep), m.rep))
+    gens = spanning_generators(model)
+    pairs = algebra_blocks(commutant(gens, model.ambient_dim))
+    assert algebra_closure(gens, model.ambient_dim).dim == sum(n * n for _, n in pairs) == 512
 
 
 def _spy_blocks(monkeypatch):
@@ -282,17 +309,10 @@ _WRONG_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("side", ["closure", *_WRONG_PAIRS])
+@pytest.mark.parametrize("side", _WRONG_PAIRS)
 def test_crossed_dimension_raises_when_a_side_disagrees(monkeypatch, side):
     model = q8_m2()
-    if side == "closure":
-
-        def one_short(gens, n):
-            return null_space(np.eye(n * n)[:-1])
-
-        monkeypatch.setattr(crossed, "algebra_closure", one_short)
-    else:
-        monkeypatch.setattr(crossed, "algebra_blocks", lambda C: _WRONG_PAIRS[side])
+    monkeypatch.setattr(crossed, "algebra_blocks", lambda C: _WRONG_PAIRS[side])
     with pytest.raises(RuntimeError, match="closed form"):
         crossed_dimension(model)
 

@@ -637,6 +637,15 @@ def test_verify_and_cesaro_require_a_finite_positive_tol(tol):
         cesaro_fixed_point(problem, problem_seed_state(problem, 1), tol=tol)
 
 
+def test_cesaro_takes_a_finite_tol_too_large_to_square():
+    # (2 tol)**2 overflows for any tol above about 6.7e153; the stop test
+    # must still decide, as verify does
+    problem = standard_problem_batch(count=3, base_seed=1)[2]
+    rho0 = problem_seed_state(problem, 1)
+    assert verify_wigner_identity(problem, tol=1e200).verdict
+    assert cesaro_fixed_point(problem, rho0, tol=1e200).rho.tobytes() == rho0.rho.tobytes()
+
+
 def test_cesaro_raises_no_convergence(rng):
     rep = su2_fundamental()
     problem = WignerProblem(rep, tuple(haar_sample(rep, 13, 2)))
