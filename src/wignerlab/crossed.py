@@ -4,29 +4,30 @@ The carrier is C^d tensor C^|G| with the fibre factor first; basis vectors of
 the group factor follow the Cayley-table order.  The translation unitaries
 U_h send x tensor e_g to x tensor e_{g h^-1}; the embedding Phi places
 alpha_g(A) in the g-th diagonal block.  U_h Phi(A) U_h^dag = Phi(alpha_h(A))
-then holds exactly.
+then holds exactly; ``covariance_check`` measures it on the matrix units
+from the (|G|, d, d) element stack alone, since U_h only moves blocks.
 
-The algebra is generated by a small set: U_h for h in a generating set of G
-(``groups.generating_set``) plus Phi(H_1), Phi(H_2) for two fixed generic
-Hermitian fibre matrices, which generate all of M_d.  Every generator is
-normal (unitary or Hermitian).  The algebra's dimension is the sum of n_i^2
-over the blocks (m_i, n_i) of the generators' commutant, sum_i M_{m_i}
-tensor I_{n_i}, whose double commutant is the sum of the M_{n_i}; it must
-equal the closed form d^2 |G|, since every model embeds all of M_d.
-``algebra_closure``, the product closure (words grow one letter a round),
-computes the algebra independently; no runtime path calls it, and the
-tests check the blocks against it.
+The algebra is generated by U_h for h in ``groups.generating_set(G)`` plus
+Phi(H_1), Phi(H_2) for two fixed generic Hermitian fibre matrices, which
+generate all of M_d; every generator is normal.  The algebra's dimension is
+the sum of n_i^2 over the blocks (m_i, n_i) of the generators' commutant,
+sum_i M_{m_i} tensor I_{n_i}, whose double commutant is the sum of the
+M_{n_i}; it must equal the closed form d^2 |G|, since every model embeds
+all of M_d.  ``algebra_closure``, the product closure (words grow one
+letter a round), computes the algebra independently; no runtime path
+calls it, and the tests check the blocks against it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups as G
 from .matrixcore import (DEFAULT_TOL, DimensionMismatch, Subspace, _nonnormal, _rank,
-                         _unit_norm, algebra_blocks, as_matrix, commutant, kron, vec)
+                         _unit_norm, algebra_blocks, as_matrix, commutant, vec)
 
 
 class NonConvergent(RuntimeError):
@@ -64,11 +65,17 @@ class CrossedProductModel:
         return self.d * self.order
 
 
+def _translations(group: G.FiniteGroup, hs: np.ndarray) -> np.ndarray:
+    """Row k is U_{h_k}'s move of the group factor's basis, g -> g h_k^-1."""
+    return group.table[:, group._inverses[hs]].T
+
+
 def regular_unitary(model: CrossedProductModel, h: G.GroupElement) -> np.ndarray:
     """Translation unitary on the group factor: x tensor e_g -> x tensor e_{g h^-1}."""
-    group = model.group
-    hinv = group._inverses[G.element_batch(group, (h,)).array[0]]
-    return kron(np.eye(model.d), np.eye(group.order)[group.table[:, hinv]].T)
+    [move] = _translations(model.group, G.element_batch(model.group, (h,)).array)
+    # kron(I_d, P_h) as a permutation of columns: column (a, g) is e_(a, g h^-1)
+    cols = np.add.outer(np.arange(0, model.ambient_dim, model.order), move).ravel()
+    return np.eye(model.ambient_dim, dtype=complex)[:, cols]
 
 
 def embed(model: CrossedProductModel, A) -> np.ndarray:
@@ -89,24 +96,30 @@ def _embed(model: CrossedProductModel, U: np.ndarray, A: np.ndarray) -> np.ndarr
     return out.reshape(model.ambient_dim, model.ambient_dim)
 
 
-def _matrix_units(d: int) -> np.ndarray:
-    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-
-
 def covariance_check(model: CrossedProductModel) -> float:
-    """Max over h and a fibre basis of ||U_h Phi(A) U_h^dag - Phi(alpha_h(A))||_F."""
+    """Max over h and the matrix units E_ij of ||U_h Phi(E_ij) U_h^dag - Phi(alpha_h(E_ij))||_F.
+
+    U_h moves block g to g h^-1 (``_translations``), where Phi(alpha_h(A)) is
+    W A W^dag, W = U_{g h^-1} U_h; the defect there is u_i u_j^dag - w_i w_j^dag
+    for the columns u of U_g and w of W, and the norm sums its squares over g.  From
+    the stack alone, ``G.BATCH`` defects at a time: O(|G|^2 d^4), no D x D product.
+    """
     U = G.element_unitaries(model.rep, G.finite_elements(model.group))
-    units = _matrix_units(model.d)
-    phis = [_embed(model, U, A) for A in units]
-    worst = 0.0
-    for h in G.finite_elements(model.group):
-        R = regular_unitary(model, h)
-        Uh = U[h.index]
-        for A, phi in zip(units, phis):
-            lhs = R @ phi @ R.conj().T
-            rhs = _embed(model, U, Uh @ A @ Uh.conj().T)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    n, d = model.order, model.d
+    # row (h, g, i) is column i of U_g, and of W for that h and g
+    u = np.broadcast_to(U.transpose(0, 2, 1), (n, n, d, d)).reshape(-1, d)
+    W = U[_translations(model.group, np.arange(n))] @ U[:, None]
+    w = W.transpose(0, 1, 3, 2).reshape(-1, d)
+    # sq[(h, g, i, j)] = ||u_i u_j^dag - w_i w_j^dag||_F^2
+    sq, uc, wc = np.empty(n * n * d * d), u.conj(), w.conj()
+    for start in range(0, len(sq), G.BATCH):
+        k = np.arange(start, min(start + G.BATCH, len(sq)))
+        i, j = k // d, k // (d * d) * d + k % d
+        defect = u[i, :, None] * uc[j, None, :]
+        defect -= w[i, :, None] * wc[j, None, :]
+        flat = defect.reshape(len(k), -1).view(float)
+        sq[k] = np.einsum("ki,ki->k", flat, flat)
+    return float(np.sqrt(sq.reshape(n, n, d * d).sum(axis=1).max()))
 
 
 # a column of the projected products at or below this norm is dropped before the SVD
@@ -216,14 +229,13 @@ def algebra_closure(generators, matrix_dim: int) -> Subspace:
 _GENERIC_PAIR_SEED = 0x57494752
 
 
-def _generic_hermitian_pair(d: int) -> list[np.ndarray]:
-    """Two fixed generic Hermitian d x d matrices of unit Frobenius norm."""
+@functools.lru_cache(maxsize=64)
+def _generic_hermitian_pair(d: int) -> np.ndarray:
+    """Two fixed generic Hermitian d x d matrices of unit Frobenius norm, read-only."""
     rng = G.philox_stream(_GENERIC_PAIR_SEED)
-    pair = []
-    for _ in range(2):
-        Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        H = Z + Z.conj().T
-        pair.append(H / np.linalg.norm(H))
+    Z = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2)]
+    pair = np.array([H / np.linalg.norm(H) for H in (z + z.conj().T for z in Z)])
+    pair.setflags(write=False)
     return pair
 
 
@@ -237,7 +249,8 @@ def spanning_generators(model: CrossedProductModel) -> list[np.ndarray]:
     is that same algebra.
     """
     gens = [regular_unitary(model, h) for h in G.generating_set(model.group)]
-    gens += [embed(model, H) for H in _generic_hermitian_pair(model.d)]
+    U = G.element_unitaries(model.rep, G.finite_elements(model.group))
+    gens += [_embed(model, U, H) for H in _generic_hermitian_pair(model.d)]
     return gens
 
 

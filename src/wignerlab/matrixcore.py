@@ -358,9 +358,11 @@ def algebra_blocks(algebra: Subspace) -> tuple[tuple[int, int], ...]:
     cut = np.sqrt(DEFAULT_TOL)
     _rank(link, cut, "block link")
     linked = link > cut
-    # the linked clusters of one block share one row, and the rows of two blocks are disjoint
-    rows = np.unique(linked, axis=0)
-    if not (linked.diagonal().all() and rows.sum() == len(linked)):
+    # a block's clusters share the row of its first one, and two blocks' rows are disjoint
+    first = linked.argmax(axis=1)
+    rows = linked[first == np.arange(len(linked))]
+    if not (linked.diagonal().all() and (linked == linked[first]).all()
+            and rows.sum() == len(linked)):
         raise RuntimeError("block links do not partition the eigenvalue clusters")
     pairs = []
     for row in rows:

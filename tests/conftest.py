@@ -180,6 +180,23 @@ def reference_cesaro(problem, rho0, tol=1e-10, max_iter=10**6):
     return DensityState(side, repaired)
 
 
+def reference_covariance(model):
+    """Reference for ``crossed.covariance_check``: per h and matrix unit A,
+    the D x D products U_h Phi(A) U_h^dag against Phi(alpha_h(A)), each side
+    through the public ``regular_unitary``, ``embed`` and ``act``."""
+    from wignerlab import embed, regular_unitary
+    from wignerlab.groups import act, finite_elements
+
+    worst = 0.0
+    for h in finite_elements(model.group):
+        U = regular_unitary(model, h)
+        for A in np.eye(model.d**2, dtype=complex).reshape(-1, model.d, model.d):
+            lhs = U @ embed(model, A) @ U.conj().T
+            rhs = embed(model, act(model.rep, h, A))
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
 def element_index(rep, matrix):
     """Index of the group element represented by the given matrix."""
     from wignerlab import element_unitary

@@ -577,3 +577,15 @@ def test_import_leaves_numpy_polynomial_to_su2_quadrature():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_a_crossed_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique(..., axis=0) imports numpy.ma, milliseconds of every crossed run
+    code = ("import sys; from wignerlab.cli import main; "
+            "code = main(['crossed', '--group', 'zn:2', '--dim', '2', '--action', 'trivial', "
+            "'--tensor-factors', '2', '--out', sys.argv[1]]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

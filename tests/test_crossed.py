@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ from wignerlab.groups import (
 from wignerlab.matrixcore import (DEFAULT_TOL, Subspace, _nonnormal, _rank, _unit_norm,
                                   algebra_blocks, commutant, principal_angle_residual, vec)
 
-from conftest import assert_orthonormal, double_commutant, double_normalised_nonnormal
+from conftest import (assert_orthonormal, double_commutant, double_normalised_nonnormal,
+                      reference_covariance)
 
 
 def z2_trivial_m2():
@@ -116,16 +119,47 @@ def test_embed_and_regular_unitary_are_bitwise_the_loops(model):
 
 
 @pytest.mark.parametrize("model", _benchmark_models(), ids=lambda m: f"{m.rep.name}-d{m.d}")
-def test_covariance_check_is_bitwise_the_per_unit_loop(model):
-    # the check as written per (h, matrix unit), each side through the public embed
-    worst = 0.0
-    for h in finite_elements(model.group):
-        U = regular_unitary(model, h)
-        for A in np.eye(model.d**2, dtype=complex).reshape(-1, model.d, model.d):
-            lhs = U @ embed(model, A) @ U.conj().T
-            rhs = embed(model, act(model.rep, h, A))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    assert repr(covariance_check(model)) == repr(worst)
+def test_covariance_check_is_the_per_unit_loop(model):
+    assert covariance_check(model) == pytest.approx(reference_covariance(model), abs=1e-14)
+
+
+@pytest.mark.parametrize("model", [
+    z2_trivial_m2(),
+    CrossedProductModel(trivial_rep(quaternion_group(), 3)),
+    CrossedProductModel(cyclic_rep(1, dim=3)),
+], ids=lambda m: f"{m.rep.name}-n{m.order}")
+def test_covariance_check_is_exactly_zero_where_the_loop_is(model):
+    # trivial actions and Z_1: every defect is exactly zero on both sides
+    assert reference_covariance(model) == 0.0
+    assert covariance_check(model) == 0.0
+
+
+def test_covariance_check_detects_a_perturbed_element():
+    # U_g exp(i eps H) for one g still passes the rep's 1e-10 homomorphism check,
+    # but breaks covariance far above the CLI's gate 1e-12
+    rng = philox_stream(41)
+    base = quaternion_rep()
+    mats = [element_unitary(base, g) for g in finite_elements(base.group)]
+    Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    vals, V = np.linalg.eigh((H := Z + Z.conj().T) / np.linalg.norm(H))
+    mats[3] = mats[3] @ V @ np.diag(np.exp(1e-11j * vals)) @ V.conj().T
+    model = CrossedProductModel(finite_rep(base.group, mats, "q8-perturbed"))
+    residual, reference = covariance_check(model), reference_covariance(model)
+    assert residual > 1e-12 and reference > 1e-12
+    assert residual == pytest.approx(reference, rel=1e-6)
+
+
+def test_covariance_check_at_the_ambient_cap_stays_small():
+    # zn:1 dim 64, the CLI's ambient cap: no D x D product and no d^2 embeddings held
+    model = CrossedProductModel(cyclic_rep(1, dim=64))
+    tracemalloc.start()
+    try:
+        residual = covariance_check(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual == 0.0
+    assert peak <= 128 << 20
 
 
 def test_embed_unital_and_trivial_action(rng):

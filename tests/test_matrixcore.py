@@ -415,6 +415,26 @@ def test_algebra_blocks_refuse_what_is_not_an_algebra(monkeypatch, link, match):
         _blocks_of(monkeypatch, [np.diag([1, 0.0]), np.diag([0, 1.0]), N], [1, 2, 0])
 
 
+def _unit(d, a, b):
+    E = np.zeros((d, d))
+    E[a, b] = 1.0
+    return E
+
+
+@pytest.mark.parametrize("links", [
+    # 0-1 and 1-2 linked, 0-2 not: cluster 1's row overlaps both others
+    [(0, 1), (1, 0), (1, 2), (2, 1)],
+    # {0, 1} and {2, 3}, and 3 linked to 1 one way: the first clusters' rows
+    # alone would still partition, but 3's row is not its first cluster's
+    [(0, 1), (1, 0), (2, 3), (3, 2), (3, 1)],
+])
+def test_algebra_blocks_raise_on_links_that_overlap(monkeypatch, links):
+    d = max(max(pair) for pair in links) + 1
+    mats = [_unit(d, a, a) for a in range(d)] + [_unit(d, a, b) for a, b in links]
+    with pytest.raises(RuntimeError, match="do not partition"):
+        _blocks_of(monkeypatch, mats, list(range(1, d + 1)) + [0] * len(links))
+
+
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(ValueError, match="^subspace basis is not orthonormal to 1e-10$"):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
