@@ -33,6 +33,7 @@ from .groups import (
     finite_group_to_json,
     finite_rep,
     generating_set,
+    haar_families,
     haar_quadrature_su2,
     haar_sample,
     philox_stream,

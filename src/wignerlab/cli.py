@@ -203,10 +203,9 @@ def cmd_wigner_verify(config: dict) -> tuple[int, dict]:
     count, seed, group, dim = config["count"], config["seed"], config["group"], config["dim"]
     if group is not None:
         rep = resolve_rep(group, dim)
-        problems = [
-            WignerProblem(rep, G.haar_sample(rep, seed + i, 1 + i % 4))
-            for i in range(count)
-        ]
+        families = G.haar_families(rep.group, range(seed, seed + count),
+                                   [1 + i % 4 for i in range(count)])
+        problems = [WignerProblem(rep, elements) for elements in families]
     else:
         dims = (dim,) if dim is not None else (2, 3, 4, 5, 6)
         problems = standard_problem_batch(count=count, base_seed=seed, dims=dims)
@@ -251,7 +250,7 @@ def cmd_invariant_state(config: dict) -> tuple[int, dict]:
         return EXIT_CONTRACT, {"error": str(exc), "residual": exc.residual}
     _record_method(config, result.method, rep.group.kind)
 
-    residual = invariance_residual(rep, result.state, probes=50, seed=seed + 1)
+    residual = invariance_residual(rep, result.state)
     sep = is_separating(result.state)
     return EXIT_OK if residual <= config["tol"] else EXIT_CONTRACT, {
         "state": result.state.to_json(),

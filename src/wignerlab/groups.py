@@ -47,10 +47,18 @@ all on stacks of ``BATCH`` matrices.  ``haar_unitary`` is it on a stack of
 one, so sample i is bitwise ``haar_unitary(n, philox_stream(seed, i))``.
 SU(2) samples become Euler angles in one stacked step, except theta, which
 stays scalar to keep its bits; SU(3) samples are the stack itself.
+``haar_families`` draws many seeds' samples as one such stack.
 
 Every representation has one matrix function, ``UnitaryRep.stack_fn``, on
 batches; ``element_unitaries`` is the one place where elements become
-validated unitaries, a chunk per call.
+validated unitaries, a chunk per call.  Every built-in Lie group rep also
+carries the image of its group's Lie algebra in closed form
+(``UnitaryRep.lie_algebra``): J_z = diag(m) and J_y for SU(2), the
+Gell-Mann lambda_k / 2 carried through the rep for SU(3), diag(weights) for
+U(1).  A connected group is generated by the exponentials of its Lie
+algebra, so these few Hermitian matrices decide commutants and invariance
+with no Haar sample; ``_validate_rep`` checks that they exponentiate to the
+rep's matrices.
 """
 
 from __future__ import annotations
@@ -452,13 +460,25 @@ class UnitaryRep:
     """A concrete unitary representation: a group plus its one matrix
     function, ``stack_fn``, from a batch of N elements to their (N, d, d)
     matrices.  ``matrix_fn(g)`` is ``stack_fn`` on a batch of one, so the
-    two cannot disagree."""
+    two cannot disagree.
+
+    ``lie_algebra`` is a Lie group rep's image of its Lie algebra: the
+    read-only (k, d, d) Hermitian stack X_k with U(exp(i t xi_k)) =
+    exp(i t X_k) for the group kind's generators xi_k (``_one_parameter``).
+    It is None for a finite group, and for a Lie rep built without it."""
 
     group: GroupDescriptor
     dim: int
     stack_fn: Callable[[ElementBatch], np.ndarray]
     name: str = ""
     meta: dict = field(default_factory=dict, compare=False)
+    lie_algebra: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.lie_algebra is not None:
+            X = np.array(self.lie_algebra, dtype=complex)
+            X.setflags(write=False)
+            object.__setattr__(self, "lie_algebra", X)
 
     def matrix_fn(self, g: GroupElement) -> np.ndarray:
         return self.stack_fn(element_batch(self.group, (g,)))[0]
@@ -510,17 +530,62 @@ def act(rep: UnitaryRep, g: GroupElement, A) -> np.ndarray:
     return U @ A @ U.conj().T
 
 
+# the number of generators xi_k of each Lie kind's algebra that a rep's
+# ``lie_algebra`` holds the images of (see ``_one_parameter``)
+_ALGEBRA_SIZE = {"u1": 1, "su2": 2, "su3": 8}
+# the times t at which ``_validate_rep`` checks U(exp(i t xi_k)) = exp(i t X_k)
+_CHECK_TIMES = np.array([-0.9, -2.6])
+
+
+def _expi(X: np.ndarray, times) -> np.ndarray:
+    """exp(i t X_k) for each t of times and each matrix X_k of the Hermitian
+    (k, d, d) stack X, by one eigh: the (len(times) * k, d, d) stack, t
+    slowest."""
+    w, V = np.linalg.eigh(X)
+    phases = np.exp(1j * np.multiply.outer(times, w))
+    return ((V * phases[:, :, None, :]) @ V.conj().mT).reshape(-1, *X.shape[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _one_parameter(kind: str) -> ElementBatch:
+    """The elements exp(i t xi_k) of a Lie group kind, one row per generator
+    xi_k for each t of ``_CHECK_TIMES`` (t slowest), each in [-pi, 0):
+    U(1)'s angle t + 2pi; SU(2)'s exp(i t J_z) = U(t, 0, 0) and
+    exp(i t J_y) = U(0, -t, 0) in the Euler convention, J = sigma / 2 in the
+    fundamental; SU(3)'s exp(i t lambda_k / 2) over the Gell-Mann matrices
+    lambda_k.  Built once per kind (a read-only batch)."""
+    times = _CHECK_TIMES
+    if kind == "u1":
+        return U1Batch(times + TWO_PI)
+    if kind == "su2":
+        zeros = np.zeros_like(times)
+        rows = np.stack([times, zeros, zeros, zeros, -times, zeros], axis=1)
+        return SU2Batch(rows.reshape(-1, 3))
+    return SU3Batch(_expi(_GELL_MANN_HALVES, times))
+
+
 def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
     """Check U(e) = I and the homomorphism on one stack of unitaries: the
     whole Cayley table of a finite group; for a Lie group U(g_i) U(h_i) =
-    U(g_i h_i) on two seeded Haar pairs, e, g, h and gh in one batch."""
-    group = rep.group
+    U(g_i h_i) on two seeded Haar pairs, e, g, h and gh in one batch.  A
+    Lie rep's ``lie_algebra``, if any, must be a Hermitian (k, d, d) stack,
+    k = ``_ALGEBRA_SIZE`` of the kind, with U(exp(i t xi_k)) = exp(i t X_k)
+    at t = -0.9 and -2.6 (``_one_parameter``), those elements in the same
+    batch; each check to 1e-10 in Frobenius norm, the homomorphism to 1e-9."""
+    group, X = rep.group, rep.lie_algebra
     if isinstance(group, FiniteGroup):
         e, elements = group.identity, finite_elements(group)
     else:
         gh = haar_sample(rep, rng_seed=0x5EED, count=4)
-        e, elements = 0, _BATCHES[group.kind]._checked(np.concatenate(
-            [identity(group).array, gh.array, compose(group, gh[:2], gh[2:]).array]))
+        rows = [identity(group).array, gh.array, compose(group, gh[:2], gh[2:]).array]
+        if X is not None:
+            if X.shape != (shape := (_ALGEBRA_SIZE[group.kind], rep.dim, rep.dim)):
+                raise ValueError(f"representation {rep.name!r} has a Lie algebra stack of shape "
+                                 f"{X.shape}, expected {shape}")
+            if np.any(_norms(X - X.conj().mT, (1, 2)) > 1e-10):
+                raise ValueError(f"representation {rep.name!r} has a non-Hermitian Lie algebra")
+            rows.append(_one_parameter(group.kind).array)
+        e, elements = 0, _BATCHES[group.kind]._checked(np.concatenate(rows))
     mats = element_unitaries(rep, elements)
     if frobenius(mats[e] - np.eye(rep.dim)) > 1e-10:
         raise ValueError(f"representation {rep.name!r} does not map identity to identity")
@@ -534,8 +599,11 @@ def _validate_rep(rep: UnitaryRep) -> UnitaryRep:
                     f"representation {rep.name!r} breaks the homomorphism at "
                     f"({group.labels[g]}, {group.labels[h]})"
                 )
-    elif np.any(np.linalg.norm(mats[1:3] @ mats[3:5] - mats[5:], axis=(1, 2)) > 1e-9):
+        return rep
+    if np.any(np.linalg.norm(mats[1:3] @ mats[3:5] - mats[5:7], axis=(1, 2)) > 1e-9):
         raise ValueError(f"representation {rep.name!r} breaks the homomorphism")
+    if X is not None and np.any(_norms(mats[7:] - _expi(X, _CHECK_TIMES), (1, 2)) > 1e-10):
+        raise ValueError(f"representation {rep.name!r} is not exp(i t X) on its Lie algebra")
     return rep
 
 
@@ -572,11 +640,13 @@ def u1_rep(weights: Sequence[int], name: str = "") -> UnitaryRep:
     def fn(batch):
         return _diagonal_stack(np.exp(iw * batch.array[:, None]))
 
-    return _validate_rep(UnitaryRep(U1, len(win), fn, name or f"u1{win}", meta={"weights": win}))
+    return _validate_rep(UnitaryRep(U1, len(win), fn, name or f"u1{win}", meta={"weights": win},
+                                    lie_algebra=np.diag(win)[None]))
 
 
 def su2_fundamental() -> UnitaryRep:
-    return _validate_rep(UnitaryRep(SU2, 2, lambda batch: _su2_matrices(batch.array), "su2-fund"))
+    return _validate_rep(UnitaryRep(SU2, 2, lambda batch: _su2_matrices(batch.array), "su2-fund",
+                                    lie_algebra=[np.diag([0.5, -0.5]), _spin_jy(2)]))
 
 
 def _spin_jy(dim: int) -> np.ndarray:
@@ -594,7 +664,7 @@ def su2_irrep(dim: int) -> UnitaryRep:
     U^{otimes (dim-1)} restricted to the symmetric subspace:
     diag(e^{i m phi}) . V diag(e^{-i theta w}) V^dag . diag(e^{i m psi}) with
     m = j, ..., -j and J_y = V diag(w) V^dag diagonalized once.  dim = 2 is
-    the fundamental.
+    the fundamental.  Its Lie algebra is J_z = diag(m) and J_y.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -612,11 +682,31 @@ def su2_irrep(dim: int) -> UnitaryRep:
         ry = (V * np.exp(-1j * theta * w)[:, None, :]) @ Vh
         return np.exp(1j * phi * m)[:, :, None] * ry * np.exp(1j * psi * m)[:, None, :]
 
-    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}"))
+    return _validate_rep(UnitaryRep(SU2, dim, fn, f"su2-sym{dim - 1}",
+                                    lie_algebra=[np.diag(m), _spin_jy(dim)]))
+
+
+def _gell_mann_halves() -> np.ndarray:
+    """The read-only (8, 3, 3) stack lambda_k / 2 of the Gell-Mann matrices
+    in the standard order, tr(lambda_j lambda_k) = 2 delta_jk: lambda_1, 2
+    on the pair of rows (0, 1), lambda_4, 5 on (0, 2), lambda_6, 7 on
+    (1, 2), lambda_3 = diag(1, -1, 0), lambda_8 = diag(1, 1, -2) / sqrt 3."""
+    out = np.zeros((8, 3, 3), dtype=complex)
+    for k, (i, j) in zip((0, 3, 5), ((0, 1), (0, 2), (1, 2))):
+        out[k, i, j] = out[k, j, i] = 0.5
+        out[k + 1, i, j], out[k + 1, j, i] = -0.5j, 0.5j
+    out[2] = np.diag([0.5, -0.5, 0.0])
+    out[7] = np.diag([1.0, 1.0, -2.0]) / (2.0 * math.sqrt(3.0))
+    out.setflags(write=False)
+    return out
+
+
+_GELL_MANN_HALVES = _gell_mann_halves()
 
 
 def su3_fundamental() -> UnitaryRep:
-    return _validate_rep(UnitaryRep(SU3, 3, lambda batch: batch.array, "su3-fund"))
+    return _validate_rep(UnitaryRep(SU3, 3, lambda batch: batch.array, "su3-fund",
+                                    lie_algebra=_GELL_MANN_HALVES))
 
 
 def _symmetric_isometry_pairs(n: int) -> np.ndarray:
@@ -636,7 +726,8 @@ def su3_rep(dim: int) -> UnitaryRep:
     """An SU(3) representation of the given dimension (3..6).
 
     3 is the fundamental, 6 its symmetric square S^T (M kron M) S; 4 and 5
-    pad the fundamental with a trivial block.
+    pad the fundamental with a trivial block.  The Lie algebra is the
+    Gell-Mann lambda_k / 2 (X), S^T (X kron I + I kron X) S, or X + 0.
     """
     if dim == 3:
         return su3_fundamental()
@@ -652,14 +743,21 @@ def su3_rep(dim: int) -> UnitaryRep:
             K = (M[:, :, None, :, None] * M[:, None, :, None, :]).reshape(len(M), 9, 9)
             return S.T @ K @ S
 
-        return _validate_rep(UnitaryRep(SU3, 6, fn6, "su3-sym2"))
+        # X kron I + I kron X for each X of the Gell-Mann stack, first factor slowest
+        X, eye = _GELL_MANN_HALVES, np.eye(3)
+        K = (X[:, :, None, :, None] * eye[None, None, :, None, :]
+             + eye[None, :, None, :, None] * X[:, None, :, None, :]).reshape(8, 9, 9)
+        return _validate_rep(UnitaryRep(SU3, 6, fn6, "su3-sym2", lie_algebra=S.T @ K @ S))
     raise ValueError(f"no built-in SU(3) representation of dimension {dim}")
 
 
 def trivial_rep(group: GroupDescriptor, dim: int, name: str = "") -> UnitaryRep:
+    """U(g) = I for every g; over a Lie group, its Lie algebra is zeros."""
     eye = np.eye(_positive_dim(dim), dtype=complex)
+    lie = isinstance(group, LieGroup)
     return UnitaryRep(group, dim, lambda batch: np.broadcast_to(eye, (len(batch), dim, dim)),
-                      name or f"trivial{dim}", meta={"weights": (0,) * dim} if group == U1 else {})
+                      name or f"trivial{dim}", meta={"weights": (0,) * dim} if group == U1 else {},
+                      lie_algebra=np.zeros((_ALGEBRA_SIZE[group.kind], dim, dim)) if lie else None)
 
 
 def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> UnitaryRep:
@@ -681,7 +779,8 @@ def finite_rep(group: FiniteGroup, matrices: Sequence, name: str = "") -> Unitar
 def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
     """Block-diagonal direct sum of representations of one group; over a
     finite group, one ``finite_rep`` table of the summed blocks.  Over U(1)
-    the summands' weights, when each has them, are the sum's."""
+    the summands' weights, when each has them, are the sum's; over a Lie
+    group, the block-diagonal Lie algebra, when each summand has one."""
     if not reps:
         raise ValueError("need at least one representation")
     group = reps[0].group
@@ -702,7 +801,14 @@ def direct_sum_rep(*reps: UnitaryRep, name: str = "") -> UnitaryRep:
         return finite_rep(group, fn(finite_elements(group)), name)
     weights = [r.meta.get("weights") for r in reps]
     meta = {"weights": sum(weights, ())} if group == U1 and all(weights) else {}
-    return _validate_rep(UnitaryRep(group, total, fn, name, meta))
+    algebra = None
+    if all(r.lie_algebra is not None for r in reps):
+        algebra = np.zeros((_ALGEBRA_SIZE[group.kind], total, total), dtype=complex)
+        at = 0
+        for r in reps:
+            algebra[:, at : at + r.dim, at : at + r.dim] = r.lie_algebra
+            at += r.dim
+    return _validate_rep(UnitaryRep(group, total, fn, name, meta, algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -842,17 +948,18 @@ def _special_unitaries(z: np.ndarray) -> np.ndarray:
 _SPARE_RNGS: list[np.random.Generator] = []
 
 
-def _philox_streams(seed: int, count: int):
+def _philox_streams(families):
     """Yield a Generator in the state of ``philox_stream(seed, i)`` for
-    i = 0..count-1: one Philox re-keyed in place, counter and buffers reset,
-    instead of a new generator per stream.  Each yield invalidates the last.
-    The state is one dict of plain ints, only its key's stream word changing,
-    which the setter reads three times faster than uint64 arrays."""
+    i = 0..count-1, for each (seed, count) of families in turn: one Philox
+    re-keyed in place, counter and buffers reset, instead of a new generator
+    per stream.  Each yield invalidates the last.  The state is one dict of
+    plain ints, only its key changing, which the setter reads three times
+    faster than uint64 arrays."""
     try:
         rng = _SPARE_RNGS.pop()
     except IndexError:
         rng = np.random.Generator(np.random.Philox(0))
-    key = [seed % 2**64, 0]
+    key = [0, 0]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -862,23 +969,27 @@ def _philox_streams(seed: int, count: int):
         "uinteger": 0,
     }
     try:
-        for i in range(count):
-            key[1] = i % 2**64
-            rng.bit_generator.state = state
-            yield rng
+        for seed, count in families:
+            key[0] = seed % 2**64
+            for i in range(count):
+                key[1] = i
+                rng.bit_generator.state = state
+                yield rng
     finally:
         _SPARE_RNGS.append(rng)
 
 
-def _haar_special_unitaries(n: int, seed: int, count: int) -> np.ndarray:
-    """The (count, n, n) stack of ``haar_unitary(n, philox_stream(seed, i))``,
-    bitwise, filled in place.  Per batch of ``BATCH`` samples, the one call
-    per sample is its draw: each stream fills its real and imaginary Ginibre
-    parts in order with one ``standard_normal`` into a real buffer.  The rest
-    is one ``_special_unitaries`` call on the batch's stack."""
+def _haar_special_unitaries(n: int, families: list[tuple[int, int]]) -> np.ndarray:
+    """The stack of ``haar_unitary(n, philox_stream(seed, i))`` for i < count
+    over the (seed, count) families, bitwise, filled in place.  Per batch of
+    ``BATCH`` samples, the one call per sample is its draw: each stream
+    fills its real and imaginary Ginibre parts in order with one
+    ``standard_normal`` into a real buffer.  The rest is one
+    ``_special_unitaries`` call on the batch's stack."""
+    count = sum(count for _, count in families)
     out = np.empty((count, n, n), dtype=complex)
     normals = np.empty((min(count, BATCH), 2, n, n))
-    streams = _philox_streams(seed, count)
+    streams = _philox_streams(families)
     for start in range(0, count, BATCH):
         z = out[start : start + BATCH]
         ginibre = normals[: len(z)]
@@ -904,14 +1015,32 @@ def haar_sample(rep: UnitaryRep, rng_seed: int, count: int) -> ElementBatch:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    group = rep.group
+    return _sample_families(rep.group, [(rng_seed, count)])
+
+
+def haar_families(group: GroupDescriptor, seeds: Sequence[int],
+                  counts: Sequence[int]) -> list[ElementBatch]:
+    """``haar_sample(rep, seeds[i], counts[i])`` of a rep of the group for
+    each i, bitwise, as slices of one batch drawn at once: one Gram-Schmidt
+    stack for many small families instead of one each."""
+    counts = list(counts)
+    if min(counts, default=1) < 1:
+        raise ValueError("count must be >= 1")
+    batch = _sample_families(group, list(zip(seeds, counts)))
+    ends = np.cumsum(counts).tolist()
+    return [batch[end - n : end] for end, n in zip(ends, counts)]
+
+
+def _sample_families(group: GroupDescriptor, families: list[tuple[int, int]]) -> ElementBatch:
+    """One batch of ``haar_sample(rep, seed, count)`` for each (seed, count)
+    of families in turn, sample i of each from ``philox_stream(seed, i)``."""
     if isinstance(group, FiniteGroup):
-        return FiniteBatch([rng.integers(group.order) for rng in _philox_streams(rng_seed, count)])
+        return FiniteBatch([rng.integers(group.order) for rng in _philox_streams(families)])
     if group.kind == "u1":
-        return U1Batch([rng.uniform(0.0, TWO_PI) for rng in _philox_streams(rng_seed, count)])
+        return U1Batch([rng.uniform(0.0, TWO_PI) for rng in _philox_streams(families)])
     if group.kind == "su2":
-        return SU2Batch._checked(_euler_angles(_haar_special_unitaries(2, rng_seed, count)))
-    return SU3Batch._checked(_haar_special_unitaries(3, rng_seed, count))
+        return SU2Batch._checked(_euler_angles(_haar_special_unitaries(2, families)))
+    return SU3Batch._checked(_haar_special_unitaries(3, families))
 
 
 @functools.lru_cache(maxsize=16)

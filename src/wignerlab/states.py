@@ -12,7 +12,9 @@ g_1 .. g_n (a ``WignerProblem``, its unitaries built once) has the averaged
 map S = (1/n) sum_j U(g_j)^dag . U(g_j) (``averaged_superop``, the last
 problem's S kept by ``_shared_superop``), and ``cesaro_fixed_point`` takes
 its restarted Cesaro means, window sums by binary powering.  Every
-invariance check takes its trace norms in one kernel, ``_max_defect``.
+invariance check takes its trace norms in one kernel, ``_max_trace_norm``:
+a Lie group's on the commutators with its rep's Lie algebra, any other
+on the defects U^dag rho U - rho (``_max_defect``).
 """
 
 from __future__ import annotations
@@ -182,28 +184,53 @@ def trace_distance(a: DensityState, b: DensityState) -> float:
     return trace_norm(a.rho - b.rho)
 
 
-def invariance_residual(
-    rep: G.UnitaryRep, state: DensityState, probes: int = 20, seed: int = 0
-) -> float:
-    """Max trace-norm defect of the state under a deterministic probe set of
-    group elements (all elements for finite groups, fixed-seed Haar otherwise):
-    the largest trace norm in the stack U(g)^dag rho U(g) - rho."""
-    if isinstance(rep.group, G.FiniteGroup):
-        elements = G.finite_elements(rep.group)
-    else:
-        elements = G.haar_sample(rep, seed, probes)
+# C_rep of each Lie group kind: sup_g ||U(g)^dag rho U(g) - rho||_tr is at
+# most C_rep max_k ||[X_k, rho]||_tr over the rep's ``lie_algebra`` X_k
+LIE_BOUND = {"u1": math.pi, "su2": 5.0 * math.pi, "su3": 8.0 * math.pi * math.sqrt(2.0 / 3.0)}
+
+
+def invariance_residual(rep: G.UnitaryRep, state: DensityState) -> float:
+    """How far the state is from invariant: sup_g ||U(g)^dag rho U(g) - rho||_tr
+    exactly over a finite group's elements, and a certified upper bound on
+    it over a Lie group, C_rep max_k ||[X_k, rho]||_tr over the rep's
+    ``lie_algebra`` (a Lie rep without one raises ``ValueError``).
+    Deterministic; no Haar sample is drawn.
+
+    The bound: U(t) = exp(i t X) has d/dt U^dag rho U = -i U^dag [X, rho] U,
+    so ||U(t)^dag rho U(t) - rho||_tr <= |t| ||[X, rho]||_tr, and the bounds
+    of a product's factors add.  C_rep (``LIE_BOUND``) per kind:
+
+    * U(1), C = pi: U(theta) = exp(i theta W), and W's spectrum is integer,
+      so theta can be taken in [-pi, pi];
+    * SU(2), C = 5 pi: U = exp(i phi J_z) exp(-i theta J_y) exp(i psi J_z)
+      with |phi|, |psi| <= 2 pi and 0 <= theta <= pi;
+    * SU(3), C = 8 pi sqrt(2/3) (about 20.5): g = exp(i H), H traceless
+      Hermitian in the fundamental alcove, whose vertices bound ||H||_F by
+      2 pi sqrt(2/3); H = sum_k c_k lambda_k / 2 with c_k = tr(H lambda_k),
+      and sum_k |c_k| <= sqrt(8) (sum_k c_k^2)^(1/2) = 4 ||H||_F.
+
+    A zero Lie algebra (a trivial rep) gives exactly 0.0."""
     if state.d != rep.dim:
         raise DimensionMismatch(f"state dim {state.d} != representation dim {rep.dim}")
-    return _max_defect(G.element_unitaries(rep, elements), state.rho)
+    if isinstance(rep.group, G.FiniteGroup):
+        return _max_defect(G.element_unitaries(rep, G.finite_elements(rep.group)), state.rho)
+    if (X := rep.lie_algebra) is None:
+        raise ValueError(f"representation {rep.name!r} records no Lie algebra")
+    rho = state.rho
+    return LIE_BOUND[rep.group.kind] * _max_trace_norm(X @ rho - rho @ X)
 
 
 def _max_defect(unitaries: np.ndarray, rho: np.ndarray, skip_above: float = math.inf) -> float:
     """max_j ||U_j^dag rho U_j - rho||_tr over the (n, d, d) stack of U_j,
-    the defect stack formed in one expression.  A defect whose Frobenius
-    norm exceeds ``skip_above`` (squared norms compared with its square,
-    taken as x * x: x**2 raises OverflowError past 1.3e154) has a trace norm
-    above it too: then inf is returned without the SVDs."""
-    defects = unitaries.conj().transpose(0, 2, 1) @ rho @ unitaries - rho
+    the defect stack formed in one expression (``_max_trace_norm``)."""
+    return _max_trace_norm(unitaries.conj().transpose(0, 2, 1) @ rho @ unitaries - rho, skip_above)
+
+
+def _max_trace_norm(defects: np.ndarray, skip_above: float = math.inf) -> float:
+    """The largest trace norm in the (n, d, d) stack.  A matrix whose
+    Frobenius norm exceeds ``skip_above`` (squared norms compared with its
+    square, taken as x * x: x**2 raises OverflowError past 1.3e154) has a
+    trace norm above it too: then inf is returned without the SVDs."""
     flat = defects.reshape(len(defects), -1)
     if np.vecdot(flat, flat).real.max() > skip_above * skip_above:
         return math.inf
@@ -357,8 +384,9 @@ def cesaro_fixed_point(
 @dataclass(frozen=True)
 class HaarAverageResult:
     """The averaged state, the method that ran and the representation it
-    averaged over.  ``residual`` is the state's ``invariance_residual`` over
-    the default probe set (20 probes, seed 0), computed on first read."""
+    averaged over.  ``residual`` is the state's ``invariance_residual``
+    (exact over a finite group, a certified bound over a Lie group, no
+    sampling either way), computed on first read."""
 
     state: DensityState
     method: str
@@ -399,8 +427,7 @@ def haar_average(
     * "auto": finite -> finite_exact, u1 and su2 -> quadrature, su3 -> cesaro.
 
     No invariance residual is computed here: the result's ``residual`` is
-    computed on first read, and a caller that wants another probe set calls
-    ``invariance_residual`` itself.
+    computed on first read.
     """
     if rho.d != rep.dim:
         raise DimensionMismatch(f"state dim {rho.d} != representation dim {rep.dim}")

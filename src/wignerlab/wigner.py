@@ -189,20 +189,26 @@ def standard_problem_batch(
 ) -> list[WignerProblem]:
     """Deterministic schedule of randomized problems cycling over dimensions,
     families of 1 to 4 elements, and the group kinds SU(2), SU(3), Z_n and
-    Q8; elements are drawn from the seed schedule base_seed + index.  Each
+    Q8; problem i's elements are ``haar_sample(rep, base_seed + i, n)``,
+    bitwise, drawn as one ``groups.haar_families`` batch per group.  Each
     distinct rep config is built once."""
     cache: dict = {}
-    problems = []
+    reps = []
     for i in range(count):
-        n = 1 + i % 4
         kind = _BATCH_KINDS[i % len(_BATCH_KINDS)]
         config = _rep_config(kind, dims[i % len(dims)], 2 + (i // 3) % 5)
         key = tuple(config.values())
         if key not in cache:
             cache[key] = G.rep_from_config(config)
-        rep = cache[key]
-        problems.append(WignerProblem(rep, G.haar_sample(rep, base_seed + i, n)))
-    return problems
+        reps.append(cache[key])
+    by_group: dict = {}
+    for i, rep in enumerate(reps):
+        by_group.setdefault(rep.group, []).append(i)
+    families = {}
+    for group, index in by_group.items():
+        families.update(zip(index, G.haar_families(
+            group, [base_seed + i for i in index], [1 + i % 4 for i in index])))
+    return [WignerProblem(rep, families[i]) for i, rep in enumerate(reps)]
 
 
 def problem_seed_state(problem: WignerProblem, seed: int) -> DensityState:

@@ -5,9 +5,10 @@ import pytest
 
 from wignerlab import (BadElement, DimensionMismatch, FiniteElement, FiniteGroup, SU2Element,
                        SU3Element, U1Element, commutant, finite_rep)
-from wignerlab.groups import TWO_PI, haar_unitary, philox_stream
-from wignerlab.matrixcore import Subspace, _norms, frobenius, unvec, vec
-from wignerlab.states import DensityState, NoConvergence, averaged_superop, repair_psd
+from wignerlab.groups import TWO_PI, finite_elements, haar_unitary, philox_stream
+from wignerlab.matrixcore import Subspace, _norms, frobenius, trace_norm, unvec, vec
+from wignerlab.states import (LIE_BOUND, DensityState, NoConvergence, averaged_superop, pullback,
+                              repair_psd, trace_distance)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -216,6 +217,33 @@ def reference_euler(U):
     s = 2.0 * np.angle(U[0, 0]) if abs(U[0, 0]) > 1e-14 else 0.0
     r = -2.0 * np.angle(U[1, 0]) if abs(U[1, 0]) > 1e-14 else 0.0
     return SU2Element((s + r) / 2.0, min(max(theta, 0.0), math.pi), (s - r) / 2.0)
+
+
+def reference_expm(A):
+    """exp(A) by scaling and squaring a 30-term Taylor series, for checks
+    independent of eigendecompositions."""
+    norm = float(np.abs(A).sum(axis=1).max())
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    B = np.asarray(A, dtype=complex) / 2**s
+    out = term = np.eye(len(B), dtype=complex)
+    for k in range(1, 30):
+        term = term @ B / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def reference_residual(rep, state):
+    """Per-element reference for ``invariance_residual``: the largest
+    ``trace_distance`` of a pullback over a finite group's elements, one
+    element at a time; over a Lie group, C_rep times the largest trace norm
+    of a commutator [X_k, rho], one generator X_k at a time."""
+    if isinstance(rep.group, FiniteGroup):
+        return max(trace_distance(pullback(rep, g, state), state)
+                   for g in finite_elements(rep.group))
+    rho = state.rho
+    return LIE_BOUND[rep.group.kind] * max(trace_norm(X @ rho - rho @ X) for X in rep.lie_algebra)
 
 
 def reference_haar_sample(rep, seed, count):

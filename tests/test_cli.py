@@ -155,9 +155,11 @@ def test_invariant_state_records_no_generators_for_a_finite_group(tmp_path, grou
 ])
 def test_invariant_state_records_only_the_sample_counts_its_method_read(
         tmp_path, group, method, count, generators):
+    # tol 1: the residual bounds the defect over the whole group, and 64
+    # Monte Carlo samples leave SU(2)'s at 0.76
     out, replay = tmp_path / "state.json", tmp_path / "replay.json"
     assert run_cli("invariant-state", "--group", group, "--method", method, "--count", "64",
-                   "--generators", "3", "--tol", "0.1", "--out", str(out)) == 0
+                   "--generators", "3", "--tol", "1", "--out", str(out)) == 0
     report = load_report(out)
     assert (report["config"]["count"], report["config"]["generators"]) == (count, generators)
     # the nulls replay as the defaults, which the resolved method does not read
@@ -327,7 +329,7 @@ def test_bundle_reports_the_residuals_its_check_used():
     spec = bundle_spec_from_json({"points": points})
     for idx, label in enumerate(spec.points):
         state = DensityState.from_json(report["field"]["states"][label])
-        expected = invariance_residual(spec.reps[label], state, probes=50, seed=seed + idx)
+        expected = invariance_residual(spec.reps[label], state)
         assert report["invariance_residuals"][label].hex() == expected.hex()
     assert report["separating"] == {"a": True, "b": True, "c": True}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -63,10 +64,12 @@ from wignerlab.groups import (
     su2_matrix,
     su2_quadrature_nodes,
     _validate_rep,
+    haar_families,
 )
+from wignerlab.matrixcore import commutant
 
-from conftest import (reference_euler, reference_haar_sample, reference_haar_unitary,
-                      reference_unitary, random_hermitian)
+from conftest import (reference_euler, reference_expm, reference_haar_sample,
+                      reference_haar_unitary, reference_unitary, random_hermitian)
 
 
 def test_finite_group_rejects_bad_table():
@@ -721,7 +724,7 @@ def test_su3_batch_check_fires_past_the_first_chunk(case, spoil):
     # second chunk and given from outside, is checked
     import wignerlab.groups as groups_module
 
-    stack = groups_module._haar_special_unitaries(3, 7, 300)
+    stack = groups_module._haar_special_unitaries(3, [(7, 300)])
     bad = groups_module.BATCH + 3
     stack[bad] = spoil(stack[bad])
     with pytest.raises(BadElement) as info:
@@ -769,7 +772,7 @@ def test_philox_streams_independent():
 def test_gram_schmidt_samples_match_the_lapack_qr_reference(n):
     reference = np.array([reference_haar_unitary(n, philox_stream(31, i)) for i in range(4096)])
     for count in (1, 257, 4096):
-        stack = _haar_special_unitaries(n, 31, count)
+        stack = _haar_special_unitaries(n, [(31, count)])
         assert np.abs(stack - reference[:count]).max() <= 1e-13
     # one kernel: row i is haar_unitary of stream i, bitwise, for every n
     rows = [0, 255, 256]
@@ -1212,3 +1215,108 @@ def test_group_json_rejects_malformed():
                 "rep": {"dim": 2, "matrices": [[[[1, 0]]]]},
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# Lie-algebra images
+
+# the Gell-Mann matrices, written out
+_GELL_MANN = np.array([
+    [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+    [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+    [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+    [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+    [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+    [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+    np.diag([1, 1, -2]) / math.sqrt(3),
+], dtype=complex)
+
+# every built-in Lie rep with the dim of its image's commutant
+LIE_REPS = [
+    *((su2_irrep(d), 1) for d in range(2, 9)),
+    *((su3_rep(d), dim) for d, dim in ((3, 1), (4, 2), (5, 5), (6, 1))),
+    (u1_rep([0, 0, 1, -1, 2, 2, 2]), 15),
+    (direct_sum_rep(su2_irrep(2), su2_irrep(2), su2_irrep(3)), 5),
+]
+
+
+def _one_parameter_elements(kind, t):
+    """exp(i t xi_k) for the kind's generators xi_k, one element each:
+    U(1)'s angle, SU(2)'s exp(i t J_z) and exp(i t J_y) as Euler angles, and
+    SU(3)'s exp(i t lambda_k / 2)."""
+    if kind == "u1":
+        return [U1Element(t % TWO_PI)]
+    if kind == "su2":
+        # U(0, theta, 0) = exp(-i theta J_y), theta in [0, pi]
+        return [SU2Element(t, 0.0, 0.0), SU2Element(0.0, -t, 0.0)]
+    return [SU3Element(reference_expm(0.5j * t * L)) for L in _GELL_MANN]
+
+
+@pytest.mark.parametrize("rep, commutant_dim", LIE_REPS, ids=lambda x: getattr(x, "name", str(x)))
+def test_lie_algebra_exponentiates_to_the_rep(rep, commutant_dim):
+    X = rep.lie_algebra
+    assert X.shape == ({"u1": 1, "su2": 2, "su3": 8}[rep.group.kind], rep.dim, rep.dim)
+    assert not X.flags.writeable
+    assert np.abs(X - X.conj().transpose(0, 2, 1)).max() <= 1e-15
+    for t in (-0.3, -1.7, -3.1):
+        U = element_unitaries(rep, _one_parameter_elements(rep.group.kind, t))
+        expected = np.array([reference_expm(1j * t * Xk) for Xk in X])
+        assert np.abs(U - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rep, commutant_dim", LIE_REPS, ids=lambda x: getattr(x, "name", str(x)))
+def test_the_lie_algebra_has_the_commutant_of_the_image(rep, commutant_dim):
+    # a connected group's image and its Lie algebra's have one commutant
+    sampled = element_unitaries(rep, haar_sample(rep, 3, 3))
+    assert commutant(rep.lie_algebra, rep.dim).dim == commutant_dim
+    assert commutant(sampled, rep.dim).dim == commutant_dim
+
+
+@pytest.mark.parametrize("rep", [su2_irrep(d) for d in (2, 3, 6)], ids=lambda rep: rep.name)
+def test_validate_rep_rejects_a_flipped_j_y(rep):
+    assert _validate_rep(dataclasses.replace(rep)) is not rep
+    signs = np.array([1, -1])[:, None, None]
+    flipped = dataclasses.replace(rep, lie_algebra=rep.lie_algebra * signs)
+    with pytest.raises(ValueError) as info:
+        _validate_rep(flipped)
+    assert str(info.value) == f"representation {rep.name!r} is not exp(i t X) on its Lie algebra"
+
+
+def test_validate_rep_checks_the_lie_algebra_stack():
+    rep = su2_irrep(3)
+    short = dataclasses.replace(rep, lie_algebra=rep.lie_algebra[:1])
+    message = r"Lie algebra stack of shape \(1, 3, 3\), expected \(2, 3, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        _validate_rep(short)
+    skew = dataclasses.replace(rep, lie_algebra=1j * rep.lie_algebra)
+    with pytest.raises(ValueError, match="has a non-Hermitian Lie algebra$"):
+        _validate_rep(skew)
+
+
+def test_lie_algebra_of_sums_trivial_and_finite_reps():
+    summed = direct_sum_rep(su3_rep(3), trivial_rep(SU3, 2))
+    assert np.array_equal(summed.lie_algebra, su3_rep(5).lie_algebra)
+    assert not trivial_rep(U1, 3).lie_algebra.any()
+    assert trivial_rep(SU2, 2).lie_algebra.shape == (2, 2, 2)
+    assert trivial_rep(cyclic_group(2), 2).lie_algebra is None
+    assert quaternion_rep(4).lie_algebra is None and cyclic_rep(3).lie_algebra is None
+    # a summand without one leaves the sum without one
+    bare = UnitaryRep(U1, 1, u1_rep([2]).stack_fn, "bare")
+    assert direct_sum_rep(u1_rep([1]), bare).lie_algebra is None
+
+
+@pytest.mark.parametrize("rep", [su2_irrep(3), su3_rep(3), u1_rep([1, -2]), cyclic_rep(5),
+                                 quaternion_rep(2)], ids=lambda rep: rep.name)
+def test_haar_families_are_haar_samples(rep):
+    # one batch, sliced: each family bitwise its own haar_sample, across a
+    # BATCH boundary and with a seed past 2^64
+    seeds, counts = [7, 7, 300, 2**64 + 5, 3], [1, 4, 260, 2, 3]
+    families = haar_families(rep.group, seeds, counts)
+    assert len(families) == len(seeds)
+    for seed, count, family in zip(seeds, counts, families):
+        expected = haar_sample(rep, seed, count)
+        assert type(family) is type(expected)
+        assert family.array.tobytes() == expected.array.tobytes()
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        haar_families(rep.group, [1, 2], [1, 0])

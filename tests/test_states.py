@@ -25,12 +25,13 @@ from wignerlab import (
     trivial_rep,
     u1_rep,
 )
-from wignerlab import groups
+from wignerlab import groups, states
 from wignerlab.states import repair_psd
 
 from wignerlab.matrixcore import frobenius
 
-from conftest import reference_haar_sample, reference_unitary, random_hermitian
+from conftest import (random_hermitian, reference_haar_sample, reference_residual,
+                      reference_unitary)
 
 
 def test_density_state_validation():
@@ -203,7 +204,12 @@ def test_u1_quadrature_covers_the_recorded_weights():
     assert summed.meta["weights"] == (0, 257)
     for rep in (summed, u1_rep([0, 257])):
         res = haar_average(rep, rho)
-        assert np.abs(res.state.rho - np.eye(2) / 2).max() <= 1e-15 and res.residual <= 1e-14
+        assert np.abs(res.state.rho - np.eye(2) / 2).max() <= 1e-15
+        # the defect under 20 Haar elements, and the residual's bound over all
+        # of U(1), pi ||[W, rho]||_tr = 514 pi |rho_01|, which scales with the weight
+        probes = groups.element_unitaries(rep, haar_sample(rep, 0, 20))
+        assert states._max_defect(probes, res.state.rho) <= 1e-14
+        assert res.residual <= 514 * math.pi * 1e-15
     padded = groups.direct_sum_rep(u1_rep([3]), trivial_rep(groups.U1, 2))
     assert trivial_rep(groups.U1, 2).meta["weights"] == (0, 0)
     assert padded.meta["weights"] == (3, 0, 0)
@@ -435,14 +441,6 @@ def test_a_state_from_repair_refuses_what_the_constructor_refuses():
         DensityState._from_repair(2, repair)
 
 
-def test_invariance_residual_probes_deterministic(rng):
-    rep = su2_fundamental()
-    state = maximally_mixed(2)
-    assert invariance_residual(rep, state, probes=10, seed=3) == invariance_residual(
-        rep, state, probes=10, seed=3
-    )
-
-
 @pytest.mark.parametrize(
     "rep",
     [su2_irrep(2), su2_irrep(8), su2_irrep(9), su2_irrep(16), groups.su3_rep(6),
@@ -450,15 +448,21 @@ def test_invariance_residual_probes_deterministic(rng):
     ids=lambda rep: rep.name,
 )
 def test_invariance_residual_is_bitwise_the_pullback_loop(rep):
-    # d > 8 sums more singular values than numpy's unrolled block, so its
-    # pairwise summation runs both in the stacked sum and in trace_norm
+    # over a finite group the residual is the pullback loop over all
+    # elements; over a Lie group it is the commutator loop over the rep's
+    # Lie algebra (``reference_residual``), which bounds the pullback loop
+    # over any elements, here 20 Haar samples from each of two seeds.  d > 8
+    # sums more singular values than numpy's unrolled block, so its pairwise
+    # summation runs both in the stacked sum and in trace_norm
     rho = random_density(rep.dim, groups.philox_stream(77, rep.dim))
     finite = groups.finite_elements(rep.group) if rep.group.kind == "finite" else None
     for state in (rho, haar_average(rep, rho).state):
+        residual = invariance_residual(rep, state)
+        assert residual == reference_residual(rep, state)
         for seed in (0, 9):
             probes = finite or groups.haar_sample(rep, seed, 20)
-            expected = max(trace_distance(pullback(rep, g, state), state) for g in probes)
-            assert invariance_residual(rep, state, probes=20, seed=seed) == expected
+            loop = max(trace_distance(pullback(rep, g, state), state) for g in probes)
+            assert loop == residual if finite else loop <= residual
 
 
 def test_state_json_roundtrip(rng):
@@ -542,7 +546,7 @@ def _reference_su2_quadrature(rep, rho):
     return avg
 
 
-def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probes=20):
+def _reference_average(rep, rho, method, seed=0, count=4096, generators=3):
     """haar_average computed one element at a time, on reference samples."""
     from wignerlab import cesaro_fixed_point, WignerProblem
     from wignerlab.matrixcore import pairwise_mean
@@ -567,9 +571,7 @@ def _reference_average(rep, rho, method, seed=0, count=4096, generators=3, probe
                 U.conj().T @ rho.rho @ U for U in (reference_unitary(rep, g) for g in elements)
             ]))
         state = DensityState(rho.d, repair_psd(avg)[0])
-    probe_elements = finite or reference_haar_sample(rep, 0, probes)
-    residual = max(trace_distance(pullback(rep, g, state), state) for g in probe_elements)
-    return state, residual
+    return state, reference_residual(rep, state)
 
 
 @pytest.mark.parametrize(
@@ -597,3 +599,70 @@ def test_haar_average_is_bitwise_the_per_element_reference(rep, method):
     assert result.method == ref_method
     assert result.state.rho.tobytes() == state.rho.tobytes()
     assert result.residual == residual
+
+
+@pytest.mark.parametrize("rep", [trivial_rep(groups.U1, 3), trivial_rep(groups.SU2, 2),
+                                 trivial_rep(groups.SU3, 4), u1_rep([0, 0])],
+                         ids=lambda rep: f"{rep.name}-{rep.group.kind}")
+def test_a_zero_lie_algebra_gives_residual_exactly_zero(rep):
+    # no 0/0: a division by zero would raise under the RuntimeWarning filter
+    assert not rep.lie_algebra.any()
+    rho = random_density(rep.dim, groups.philox_stream(41, rep.dim))
+    assert invariance_residual(rep, rho) == 0.0
+    assert haar_average(rep, rho).residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [su2_irrep(2), su2_irrep(5), groups.direct_sum_rep(su2_irrep(2), su2_irrep(3)),
+     groups.su3_rep(3), groups.su3_rep(4), groups.su3_rep(6), u1_rep([0, 1, -2, 3])],
+    ids=lambda rep: rep.name,
+)
+def test_the_lie_residual_bounds_the_defect_over_the_group(rep):
+    # C_rep max_k ||[X_k, rho]||_tr is at least ||U(g)^dag rho U(g) - rho||_tr
+    # for every g: here 400 Haar elements, and for SU(2) the corners of the
+    # Euler box, for U(1) the angles near pi, where the bound is tightest
+    elements = groups.haar_sample(rep, 5, 400)
+    if rep.group.kind == "su2":
+        corner = 2.0 * math.pi
+        elements = [*elements, *(SU2Element(a, math.pi, b) for a in (-corner, corner)
+                                 for b in (-corner, corner))]
+    elif rep.group.kind == "u1":
+        elements = [*elements, *(groups.U1Element(math.pi + e) for e in (-1e-9, 0.0, 1e-9))]
+    U = groups.element_unitaries(rep, elements)
+    rng = groups.philox_stream(43, rep.dim)
+    for blend in (0.0, 0.9, 1.0 - 1e-6):
+        rho = random_density(rep.dim, rng)
+        mixed = blend * haar_average(rep, rho).state.rho + (1 - blend) * rho.rho
+        state = DensityState(rep.dim, mixed)
+        assert states._max_defect(U, state.rho) <= invariance_residual(rep, state)
+
+
+def test_a_lie_rep_without_its_lie_algebra_has_no_residual():
+    bare = groups.UnitaryRep(groups.SU2, 2, su2_fundamental().stack_fn, "bare")
+    with pytest.raises(ValueError, match="^representation 'bare' records no Lie algebra$"):
+        invariance_residual(bare, maximally_mixed(2))
+
+
+def test_invariance_checks_draw_no_haar_sample(monkeypatch):
+    # the reps and specs first: _validate_rep samples.  Then every Haar
+    # stream refuses, and the Lie residuals and the SU(2) and U(1) fields
+    # (quadrature, no Cesaro generators) still complete
+    from wignerlab import bundle
+
+    reps = [su2_irrep(4), groups.su3_rep(6), u1_rep([0, 1, -2])]
+    rhos = [random_density(rep.dim, groups.philox_stream(47, rep.dim)) for rep in reps]
+    specs = [bundle.BundleSpec(("a", "b"), {"a": su2_irrep(2), "b": su2_irrep(3)}),
+             bundle.BundleSpec(("p", "q"), {"p": u1_rep([1, -1, 2]), "q": u1_rep([0, 3])})]
+
+    def refuse(*args):
+        raise AssertionError("a Haar sample was drawn")
+
+    monkeypatch.setattr(groups, "_philox_streams", refuse)
+    with pytest.raises(AssertionError, match="Haar sample"):
+        haar_sample(su2_irrep(2), 0, 1)
+    for rep, rho in zip(reps, rhos):
+        assert invariance_residual(rep, rho) == invariance_residual(rep, rho) > 0.1
+    for spec in specs:
+        field = bundle.assign_invariant_field(spec, seed=3)
+        assert all(field.residuals[label] <= 1e-7 for label in spec.points)

@@ -714,3 +714,29 @@ def test_problem_builds_its_unitary_stack_once(monkeypatch):
         assert problem.unitaries.tobytes() == build(problem.rep, problem.elements).tobytes()
         with pytest.raises(ValueError):
             problem.unitaries[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("base_seed", [1, 1607, 2026])
+def test_standard_problem_batch_families_are_bitwise_haar_samples(base_seed, monkeypatch):
+    # problem i's family is haar_sample(rep, base_seed + i, 1 + i % 4), drawn
+    # in one stack per special unitary group, not one per problem (each rep
+    # build draws its own check's samples, from seed 0x5EED)
+    from wignerlab import groups
+
+    stacks = []
+    kernel = groups._haar_special_unitaries
+
+    def counted(n, families):
+        if families[0][0] != 0x5EED:
+            stacks.append(sum(count for _, count in families))
+        return kernel(n, families)
+
+    monkeypatch.setattr(groups, "_haar_special_unitaries", counted)
+    problems = standard_problem_batch(200, base_seed)
+    monkeypatch.setattr(groups, "_haar_special_unitaries", kernel)
+    assert len(stacks) == 2 and sum(stacks) == sum(
+        len(p.elements) for p in problems if p.rep.group.kind in ("su2", "su3"))
+    for i, problem in enumerate(problems):
+        expected = haar_sample(problem.rep, base_seed + i, 1 + i % 4)
+        assert type(problem.elements) is type(expected)
+        assert problem.elements.array.tobytes() == expected.array.tobytes()
